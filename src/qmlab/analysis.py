@@ -16,19 +16,15 @@ from dataclasses import dataclass
 
 from .growth import GrowthReport, fit_growth
 from .machine import (
-    Executor,
     Trace,
     Verdict,
     check_bounded_delay,
+    executor_for,
     minimal_delay,
     run,
     storage_length_series,
 )
 from .machines import (
-    build_anbn,
-    build_lprime_acceptor,
-    build_mk,
-    build_tk,
     builtin,
     pi,
     pi_order,
@@ -55,7 +51,10 @@ def effective_workers(workers: int | None = None) -> int:
         return max(1, workers)
     env = os.environ.get("QMLAB_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"QMLAB_WORKERS must be an integer, got {env!r}") from None
     return max(1, min(8, os.cpu_count() or 1))
 
 
@@ -125,9 +124,8 @@ def lprime_cycle_starts(trace: Trace, prefix_length: int) -> list[int]:
 
 
 def lprime_timing(inst: LprimeInstance, max_steps: int | None = None) -> LprimeTiming:
-    spec = build_lprime_acceptor()
     word = inst.render()
-    res = run(spec, word, max_steps=max_steps, trace=True)
+    res = executor_for(builtin("lprime")).run(word, max_steps=max_steps, trace=True)
     trace = res.trace
     p = inst.prefix_length
     k = inst.k
@@ -187,15 +185,6 @@ def pi_suite(k_max: int = 12, seed: int = 1) -> list[Check]:
 # --------------------------------------------------------------------------
 # Exhaustive oracle agreement for the riffle-copy acceptor
 
-_SCAN_EXEC: Executor | None = None
-
-
-def _scan_executor() -> Executor:
-    global _SCAN_EXEC
-    if _SCAN_EXEC is None:
-        _SCAN_EXEC = Executor(build_lprime_acceptor())
-    return _SCAN_EXEC
-
 
 def shape_compositions(max_len: int) -> list[tuple[int, int, int, int]]:
     """All letter/bit run lengths (wa, v1, v2, wb) of shape-plausible words
@@ -211,8 +200,7 @@ def shape_compositions(max_len: int) -> list[tuple[int, int, int, int]]:
 
 def _scan_task(comp: tuple[int, int, int, int]) -> tuple[int, list[str]]:
     wa, v1, v2, wb = comp
-    ex = _scan_executor()
-    run_word = ex.run
+    run_word = executor_for(builtin("lprime")).run
     slots = ([("a", "b")] * wa + [("0", "1")] * v1 + [("c",)]
              + [("0", "1")] * v2 + [("a", "b")] * wb)
     checked = 0
@@ -253,7 +241,7 @@ def lprime_exhaustive_scan(max_len: int = 13, workers: int | None = None) -> Sca
 
 def _structured_task(task: tuple[str, int, int, int]) -> tuple[str, int, list[str]]:
     kind, k, count, seed = task
-    ex = _scan_executor()
+    ex = executor_for(builtin("lprime"))
     bad: list[str] = []
     for j in range(count):
         inst = gen_lprime(k, seed + j)
@@ -305,7 +293,7 @@ def lprime_structured_suite(cases_per_clause: int = 10000, k_max: int = 10,
 
 def _fk_task(task: tuple[int, int, int]) -> tuple[str, int, list[str]]:
     k, count, seed = task
-    mk, tk = Executor(build_mk(k)), Executor(build_tk(k))
+    mk, tk = executor_for(builtin(f"mk:{k}")), executor_for(builtin(f"tk:{k}"))
     rng = SplitMix64(seed)
     bad: list[str] = []
     for j in range(count):
@@ -345,7 +333,7 @@ def _anbn_words(max_len: int):
 
 def anbn_suite(max_len: int = 14) -> list[Check]:
     checks = []
-    execs = {v: Executor(build_anbn(v)) for v in ("linear", "quadratic")}
+    execs = {v: executor_for(builtin(f"anbn:{v}")) for v in ("linear", "quadratic")}
     for variant, ex in execs.items():
         bad = []
         count = 0

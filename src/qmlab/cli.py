@@ -16,7 +16,8 @@ import sys
 
 from . import analysis, specfile
 from .growth import fit_growth
-from .machine import ExecutionFault, InputSymbolError, Verdict, run, validate_spec
+from .machine import (ExecutionFault, InputSymbolError, Verdict, executor_for, run,
+                      validate_spec)
 from .machines import BUILTIN_PATTERNS, builtin
 from .oracles import (
     BatchCase,
@@ -102,15 +103,31 @@ def _cmd_run(args) -> int:
             Verdict.STEP_LIMIT: EXIT_LIMIT, Verdict.FAULT: EXIT_FAULT}[res.verdict]
 
 
-def _run_batch(spec, args) -> int:
+def _run_cases(spec, args):
+    """Run every case of ``args.batch`` on one executor.  Returns the list of
+    ``(case, result)`` pairs, or an exit code after a one-line error."""
     try:
         cases = read_batch(args.batch)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:   # unreadable file or malformed line
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    failures = 0
+    ex = executor_for(spec)
+    results = []
     for i, case in enumerate(cases):
-        res = run(spec, case.word, max_steps=args.max_steps)
+        try:
+            results.append((case, ex.run(case.word, max_steps=args.max_steps)))
+        except InputSymbolError as exc:
+            print(f"error: batch case {i}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    return results
+
+
+def _run_batch(spec, args) -> int:
+    results = _run_cases(spec, args)
+    if isinstance(results, int):
+        return results
+    failures = 0
+    for i, (case, res) in enumerate(results):
         if case.expected.startswith("output="):
             ok = res.output == case.expected[len("output="):] and res.accepted
             got = f"output={res.output}"
@@ -121,7 +138,7 @@ def _run_batch(spec, args) -> int:
             failures += 1
             print(f"FAIL case {i} tag={case.tag} word={case.word} "
                   f"expected={case.expected} got={got}")
-    print(f"batch {args.batch}: {len(cases) - failures}/{len(cases)} cases matched")
+    print(f"batch {args.batch}: {len(results) - failures}/{len(results)} cases matched")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
@@ -130,6 +147,11 @@ def _cmd_verify(args) -> int:
     if suite not in VERIFY_SUITES:
         print(f"error: unknown suite {suite!r}; known: {', '.join(VERIFY_SUITES)}",
               file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        workers = analysis.effective_workers(args.workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if suite == "pi":
         checks = analysis.pi_suite(k_max=args.k_max if args.k_max is not None else 12,
@@ -142,16 +164,16 @@ def _cmd_verify(args) -> int:
             return _verify_batch_against_oracle(args)
         checks = analysis.lprime_structured_suite(
             cases_per_clause=args.cases, k_max=args.k_max if args.k_max is not None else 10,
-            seed=args.seed, workers=args.workers)
+            seed=args.seed, workers=workers)
         if args.exhaustive_len:
-            scan = analysis.lprime_exhaustive_scan(args.exhaustive_len, args.workers)
+            scan = analysis.lprime_exhaustive_scan(args.exhaustive_len, workers)
             checks.append(analysis.Check(
                 "lprime:exhaustive", scan.ok,
                 f"words={scan.words_checked} max-len={args.exhaustive_len}"
                 + (f" mismatches={list(scan.mismatches)}" if scan.mismatches else "")))
     elif suite == "fk":
         checks = analysis.fk_suite(cases_per_k=args.cases, seed=args.seed,
-                                   workers=args.workers)
+                                   workers=workers)
     else:  # anbn
         checks = analysis.anbn_suite(max_len=args.len_max)
     checks = sorted(checks, key=lambda c: c.case_id)
@@ -169,11 +191,11 @@ def _cmd_verify(args) -> int:
 
 
 def _verify_batch_against_oracle(args) -> int:
-    spec = builtin("lprime")
-    cases = read_batch(args.batch)
+    results = _run_cases(builtin("lprime"), args)
+    if isinstance(results, int):
+        return results
     failures = 0
-    for i, case in enumerate(cases):
-        res = run(spec, case.word, max_steps=args.max_steps)
+    for i, (case, res) in enumerate(results):
         want = in_lprime(case.word)
         ok = (res.accepted == want
               and case.expected == ("accept" if want else "reject"))
@@ -181,7 +203,7 @@ def _verify_batch_against_oracle(args) -> int:
             failures += 1
             print(f"FAIL case {i} tag={case.tag} expected={case.expected} "
                   f"oracle={'accept' if want else 'reject'} got={res.verdict.value}")
-    print(f"verify suite=lprime batch={args.batch} cases={len(cases)} failures={failures}")
+    print(f"verify suite=lprime batch={args.batch} cases={len(results)} failures={failures}")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 

@@ -461,7 +461,7 @@ class Executor:
 
     # -- stepping ----------------------------------------------------------
 
-    def _apply(self, cfg: Configuration, rule: Rule) -> tuple[bool, str | None]:
+    def _apply(self, cfg: Configuration, rule: Rule) -> None:
         if rule.consume:
             if cfg.input_pos >= len(cfg.input):
                 raise ExecutionFault("input consumed past end of word")
@@ -495,15 +495,15 @@ class Executor:
             cfg.output.append(rule.emit)
         cfg.state = rule.next_state
         cfg.steps += 1
-        return rule.consume, rule.emit
 
     def step_config(self, cfg: Configuration) -> StepRecord | None:
         """Apply the unique applicable rule; ``None`` means no rule applies."""
         rule = self.resolve(cfg.state, self._input_view(cfg), self._views(cfg.stores))
         if rule is None:
             return None
-        consumed, emit = self._apply(cfg, rule)
-        return StepRecord(cfg.steps, cfg.state, consumed, cfg.storage_lengths(), emit)
+        self._apply(cfg, rule)
+        return StepRecord(cfg.steps, cfg.state, rule.consume, cfg.storage_lengths(),
+                          rule.emit)
 
     # -- running -----------------------------------------------------------
 
@@ -528,36 +528,25 @@ class Executor:
         limit = default_step_limit(len(word)) if max_steps is None else max_steps
         tr = Trace(tuple(s.ident for s in self.spec.storages)) if trace else None
         maxes = list(cfg.storage_lengths()) if watch_lengths else None
-        fault = None
+        observe = trace or watch_lengths
+        resolve, views, input_view, apply_ = (
+            self.resolve, self._views, self._input_view, self._apply)
+        stores = cfg.stores
+        verdict, reason, fault = Verdict.STEP_LIMIT, "step_limit", None
         try:
-            if tr is not None:
-                while True:
-                    if cfg.steps >= limit:
-                        verdict, reason = Verdict.STEP_LIMIT, "step_limit"
-                        break
-                    rec = self.step_config(cfg)
-                    if rec is None:
-                        verdict, reason = self._verdict_on_halt(cfg), "no_rule"
-                        break
-                    tr.records.append(rec)
+            while cfg.steps < limit:
+                rule = resolve(cfg.state, input_view(cfg), views(stores))
+                if rule is None:
+                    verdict, reason = self._verdict_on_halt(cfg), "no_rule"
+                    break
+                apply_(cfg, rule)
+                if observe:
+                    lengths = cfg.storage_lengths()
+                    if tr is not None:
+                        tr.records.append(StepRecord(cfg.steps, cfg.state, rule.consume,
+                                                     lengths, rule.emit))
                     if maxes is not None:
-                        maxes = [max(a, b) for a, b in zip(maxes, rec.lengths)]
-            else:
-                # Untraced fast path: same resolution and application code,
-                # without per-step record allocation.
-                resolve, views, apply_ = self.resolve, self._views, self._apply
-                stores = cfg.stores
-                while True:
-                    if cfg.steps >= limit:
-                        verdict, reason = Verdict.STEP_LIMIT, "step_limit"
-                        break
-                    rule = resolve(cfg.state, self._input_view(cfg), views(stores))
-                    if rule is None:
-                        verdict, reason = self._verdict_on_halt(cfg), "no_rule"
-                        break
-                    apply_(cfg, rule)
-                    if maxes is not None:
-                        for i, n in enumerate(cfg.storage_lengths()):
+                        for i, n in enumerate(lengths):
                             if n > maxes[i]:
                                 maxes[i] = n
         except ExecutionFault as exc:

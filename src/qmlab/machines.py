@@ -22,6 +22,7 @@ Builtin registry names: ``mk:<k>``, ``tk:<k>``, ``lprime``, ``anbn:linear``,
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .machine import (
     BLANK,
@@ -108,14 +109,6 @@ def predicted_tail_steps_sum(k: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# Rule assembly helpers
-
-
-def _freeze(rules: list[Rule]) -> tuple[Rule, ...]:
-    return tuple(rules)
-
-
-# --------------------------------------------------------------------------
 # mk: the k-queue interleaver
 
 
@@ -165,7 +158,7 @@ def build_mk(k: int) -> MachineSpec:
     return MachineSpec(
         name=f"mk:{k}", states=states, start="fill_1",
         input_alphabet=frozenset("01#$"), output_alphabet=frozenset("01$"),
-        storages=storages, rules=_freeze(rules),
+        storages=storages, rules=tuple(rules),
         acceptance=Acceptance.FINAL_STATES, finals=frozenset({"round_1"}),
         mode=Mode.ONLINE)
 
@@ -298,7 +291,7 @@ def build_tk(k: int) -> MachineSpec:
     return MachineSpec(
         name=f"tk:{k}", states=tuple(states), start="prep",
         input_alphabet=frozenset("01#$"), output_alphabet=frozenset("01$"),
-        storages=storages, rules=_freeze(rules),
+        storages=storages, rules=tuple(rules),
         acceptance=Acceptance.FINAL_STATES, finals=frozenset({"serve_1"}),
         mode=Mode.ONLINE)
 
@@ -371,7 +364,7 @@ def build_lprime_acceptor() -> MachineSpec:
         name="lprime", states=states, start="store_w",
         input_alphabet=frozenset("ab01c"), output_alphabet=frozenset(),
         storages=(StorageSpec("q", Kind.QUEUE, frozenset("ab01c")),),
-        rules=_freeze(rules),
+        rules=tuple(rules),
         acceptance=Acceptance.EMPTY_STORAGES, mode=Mode.ONLINE,
         epsilon_accept=False)
 
@@ -448,7 +441,7 @@ def build_anbn(variant: str) -> MachineSpec:
         name=f"anbn:{variant}", states=states, start="start",
         input_alphabet=frozenset("ab"), output_alphabet=frozenset(),
         storages=(StorageSpec("q", Kind.QUEUE, frozenset("ab#")),),
-        rules=_freeze(rules),
+        rules=tuple(rules),
         acceptance=Acceptance.EMPTY_STORAGES, mode=Mode.POST,
         epsilon_accept=True)
 
@@ -460,8 +453,10 @@ def build_anbn(variant: str) -> MachineSpec:
 BUILTIN_PATTERNS = ("mk:<k>", "tk:<k>", "lprime", "anbn:linear", "anbn:quadratic")
 
 
+@lru_cache(maxsize=64)
 def builtin(name: str) -> MachineSpec:
-    """Resolve a builtin machine name such as ``mk:2`` or ``lprime``."""
+    """Resolve a builtin machine name such as ``mk:2`` or ``lprime``.  Specs
+    are immutable, so repeated lookups share one spec."""
     if name == "lprime":
         return build_lprime_acceptor()
     if name.startswith("anbn:"):

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 from .machines import pi
 
-GENERATOR_VERSION = "splitmix64/v1"
-
 _MASK = (1 << 64) - 1
 
 

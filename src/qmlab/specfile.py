@@ -156,8 +156,12 @@ def loads(text: str) -> MachineSpec:
             if len(pats) != len(storages):
                 raise SpecFormatError(
                     f"{len(pats)} observations for {len(storages)} storages", lineno)
+            tokens = [a.strip() for a in acts.split(",")] if acts else []
+            if len(tokens) != len(storages):
+                raise SpecFormatError(
+                    f"{len(tokens)} actions for {len(storages)} storages", lineno)
             ops = []
-            for st, token in zip(storages, (a.strip() for a in acts.split(","))):
+            for st, token in zip(storages, tokens):
                 if st.kind is Kind.TAPE:
                     ops.append(_parse_tape_op(token, lineno))
                 else:
@@ -191,14 +195,20 @@ def loads(text: str) -> MachineSpec:
             tracks = 1
             for extra in parts[3:]:
                 if extra.startswith("tracks="):
-                    tracks = int(extra[len("tracks="):])
+                    try:
+                        tracks = int(extra[len("tracks="):])
+                    except ValueError:
+                        raise SpecFormatError(f"bad tracks value {extra!r}", lineno) from None
                 else:
                     raise SpecFormatError(f"bad storage option {extra!r}", lineno)
             try:
                 kind = Kind(kind_s)
             except ValueError:
                 raise SpecFormatError(f"unknown storage kind {kind_s!r}", lineno) from None
-            storages.append(StorageSpec(ident, kind, frozenset(alpha), tracks=tracks))
+            try:
+                storages.append(StorageSpec(ident, kind, frozenset(alpha), tracks=tracks))
+            except ValueError as exc:
+                raise SpecFormatError(str(exc), lineno) from None
         elif key == "acceptance":
             if value.startswith("final_states(") and value.endswith(")"):
                 acceptance = Acceptance.FINAL_STATES

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from qmlab.cli import main
 from qmlab.oracles import read_batch
 
@@ -107,6 +109,57 @@ class TestGenAndBatch:
         assert "cases=30 failures=0" in out
 
 
+class TestBatchErrors:
+    """Bad batch files end with a documented exit code and a one-line error."""
+
+    def malformed(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("aca\taccept\tmember\nno-tabs-here\n")
+        return path
+
+    def outside_alphabet(self, tmp_path):
+        path = tmp_path / "alien.tsv"
+        path.write_text("aca\taccept\tmember\naxa\treject\talien\n")
+        return path
+
+    def check_error(self, capsys, argv, code, needle):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert needle in err
+
+    def test_run_malformed_line_exit_three(self, capsys, tmp_path):
+        path = self.malformed(tmp_path)
+        self.check_error(capsys, ["run", "--machine", "lprime", "--batch", str(path)],
+                         3, f"error: {path}:2: expected 3 tab-separated fields")
+
+    def test_verify_malformed_line_exit_three(self, capsys, tmp_path):
+        path = self.malformed(tmp_path)
+        self.check_error(capsys, ["verify", "--suite", "lprime", "--batch", str(path)],
+                         3, f"error: {path}:2: expected 3 tab-separated fields")
+
+    def test_run_symbol_outside_alphabet_exit_two(self, capsys, tmp_path):
+        path = self.outside_alphabet(tmp_path)
+        self.check_error(capsys, ["run", "--machine", "lprime", "--batch", str(path)],
+                         2, "batch case 1:")
+
+    def test_verify_symbol_outside_alphabet_exit_two(self, capsys, tmp_path):
+        path = self.outside_alphabet(tmp_path)
+        self.check_error(capsys, ["verify", "--suite", "lprime", "--batch", str(path)],
+                         2, "batch case 1:")
+
+    def test_cli_subprocess_prints_no_traceback(self, tmp_path):
+        path = self.malformed(tmp_path)
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmlab", "run", "--machine", "mk:1",
+             "--batch", str(path)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+
+
 class TestVerify:
     def test_pi_suite_passes(self, capsys):
         code, out = invoke(capsys, "verify", "--suite", "pi", "--k-max", "12")
@@ -190,6 +243,17 @@ def test_workers_env_override(monkeypatch):
     monkeypatch.delenv("QMLAB_WORKERS")
     assert effective_workers(5) == 5
     assert effective_workers() >= 1
+
+
+def test_bad_workers_env_is_a_usage_error(monkeypatch, capsys):
+    from qmlab.analysis import effective_workers
+    monkeypatch.setenv("QMLAB_WORKERS", "abc")
+    with pytest.raises(ValueError, match="QMLAB_WORKERS"):
+        effective_workers()
+    assert main(["verify", "--suite", "pi", "--k-max", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: QMLAB_WORKERS") and err.count("\n") == 1
 
 
 def test_console_entry_point_subprocess():

@@ -1,0 +1,258 @@
+"""Differential test: the executor's run loop against a naive reference.
+
+The reference below follows the README's "Machine model" section and nothing
+else: it scans every rule of the spec on every step, keeps the most specific
+applicable one (componentwise, input most significant) and has no cache.
+Plain, watched and traced ``Executor.run`` and the public ``step`` API must
+each agree with it on verdict, output, steps, input consumed, fault text,
+per-step records and peak storage lengths.
+"""
+
+from dataclasses import dataclass
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import test_machine_core as core
+from qmlab.machine import (
+    BLANK,
+    EMPTY,
+    NO_SYMBOL,
+    WILDCARD,
+    Acceptance,
+    ExecutionFault,
+    Kind,
+    Mode,
+    Rule,
+    TapeOp,
+    Verdict,
+    default_step_limit,
+    executor_for,
+    initial_configuration,
+    step,
+    validate_spec,
+)
+from qmlab.machines import builtin
+from qmlab.oracles import FK_CLAUSES, LPRIME_CLAUSES, gen_lk, gen_lprime, mutate_negative
+
+
+class _Fault(Exception):
+    pass
+
+
+@dataclass
+class Reference:
+    verdict: Verdict
+    output: str
+    steps: int
+    input_consumed: int
+    fault: str | None
+    records: list      # (step, state, consumed, lengths, emit) per step
+    peaks: tuple
+
+
+def reference_run(spec, word, max_steps=None) -> Reference:
+    post = spec.mode is Mode.POST
+    stores = []
+    for j, st_ in enumerate(spec.storages):
+        if st_.kind is Kind.TAPE:
+            stores.append({"cells": [BLANK * st_.tracks], "head": 0})
+        else:
+            stores.append(list(word) if post and j == 0 else [])
+
+    def view(j):
+        s, kind = stores[j], spec.storages[j].kind
+        if kind is Kind.TAPE:
+            return s["cells"][s["head"]]
+        if not s:
+            return EMPTY
+        return s[0] if kind is Kind.QUEUE else s[-1]
+
+    def lengths():
+        return tuple(sum(c != BLANK * st_.tracks for c in s["cells"])
+                     if st_.kind is Kind.TAPE else len(s)
+                     for st_, s in zip(spec.storages, stores))
+
+    def apply(rule):
+        nonlocal pos
+        if rule.consume:
+            if pos >= len(word):
+                raise _Fault("input consumed past end of word")
+            pos += 1
+        for st_, s, op in zip(spec.storages, stores, rule.ops):
+            if st_.kind is Kind.TAPE:
+                if op.write is not None:
+                    s["cells"][s["head"]] = op.write
+                if op.move == "R":
+                    s["head"] += 1
+                    if s["head"] == len(s["cells"]):
+                        s["cells"].append(BLANK * st_.tracks)
+                elif op.move == "L":
+                    if s["head"] == 0:
+                        raise _Fault(f"tape head moved off the left end of {st_.ident!r}")
+                    s["head"] -= 1
+                continue
+            if op.pop:
+                if not s:
+                    raise _Fault(f"pop on empty {st_.kind.value} {st_.ident!r}")
+                s.pop(0 if st_.kind is Kind.QUEUE else -1)
+            if op.push is not None:
+                s.append(op.push)
+        if rule.emit is not None:
+            output.append(rule.emit)
+
+    state, pos, output, records = spec.start, 0, [], []
+    peaks = lengths()
+    limit = default_step_limit(len(word)) if max_steps is None else max_steps
+    fault = None
+    while True:
+        if len(records) >= limit:
+            verdict = Verdict.STEP_LIMIT
+            break
+        obs = (NO_SYMBOL if post or pos >= len(word) else word[pos],) + tuple(
+            view(j) for j in range(len(stores)))
+        best = None
+        for rule in spec.rules:
+            pats = (rule.input_pat,) + rule.storage_pats
+            if rule.state == state and all(p in (WILDCARD, o) for p, o in zip(pats, obs)):
+                rank = tuple(p != WILDCARD for p in pats)
+                if best is None or rank > best[0]:
+                    best = (rank, rule)
+        if best is None:
+            verdict = _halt_verdict(spec, word, state, pos, lengths(), output)
+            break
+        rule = best[1]
+        try:
+            apply(rule)
+        except _Fault as exc:
+            fault, verdict = str(exc), Verdict.FAULT
+            break
+        state = rule.next_state
+        now = lengths()
+        peaks = tuple(map(max, peaks, now))
+        records.append((len(records) + 1, state, rule.consume, now, rule.emit))
+    return Reference(verdict, "".join(output), len(records), pos, fault, records, peaks)
+
+
+def _halt_verdict(spec, word, state, pos, lengths, output):
+    if not word and not spec.epsilon_accept:
+        return Verdict.REJECT
+    consumed_all = spec.mode is Mode.POST or pos == len(word)
+    if spec.acceptance is Acceptance.EMPTY_STORAGES:
+        ok = consumed_all and not any(lengths)
+    elif spec.acceptance is Acceptance.FINAL_STATES:
+        ok = consumed_all and state in spec.finals
+    else:
+        ok = bool(output) and output[-1] == "1"
+    return Verdict.ACCEPT if ok else Verdict.REJECT
+
+
+# --------------------------------------------------------------------------
+# Machines and words
+
+
+def _tape_left_machine():
+    return core.simple_machine(
+        Kind.TAPE,
+        Rule("w", "0", (WILDCARD,), "w", consume=True, ops=(TapeOp(write="1", move="R"),)),
+        Rule("w", "1", (WILDCARD,), "w", consume=True, ops=(TapeOp(move="L"),)),
+        alphabet="01", storage_alphabet="01", output="01", states=("w",))
+
+
+def _blank_rewrite_machine():
+    return core.simple_machine(
+        Kind.TAPE,
+        Rule("w", "0", ("_",), "x", consume=True, ops=(TapeOp(write="0", move="S"),)),
+        Rule("x", "0", ("0",), "w", consume=True, ops=(TapeOp(write="_", move="S"),)),
+        alphabet="01", storage_alphabet="01", output="01", states=("w", "x"))
+
+
+def _lprime_words():
+    member = st.builds(lambda k, seed: gen_lprime(k, seed).render(),
+                       st.integers(0, 3), st.integers(0, 2**32))
+    negative = st.builds(
+        lambda k, clause, seed: mutate_negative(gen_lprime(k, seed), clause, seed + 1),
+        st.integers(1, 3), st.sampled_from(LPRIME_CLAUSES), st.integers(0, 2**32))
+    return st.one_of(st.text("01abc", max_size=14), member, negative)
+
+
+def _fk_words(k):
+    inst = st.builds(lambda f, m, seed: gen_lk(k, tuple(f), m, seed),
+                     st.lists(st.integers(1, 3), min_size=k, max_size=k),
+                     st.integers(1, 3), st.integers(0, 2**32))
+    negative = st.builds(mutate_negative, inst, st.sampled_from(FK_CLAUSES),
+                         st.integers(0, 2**32))
+    return st.one_of(st.text("01#$", max_size=16), inst.map(lambda i: i.render()),
+                     negative)
+
+
+_ANBN_WORDS = st.one_of(st.text("ab", max_size=10),
+                        st.integers(0, 6).map(lambda n: "a" * n + "b" * n))
+
+MACHINES = {
+    "lprime": (lambda: builtin("lprime"), _lprime_words()),
+    **{f"mk:{k}": (lambda k=k: builtin(f"mk:{k}"), _fk_words(k)) for k in (1, 2, 3)},
+    **{f"tk:{k}": (lambda k=k: builtin(f"tk:{k}"), _fk_words(k)) for k in (1, 2)},
+    "anbn:linear": (lambda: builtin("anbn:linear"), _ANBN_WORDS),
+    "anbn:quadratic": (lambda: builtin("anbn:quadratic"), _ANBN_WORDS),
+    "echo:queue": (lambda: core.echo_machine(Kind.QUEUE), st.text("ab", max_size=12)),
+    "echo:pushdown": (lambda: core.echo_machine(Kind.PUSHDOWN), st.text("ab", max_size=12)),
+    "tape:write-right": (lambda: core.TestTape().write_right_machine(),
+                         st.text("01", max_size=12)),
+    "tape:left-end": (_tape_left_machine, st.text("01", max_size=12)),
+    "tape:blank-rewrite": (_blank_rewrite_machine, st.text("01", max_size=12)),
+}
+
+_LIMITS = st.one_of(st.none(), st.integers(0, 40))
+
+
+@pytest.mark.parametrize("name", sorted(MACHINES))
+def test_machines_are_valid(name):
+    assert validate_spec(MACHINES[name][0]()).ok
+
+
+@pytest.mark.parametrize("name", sorted(MACHINES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_run_matches_reference(name, data):
+    build, words = MACHINES[name]
+    spec = build()
+    word = data.draw(words, label="word")
+    max_steps = data.draw(_LIMITS, label="max_steps")
+    ref = reference_run(spec, word, max_steps)
+    ex = executor_for(spec)
+    plain = ex.run(word, max_steps=max_steps)
+    watched = ex.run(word, max_steps=max_steps, watch_lengths=True)
+    traced = ex.run(word, max_steps=max_steps, trace=True)
+    want = (ref.verdict, ref.output, ref.steps, ref.input_consumed, ref.fault)
+    for res in (plain, watched, traced):
+        assert (res.verdict, res.output, res.steps, res.input_consumed, res.fault) == want
+    assert plain.trace is None and plain.max_lengths is None
+    assert watched.trace is None and watched.max_lengths == ref.peaks
+    assert traced.max_lengths is None
+    assert [(r.step, r.state, r.consumed, r.lengths, r.emit)
+            for r in traced.trace.records] == ref.records
+    assert traced.trace.verdict is ref.verdict
+    assert traced.trace.halt_reason == {Verdict.STEP_LIMIT: "step_limit",
+                                        Verdict.FAULT: "fault"}.get(ref.verdict, "no_rule")
+
+
+@pytest.mark.parametrize("name", sorted(MACHINES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_step_matches_reference(name, data):
+    build, words = MACHINES[name]
+    spec = build()
+    word = data.draw(words, label="word")
+    ref = reference_run(spec, word, max_steps=200)
+    cfg = initial_configuration(spec, word)
+    records, fault = [], None
+    try:
+        while cfg.steps < 200 and (rec := step(spec, cfg)) is not None:
+            records.append((rec.step, rec.state, rec.consumed, rec.lengths, rec.emit))
+    except ExecutionFault as exc:
+        fault = str(exc)
+    assert records == ref.records
+    assert fault == ref.fault
+    assert "".join(cfg.output) == ref.output

@@ -98,3 +98,25 @@ odd | x | * -> even | y | - | -
     assert validate_spec(spec).ok
     assert run(spec, "xxx").verdict is Verdict.ACCEPT
     assert run(spec, "xx").verdict is Verdict.REJECT
+
+
+@pytest.mark.parametrize("acts,count", [("push=a,pop,push=a", 3), ("-,-", 2)])
+def test_action_count_must_match_storage_count(acts, count):
+    # Surplus actions used to be dropped silently, so the spec loaded and
+    # validated as if the extra tokens were not there.
+    text = ("states: s\nstart: s\ninput_alphabet: a\noutput_alphabet:\n"
+            "storage: q queue a\n"
+            f"s | a | * -> s | y | {acts} | -\n")
+    with pytest.raises(specfile.SpecFormatError,
+                       match=f"line 6: {count} actions for 1 storages") as info:
+        specfile.loads(text)
+    assert info.value.lineno == 6
+
+
+@pytest.mark.parametrize("option", ["tracks=x", "tracks=", "tracks=0"])
+def test_bad_tracks_value_names_its_line(option):
+    text = ("states: s\nstart: s\ninput_alphabet: a\noutput_alphabet:\n"
+            f"storage: t tape 01 {option}\n")
+    with pytest.raises(specfile.SpecFormatError) as info:
+        specfile.loads(text)
+    assert info.value.lineno == 5
