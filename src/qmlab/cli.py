@@ -18,7 +18,7 @@ from . import analysis, specfile
 from .growth import fit_growth
 from .machine import (ExecutionFault, InputSymbolError, Verdict, executor_for, run,
                       validate_spec)
-from .machines import BUILTIN_PATTERNS, builtin
+from .machines import builtin
 from .oracles import (
     BatchCase,
     SplitMix64,
@@ -55,16 +55,15 @@ VERIFY_SUITES = ("lprime", "fk", "anbn", "formulas", "pi")
 def _resolve_machine(ref: str):
     try:
         return builtin(ref)
-    except KeyError:
-        pass
+    except KeyError as exc:
+        reason = exc.args[0]
     if os.path.exists(ref):
         spec = specfile.load(ref)
         report = validate_spec(spec)
         if not report.ok:
             raise ValueError("invalid machine file: " + "; ".join(report.violations))
         return spec
-    raise KeyError(f"unknown machine {ref!r}: not a builtin "
-                   f"({', '.join(BUILTIN_PATTERNS)}) and no such file")
+    raise KeyError(f"unknown machine {ref!r}: {reason}, and no such file")
 
 
 def _cmd_run(args) -> int:
@@ -381,6 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    max_steps = getattr(args, "max_steps", None)   # only run and verify take it
+    if max_steps is not None and max_steps < 0:
+        print(f"error: --max-steps must be >= 0, not {max_steps}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except ExecutionFault as exc:

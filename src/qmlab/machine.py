@@ -27,7 +27,7 @@ validator rejects rule tables where two distinct rules could tie.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 
@@ -164,6 +164,20 @@ class MachineSpec:
     finals: frozenset[str] = frozenset()
     mode: Mode = Mode.ONLINE
     epsilon_accept: bool = False
+    # hash(self), computed on first use: hashing a large rule table costs
+    # hundreds of microseconds, and run() looks its executor up by spec.
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(tuple(
+                getattr(self, f.name) for f in fields(self) if f.compare)))
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor so the cached hash is not pickled:
+        # str hashes differ between processes (PYTHONHASHSEED).
+        return (MachineSpec, tuple(getattr(self, f.name) for f in fields(self) if f.init))
 
     def storage_index(self, ident: str) -> int:
         for i, s in enumerate(self.storages):
@@ -392,12 +406,70 @@ def default_step_limit(input_len: int) -> int:
     return 64 * (input_len + 1) ** 2
 
 
+def _view(store) -> str:
+    """What a rule observes of one live storage."""
+    if isinstance(store, _Tape):
+        return store.cells[store.head]
+    if not store:
+        return EMPTY
+    return store[0] if isinstance(store, deque) else store[-1]
+
+
+# Storage effects of a compiled action, one tuple
+# ``(storage index, code, arg, length delta, fault text)`` per storage that
+# the action changes.  The compiler knows every storage's view, so it settles
+# statically whether a pop faults, how a tape write changes the nonblank
+# count, and, where it can, the view after the action.
+_APPEND_SET = 0       # push onto an empty queue or onto a pushdown; view := arg
+_APPEND = 1           # push onto a non-empty queue; view unchanged
+_POPLEFT = 2          # queue pop
+_POPLEFT_APPEND = 3   # queue pop, then push
+_POP = 4              # pushdown pop
+_SET_TOP = 5          # pushdown pop, then push: replace the top; view := arg
+_WRITE = 6            # tape write, head stays; view := arg
+_RIGHT = 7            # tape: write arg unless None, then move right
+_LEFT = 8             # tape: write arg unless None, then move left (faults at cell 0)
+_FAULT = 9            # pop on an empty queue or pushdown
+
+
+def _effect(j: int, storage: StorageSpec, view: str, op: QueueOp | TapeOp) -> tuple | None:
+    """Compile ``op`` on storage ``j`` whose current view is ``view``;
+    ``None`` when the op leaves the storage as it is."""
+    if storage.kind is Kind.TAPE:
+        write = op.write if op.write != view else None
+        blank = storage.blank_cell
+        delta = 0 if write is None else (write != blank) - (view != blank)
+        if op.move == "R":
+            return (j, _RIGHT, write, delta, None)
+        if op.move == "L":
+            return (j, _LEFT, write, delta,
+                    f"tape head moved off the left end of {storage.ident!r}")
+        return None if write is None else (j, _WRITE, write, delta, None)
+    queue = storage.kind is Kind.QUEUE
+    if op.pop:
+        if view == EMPTY:
+            return (j, _FAULT, None, 0,
+                    f"pop on empty {storage.kind.value} {storage.ident!r}")
+        if op.push is None:
+            return (j, _POPLEFT if queue else _POP, None, -1, None)
+        if queue:
+            return (j, _POPLEFT_APPEND, op.push, 0, None)
+        return None if op.push == view else (j, _SET_TOP, op.push, 0, None)
+    if op.push is None:
+        return None
+    return (j, _APPEND if queue and view != EMPTY else _APPEND_SET, op.push, 1, None)
+
+
 class Executor:
     """Compiled form of a machine: per-state rule lists ordered by
-    specificity plus a resolution cache keyed by concrete observations.
+    specificity plus a cache from concrete observations to compiled actions.
 
-    A :class:`MachineSpec` is immutable, so one executor can serve any number
-    of runs; each run's state lives in its own :class:`Configuration`.
+    The cache key is ``(state, input view, *storage views)``.  The first time
+    a key is looked up it is compiled to ``None`` (no rule applies) or to
+    ``(next_state, consume, emit, effects)``, where ``effects`` holds only the
+    storages the rule changes (see :func:`_effect`).  A :class:`MachineSpec`
+    is immutable, so one executor can serve any number of runs; each run's
+    state lives in its own :class:`Configuration`.
     """
 
     def __init__(self, spec: MachineSpec):
@@ -407,16 +479,17 @@ class Executor:
             self.rules_by_state.setdefault(rule.state, []).append(rule)
         for rules in self.rules_by_state.values():
             rules.sort(key=Rule.specificity, reverse=True)
-        self._cache: dict[tuple, Rule | None] = {}
+        self._cache: dict[tuple, tuple | None] = {}
         self._post = spec.mode is Mode.POST
 
     # -- configuration -----------------------------------------------------
 
     def initial(self, word: str) -> Configuration:
         alpha = self.spec.input_alphabet
-        for i, ch in enumerate(word):
-            if ch not in alpha:
-                raise InputSymbolError(ch, i)
+        if not alpha.issuperset(word):
+            for i, ch in enumerate(word):
+                if ch not in alpha:
+                    raise InputSymbolError(ch, i)
         stores: list = []
         for j, st in enumerate(self.spec.storages):
             if st.kind is Kind.QUEUE:
@@ -428,82 +501,118 @@ class Executor:
         return Configuration(input=word, state=self.spec.start, input_pos=0,
                              stores=stores, output=[], steps=0)
 
-    # -- matching ----------------------------------------------------------
-
-    def _input_view(self, cfg: Configuration) -> str:
-        if self._post or cfg.input_pos >= len(cfg.input):
-            return NO_SYMBOL
-        return cfg.input[cfg.input_pos]
-
-    @staticmethod
-    def _views(stores: list) -> tuple[str, ...]:
-        views = []
-        for s in stores:
-            if isinstance(s, _Tape):
-                views.append(s.cells[s.head])
-            else:
-                views.append((s[0] if isinstance(s, deque) else s[-1]) if s else EMPTY)
-        return tuple(views)
-
-    def resolve(self, state: str, input_view: str, views: tuple[str, ...]) -> Rule | None:
-        key = (state, input_view) + views
-        try:
-            return self._cache[key]
-        except KeyError:
-            pass
-        found = None
-        for rule in self.rules_by_state.get(state, ()):
-            if rule.matches(input_view, views):
-                found = rule      # lists are presorted, first match wins
-                break
-        self._cache[key] = found
-        return found
-
     # -- stepping ----------------------------------------------------------
 
-    def _apply(self, cfg: Configuration, rule: Rule) -> None:
-        if rule.consume:
-            if cfg.input_pos >= len(cfg.input):
-                raise ExecutionFault("input consumed past end of word")
-            cfg.input_pos += 1
-        for st, s, op in zip(self.spec.storages, cfg.stores, rule.ops):
-            if isinstance(s, _Tape):
-                if op.write is not None:
-                    old = s.cells[s.head]
-                    s.cells[s.head] = op.write
-                    s.nonblank += (op.write != s.blank) - (old != s.blank)
-                if op.move == "R":
-                    s.head += 1
-                    if s.head == len(s.cells):
-                        s.cells.append(s.blank)
-                elif op.move == "L":
-                    if s.head == 0:
-                        raise ExecutionFault(
-                            f"tape head moved off the left end of {st.ident!r}")
-                    s.head -= 1
-            else:
-                if op.pop:
-                    if not s:
-                        raise ExecutionFault(f"pop on empty {st.kind.value} {st.ident!r}")
-                    if isinstance(s, deque):
+    def _compile(self, key: tuple) -> tuple | None:
+        state, input_view, *views = key
+        action = None
+        for rule in self.rules_by_state.get(state, ()):
+            if rule.matches(input_view, views):   # presorted: first match wins
+                effects = []
+                for j, (st, view, op) in enumerate(zip(self.spec.storages, views, rule.ops)):
+                    eff = _effect(j, st, view, op)
+                    if eff is not None:
+                        effects.append(eff)
+                action = (rule.next_state, rule.consume, rule.emit, tuple(effects))
+                break
+        self._cache[key] = action
+        return action
+
+    def _steps(self, cfg: Configuration, limit: int, records: list | None,
+               maxes: list | None) -> bool:
+        """Step ``cfg`` in place until no rule applies (returns True) or
+        ``cfg.steps`` reaches ``limit`` (False).  Appends a
+        :class:`StepRecord` per step to ``records`` and raises peak lengths
+        in ``maxes`` unless they are ``None``.  On :class:`ExecutionFault`
+        ``cfg`` keeps what the faulting step did before the fault (input
+        consumed, earlier storages changed) but not its new state or its
+        step."""
+        cache, compile_ = self._cache, self._compile
+        stores, word = cfg.stores, cfg.input
+        n = len(word)
+        # The input view at position pos; pos never passes n.
+        padded = NO_SYMBOL * (n + 1) if self._post else word + NO_SYMBOL
+        views = [_view(s) for s in stores]
+        observe = records is not None or maxes is not None
+        lengths = list(cfg.storage_lengths()) if observe else None
+        emit_ = cfg.output.append
+        state, pos, steps = cfg.state, cfg.input_pos, cfg.steps
+        try:
+            while steps < limit:
+                try:
+                    action = cache[(state, padded[pos], *views)]
+                except KeyError:
+                    action = compile_((state, padded[pos], *views))
+                if action is None:
+                    return True
+                next_state, consume, emit, effects = action
+                if consume:
+                    if pos >= n:
+                        raise ExecutionFault("input consumed past end of word")
+                    pos += 1
+                for j, code, arg, delta, fault in effects:
+                    s = stores[j]
+                    if code == _APPEND_SET:
+                        s.append(arg)
+                        views[j] = arg
+                    elif code == _POPLEFT:
                         s.popleft()
-                    else:
+                        views[j] = s[0] if s else EMPTY
+                    elif code == _APPEND:
+                        s.append(arg)
+                    elif code == _POP:
                         s.pop()
-                if op.push is not None:
-                    s.append(op.push)
-        if rule.emit is not None:
-            cfg.output.append(rule.emit)
-        cfg.state = rule.next_state
-        cfg.steps += 1
+                        views[j] = s[-1] if s else EMPTY
+                    elif code == _SET_TOP:
+                        s[-1] = arg
+                        views[j] = arg
+                    elif code == _POPLEFT_APPEND:
+                        s.popleft()
+                        s.append(arg)
+                        views[j] = s[0]
+                    elif code == _WRITE:
+                        s.cells[s.head] = arg
+                        s.nonblank += delta
+                        views[j] = arg
+                    elif code == _RIGHT:
+                        cells = s.cells
+                        if arg is not None:
+                            cells[s.head] = arg
+                            s.nonblank += delta
+                        head = s.head = s.head + 1
+                        if head == len(cells):
+                            cells.append(s.blank)
+                        views[j] = cells[head]
+                    elif code == _LEFT:
+                        if arg is not None:
+                            s.cells[s.head] = arg
+                            s.nonblank += delta
+                        if s.head == 0:
+                            raise ExecutionFault(fault)
+                        head = s.head = s.head - 1
+                        views[j] = s.cells[head]
+                    else:
+                        raise ExecutionFault(fault)
+                if emit is not None:
+                    emit_(emit)
+                state = next_state
+                steps += 1
+                if observe:
+                    for j, _, _, delta, _ in effects:
+                        if delta:
+                            m = lengths[j] = lengths[j] + delta
+                            if maxes is not None and m > maxes[j]:
+                                maxes[j] = m
+                    if records is not None:
+                        records.append(StepRecord(steps, state, consume, tuple(lengths), emit))
+            return False
+        finally:
+            cfg.state, cfg.input_pos, cfg.steps = state, pos, steps
 
     def step_config(self, cfg: Configuration) -> StepRecord | None:
         """Apply the unique applicable rule; ``None`` means no rule applies."""
-        rule = self.resolve(cfg.state, self._input_view(cfg), self._views(cfg.stores))
-        if rule is None:
-            return None
-        self._apply(cfg, rule)
-        return StepRecord(cfg.steps, cfg.state, rule.consume, cfg.storage_lengths(),
-                          rule.emit)
+        records: list[StepRecord] = []
+        return None if self._steps(cfg, cfg.steps + 1, records, None) else records[0]
 
     # -- running -----------------------------------------------------------
 
@@ -528,27 +637,10 @@ class Executor:
         limit = default_step_limit(len(word)) if max_steps is None else max_steps
         tr = Trace(tuple(s.ident for s in self.spec.storages)) if trace else None
         maxes = list(cfg.storage_lengths()) if watch_lengths else None
-        observe = trace or watch_lengths
-        resolve, views, input_view, apply_ = (
-            self.resolve, self._views, self._input_view, self._apply)
-        stores = cfg.stores
         verdict, reason, fault = Verdict.STEP_LIMIT, "step_limit", None
         try:
-            while cfg.steps < limit:
-                rule = resolve(cfg.state, input_view(cfg), views(stores))
-                if rule is None:
-                    verdict, reason = self._verdict_on_halt(cfg), "no_rule"
-                    break
-                apply_(cfg, rule)
-                if observe:
-                    lengths = cfg.storage_lengths()
-                    if tr is not None:
-                        tr.records.append(StepRecord(cfg.steps, cfg.state, rule.consume,
-                                                     lengths, rule.emit))
-                    if maxes is not None:
-                        for i, n in enumerate(lengths):
-                            if n > maxes[i]:
-                                maxes[i] = n
+            if self._steps(cfg, limit, tr.records if tr is not None else None, maxes):
+                verdict, reason = self._verdict_on_halt(cfg), "no_rule"
         except ExecutionFault as exc:
             fault = str(exc)
             verdict, reason = Verdict.FAULT, "fault"

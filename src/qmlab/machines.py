@@ -451,6 +451,12 @@ def build_anbn(variant: str) -> MachineSpec:
 
 
 BUILTIN_PATTERNS = ("mk:<k>", "tk:<k>", "lprime", "anbn:linear", "anbn:quadratic")
+# Largest k that builtin() accepts.  tk:k has ~4.6x more rules per k (71,041
+# at k=6, 325,106 at k=7) and mk:k grows quadratically, so a typo like
+# tk:99999 would otherwise hang while building.  build_mk and build_tk take
+# any k.
+MAX_MK = 64
+MAX_TK = 6
 
 
 @lru_cache(maxsize=64)
@@ -461,10 +467,13 @@ def builtin(name: str) -> MachineSpec:
         return build_lprime_acceptor()
     if name.startswith("anbn:"):
         return build_anbn(name.split(":", 1)[1])
-    for prefix, builder in (("mk:", build_mk), ("tk:", build_tk)):
+    for prefix, build, k_max in (("mk:", build_mk, MAX_MK), ("tk:", build_tk, MAX_TK)):
         if name.startswith(prefix):
             try:
-                return builder(int(name[len(prefix):]))
+                k = int(name[len(prefix):])
+                if k > k_max:
+                    raise KeyError(f"{prefix}<k> takes k <= {k_max}, not {k}")
+                return build(k)
             except ValueError:
                 raise KeyError(f"bad machine parameter in {name!r}") from None
     raise KeyError(f"unknown builtin machine {name!r}; "

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -35,6 +36,26 @@ class TestRun:
         code, _ = invoke(capsys, "run", "--machine", "lprime",
                          "--input", "ab0c0ab", "--max-steps", "3")
         assert code == 4
+        code, out = invoke(capsys, "run", "--machine", "lprime",
+                           "--input", "ab0c0ab", "--max-steps", "0")
+        assert code == 4 and "steps=0 " in out
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--machine", "lprime", "--input", "ab0c0ab", "--max-steps", "-3"],
+        ["verify", "--suite", "pi", "--k-max", "2", "--max-steps", "-1"],
+    ])
+    def test_negative_max_steps_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --max-steps must be >= 0")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["tk:7", "mk:65"])
+    def test_builtin_k_above_bound_exit_two(self, capsys, name):
+        assert main(["run", "--machine", name, "--input", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "takes k <=" in err and err.count("\n") == 1
 
     def test_trace_file(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
@@ -264,3 +285,25 @@ def test_console_entry_point_subprocess():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "verdict=accept" in proc.stdout
+
+
+def test_check_formulas_exits_one_on_a_mismatched_row(monkeypatch, capsys):
+    import runpy
+
+    from qmlab import analysis, cli
+
+    real = analysis.lprime_timing
+
+    def off_by_one_at_k2(inst, max_steps=None):
+        t = real(inst, max_steps)
+        return replace(t, predicted_tail=t.predicted_tail + 1) if t.k == 2 else t
+
+    monkeypatch.setattr(analysis, "lprime_timing", off_by_one_at_k2)
+    monkeypatch.setattr(cli, "main", lambda argv: 0)   # the verify suites pass
+    monkeypatch.setattr(sys, "argv", ["check_formulas.py", "3"])
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "check_formulas.py")
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(script, run_name="__main__")
+    out = capsys.readouterr().out
+    assert out.count("<-- MISMATCH") == 1
+    assert exit_.value.code == 1

@@ -1,5 +1,10 @@
 """Core executor semantics: storages, matching, verdicts, traces."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -358,3 +363,25 @@ class TestTraceChecks:
         assert lines[0] == "step,state,consumed,len(s),emit"
         assert lines[1] == "1,go,y,1,"
         assert lines[-1].endswith(",n,0,b")
+
+
+def test_unpickled_spec_hashes_like_a_fresh_one_in_another_process():
+    # MachineSpec caches its hash; str hashes depend on PYTHONHASHSEED, so the
+    # cached value must not travel with a pickle into a worker process.
+    from qmlab.machines import build_mk
+    spec = build_mk(2)
+    hash(spec)
+    data = pickle.dumps(spec)
+    probe = ("import pickle, sys; from qmlab.machines import build_mk; "
+             "spec = pickle.loads(sys.stdin.buffer.read()); fresh = build_mk(2); "
+             "print(hash(spec) == hash(fresh), spec == fresh, hash(fresh))")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    fresh_hashes = set()
+    for seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", probe], input=data,
+                              capture_output=True, check=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src))
+        same_hash, equal, fresh = proc.stdout.decode().split()
+        assert (same_hash, equal) == ("True", "True")
+        fresh_hashes.add(fresh)
+    assert len(fresh_hashes) == 2     # the seeds really change the hash

@@ -19,6 +19,8 @@ from qmlab.machine import (
 from qmlab.machines import (
     LPRIME_PREFIX_DELAY,
     LPRIME_TAIL_OFFSET,
+    MAX_MK,
+    MAX_TK,
     MK_STEPS_PER_SYMBOL,
     TK_STEPS_PER_SYMBOL_MAX,
     build_anbn,
@@ -64,6 +66,14 @@ class TestBuildersValidate:
             builtin("mystery")
         with pytest.raises(KeyError):
             builtin("mk:two")
+
+    def test_builtin_bounds_k(self):
+        # tk:7 has 325,106 rules; builtin() refuses before building anything.
+        for name in (f"tk:{MAX_TK + 1}", f"mk:{MAX_MK + 1}"):
+            with pytest.raises(KeyError, match=r"takes k <="):
+                builtin(name)
+        assert builtin(f"mk:{MAX_MK}").name == f"mk:{MAX_MK}"
+        assert len(build_mk(MAX_MK + 1).storages) == MAX_MK + 1
 
 
 class TestPredictions:

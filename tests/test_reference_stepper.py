@@ -5,7 +5,9 @@ else: it scans every rule of the spec on every step, keeps the most specific
 applicable one (componentwise, input most significant) and has no cache.
 Plain, watched and traced ``Executor.run`` and the public ``step`` API must
 each agree with it on verdict, output, steps, input consumed, fault text,
-per-step records and peak storage lengths.
+per-step records and peak storage lengths, and ``step`` must leave the same
+configuration behind, after a fault too.  The machines are the builtins, a few
+hand-written ones and randomly generated valid specs.
 """
 
 from dataclasses import dataclass
@@ -23,8 +25,11 @@ from qmlab.machine import (
     Acceptance,
     ExecutionFault,
     Kind,
+    MachineSpec,
     Mode,
+    QueueOp,
     Rule,
+    StorageSpec,
     TapeOp,
     Verdict,
     default_step_limit,
@@ -50,6 +55,7 @@ class Reference:
     fault: str | None
     records: list      # (step, state, consumed, lengths, emit) per step
     peaks: tuple
+    config: tuple      # (state, input position, steps, output, storage contents)
 
 
 def reference_run(spec, word, max_steps=None) -> Reference:
@@ -132,7 +138,10 @@ def reference_run(spec, word, max_steps=None) -> Reference:
         now = lengths()
         peaks = tuple(map(max, peaks, now))
         records.append((len(records) + 1, state, rule.consume, now, rule.emit))
-    return Reference(verdict, "".join(output), len(records), pos, fault, records, peaks)
+    contents = tuple((tuple(s["cells"]), s["head"]) if isinstance(s, dict) else tuple(s)
+                     for s in stores)
+    return Reference(verdict, "".join(output), len(records), pos, fault, records, peaks,
+                     (state, pos, len(records), "".join(output), contents))
 
 
 def _halt_verdict(spec, word, state, pos, lengths, output):
@@ -168,6 +177,19 @@ def _blank_rewrite_machine():
         alphabet="01", storage_alphabet="01", output="01", states=("w", "x"))
 
 
+def _pushdown_rewrite_machine():
+    # Replaces, pops and pushes the top depending on the input, then drains.
+    return core.simple_machine(
+        Kind.PUSHDOWN,
+        Rule("w", "a", (WILDCARD,), "w", consume=True, ops=(QueueOp(push="a"),)),
+        Rule("w", "b", ("a",), "w", consume=True, ops=(QueueOp(pop=True, push="b"),)),
+        Rule("w", "b", ("b",), "w", consume=True, ops=(QueueOp(pop=True),)),
+        Rule("w", "b", (EMPTY,), "w", consume=True, ops=(QueueOp(push="b"),)),
+        Rule("w", NO_SYMBOL, ("a",), "w", ops=(QueueOp(pop=True),), emit="a"),
+        Rule("w", NO_SYMBOL, ("b",), "w", ops=(QueueOp(pop=True, push="a"),), emit="b"),
+        states=("w",))
+
+
 def _lprime_words():
     member = st.builds(lambda k, seed: gen_lprime(k, seed).render(),
                        st.integers(0, 3), st.integers(0, 2**32))
@@ -198,6 +220,7 @@ MACHINES = {
     "anbn:quadratic": (lambda: builtin("anbn:quadratic"), _ANBN_WORDS),
     "echo:queue": (lambda: core.echo_machine(Kind.QUEUE), st.text("ab", max_size=12)),
     "echo:pushdown": (lambda: core.echo_machine(Kind.PUSHDOWN), st.text("ab", max_size=12)),
+    "pushdown:rewrite": (_pushdown_rewrite_machine, st.text("ab", max_size=12)),
     "tape:write-right": (lambda: core.TestTape().write_right_machine(),
                          st.text("01", max_size=12)),
     "tape:left-end": (_tape_left_machine, st.text("01", max_size=12)),
@@ -212,14 +235,13 @@ def test_machines_are_valid(name):
     assert validate_spec(MACHINES[name][0]()).ok
 
 
-@pytest.mark.parametrize("name", sorted(MACHINES))
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_run_matches_reference(name, data):
-    build, words = MACHINES[name]
-    spec = build()
-    word = data.draw(words, label="word")
-    max_steps = data.draw(_LIMITS, label="max_steps")
+def _config(cfg):
+    return (cfg.state, cfg.input_pos, cfg.steps, "".join(cfg.output),
+            tuple(cfg.storage_contents(j) for j in range(len(cfg.stores))))
+
+
+def check_runs(spec, word, max_steps):
+    """Plain, watched and traced runs on one executor against the reference."""
     ref = reference_run(spec, word, max_steps)
     ex = executor_for(spec)
     plain = ex.run(word, max_steps=max_steps)
@@ -238,21 +260,113 @@ def test_run_matches_reference(name, data):
                                         Verdict.FAULT: "fault"}.get(ref.verdict, "no_rule")
 
 
-@pytest.mark.parametrize("name", sorted(MACHINES))
-@settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_step_matches_reference(name, data):
-    build, words = MACHINES[name]
-    spec = build()
-    word = data.draw(words, label="word")
-    ref = reference_run(spec, word, max_steps=200)
+def check_steps(spec, word, limit):
+    """``step`` driven to halt, fault or ``limit`` against the reference,
+    including the configuration it leaves behind."""
+    ref = reference_run(spec, word, max_steps=limit)
     cfg = initial_configuration(spec, word)
     records, fault = [], None
     try:
-        while cfg.steps < 200 and (rec := step(spec, cfg)) is not None:
+        while cfg.steps < limit and (rec := step(spec, cfg)) is not None:
             records.append((rec.step, rec.state, rec.consumed, rec.lengths, rec.emit))
     except ExecutionFault as exc:
         fault = str(exc)
     assert records == ref.records
     assert fault == ref.fault
-    assert "".join(cfg.output) == ref.output
+    assert _config(cfg) == ref.config
+
+
+@pytest.mark.parametrize("name", sorted(MACHINES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_run_matches_reference(name, data):
+    build, words = MACHINES[name]
+    check_runs(build(), data.draw(words, label="word"), data.draw(_LIMITS, label="max_steps"))
+
+
+@pytest.mark.parametrize("name", sorted(MACHINES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_step_matches_reference(name, data):
+    build, words = MACHINES[name]
+    check_steps(build(), data.draw(words, label="word"), 200)
+
+
+# --------------------------------------------------------------------------
+# Generated specs: 1-3 storages of mixed kinds, online or post mode, wildcard
+# and "-" patterns, consume/emit, and actions that can fault (pop on empty,
+# head off the left end, consume past the end of the input).
+
+_SYMBOLS = "ab"
+
+
+def _cells(tracks):
+    return st.text(BLANK + _SYMBOLS, min_size=tracks, max_size=tracks)
+
+
+def _pattern(storage):
+    if storage.kind is Kind.TAPE:
+        return st.one_of(st.just(WILDCARD), st.just(WILDCARD), _cells(storage.tracks))
+    return st.sampled_from((WILDCARD, WILDCARD, EMPTY, *_SYMBOLS))
+
+
+def _op(storage, pat):
+    if storage.kind is Kind.TAPE:
+        # Few left moves: at cell 0 one faults, which would end most runs early.
+        return st.builds(TapeOp, st.one_of(st.none(), _cells(storage.tracks)),
+                         st.sampled_from("LSSRR"))
+    # Pop mostly where the pattern proves the storage non-empty, seldom under
+    # a wildcard, for the same reason.
+    pop = (st.booleans() if pat == EMPTY
+           else st.sampled_from((True, True, True, False)) if pat in _SYMBOLS
+           else st.sampled_from((True, False, False, False, False, False)))
+    return st.builds(QueueOp, pop, st.sampled_from((None, *_SYMBOLS)))
+
+
+@st.composite
+def machine_specs(draw):
+    post = draw(st.booleans())
+    storages = []
+    for j in range(draw(st.integers(1, 3))):
+        kind = Kind.QUEUE if post and j == 0 else draw(st.sampled_from(list(Kind)))
+        tracks = draw(st.integers(1, 3)) if kind is Kind.TAPE else 1
+        storages.append(StorageSpec(f"s{j}", kind, frozenset(_SYMBOLS), tracks))
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3))))
+    input_pats = (WILDCARD, NO_SYMBOL) if post else (WILDCARD, WILDCARD, WILDCARD, NO_SYMBOL, *_SYMBOLS)
+
+    def rule(input_pat, pats):
+        consume = draw(st.booleans()) and not post and input_pat != NO_SYMBOL
+        return Rule(draw(st.sampled_from(states)), input_pat, pats,
+                    draw(st.sampled_from(states)), consume,
+                    tuple(draw(_op(s, p)) for s, p in zip(storages, pats)),
+                    draw(st.sampled_from((None, "0", "1"))))
+
+    # Catch-all rules (every pattern a wildcard) for some states keep runs
+    # going until they fault or reach the step limit.
+    table = [rule(WILDCARD, (WILDCARD,) * len(storages))
+             for _ in range(draw(st.integers(0, len(states))))]
+    table += [rule(draw(st.sampled_from(input_pats)),
+                   tuple(draw(_pattern(s)) for s in storages))
+              for _ in range(draw(st.integers(4, 16)))]
+    table = list({r.pattern_key(): r for r in reversed(table)}.values())
+    return MachineSpec(
+        name="generated", states=states, start=states[0],
+        input_alphabet=frozenset(_SYMBOLS), output_alphabet=frozenset("01"),
+        storages=tuple(storages), rules=tuple(table),
+        acceptance=draw(st.sampled_from(list(Acceptance))),
+        finals=draw(st.frozensets(st.sampled_from(states))),
+        mode=Mode.POST if post else Mode.ONLINE, epsilon_accept=draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=machine_specs(), word=st.text(_SYMBOLS, max_size=8),
+       max_steps=st.one_of(st.just(60), st.integers(0, 60)))
+def test_generated_spec_runs_match_reference(spec, word, max_steps):
+    assert validate_spec(spec).ok
+    check_runs(spec, word, max_steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=machine_specs(), word=st.text(_SYMBOLS, max_size=8))
+def test_generated_spec_steps_match_reference(spec, word):
+    check_steps(spec, word, 60)
