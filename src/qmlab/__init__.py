@@ -1,62 +1,6 @@
-"""qmlab: a simulation lab for queue, pushdown and tracked-tape machines."""
+"""qmlab: a simulation lab for queue, pushdown and tracked-tape machines.
 
-from .growth import GrowthReport, fit_growth
-from .machine import (
-    Acceptance,
-    Configuration,
-    ExecutionFault,
-    Executor,
-    InputSymbolError,
-    Kind,
-    MachineSpec,
-    Mode,
-    QueueOp,
-    Rule,
-    RunResult,
-    StepRecord,
-    StorageSpec,
-    TapeOp,
-    Trace,
-    ValidationReport,
-    Verdict,
-    check_bounded_delay,
-    check_realtime,
-    initial_configuration,
-    minimal_delay,
-    run,
-    step,
-    storage_length_series,
-    validate_spec,
-)
-from .machines import (
-    build_anbn,
-    build_lprime_acceptor,
-    build_mk,
-    build_tk,
-    builtin,
-    pi,
-    pi_order,
-    predicted_cycle_length,
-    predicted_tail_steps,
-    predicted_tail_steps_sum,
-)
-from .oracles import (
-    BatchCase,
-    FkInstance,
-    LprimeInstance,
-    ParseReject,
-    SplitMix64,
-    gen_lk,
-    gen_lprime,
-    in_copy_language,
-    in_lprime,
-    is_anbn,
-    mutate_negative,
-    parse_lk,
-    pi_by_halving,
-    read_batch,
-    reference_fk,
-    write_batch,
-)
+Library code imports from the submodules, e.g. ``from qmlab.machine import run``.
+"""
 
 __version__ = "0.1.0"

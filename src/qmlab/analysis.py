@@ -18,7 +18,6 @@ from .growth import GrowthReport, fit_growth
 from .machine import (
     Trace,
     Verdict,
-    check_bounded_delay,
     executor_for,
     minimal_delay,
     run,
@@ -132,10 +131,11 @@ def lprime_timing(inst: LprimeInstance, max_steps: int | None = None) -> LprimeT
     lengths = dict(storage_length_series(trace, "q"))
     starts = lprime_cycle_starts(trace, p)
     cycle_lengths = tuple(lengths[s - 1] for s in starts)
+    prefix_min_delay = minimal_delay(trace, (1, p))
     return LprimeTiming(
         k=k, word=word, verdict=res.verdict, prefix_length=p,
-        prefix_realtime=check_bounded_delay(trace, (1, p), 0),
-        prefix_min_delay=minimal_delay(trace, (1, p)),
+        prefix_realtime=prefix_min_delay == 0,
+        prefix_min_delay=prefix_min_delay,
         tail_steps=res.steps - p,
         predicted_tail=predicted_tail_steps(k),
         cycle_start_steps=tuple(starts),
@@ -268,10 +268,10 @@ def lprime_structured_suite(cases_per_clause: int = 10000, k_max: int = 10,
     kinds = ("member",) + LPRIME_CLAUSES
     tasks = []
     for kind in kinds:
-        lo = 1 if kind == "v-mismatch" else 0
-        ks = list(range(lo, k_max + 1))
-        per_k = -(-cases_per_clause // len(ks))   # ceiling
+        # v-mismatch needs a nonempty tag: with k_max = 0 it has no tasks (cases=0).
+        ks = range(1 if kind == "v-mismatch" else 0, k_max + 1)
         for k in ks:
+            per_k = -(-cases_per_clause // len(ks))   # ceiling
             tasks.append((kind, k, per_k, seed + 1000 * k))
     results = parallel_map(_structured_task, tasks, workers)
     by_kind: dict[str, tuple[int, list[str]]] = {}
@@ -281,7 +281,7 @@ def lprime_structured_suite(cases_per_clause: int = 10000, k_max: int = 10,
         by_kind[kind] = (tot + count, fails + bad)
     checks = []
     for kind in kinds:
-        tot, fails = by_kind[kind]
+        tot, fails = by_kind.get(kind, (0, []))
         checks.append(Check(f"lprime:{kind}", not fails,
                             f"cases={tot}" + (f" failures={fails}" if fails else "")))
     return checks
@@ -371,17 +371,15 @@ def sized_fk_instance(k: int, target: int, seed: int) -> FkInstance:
 
 def growth_point(name: str, target: int, seed: int) -> tuple[int, int, int]:
     """One benchmark row for a builtin machine: (n, steps, max storage length)."""
+    spec = builtin(name)   # KeyError unless a builtin machine, so one of:
     if name == "lprime":
         k = max(0, target.bit_length() - 2)
         word = gen_lprime(k, seed).render()
     elif name.startswith(("mk:", "tk:")):
         k = int(name.split(":")[1])
         word = sized_fk_instance(k, target, seed).render()
-    elif name.startswith("anbn:"):
+    else:  # anbn:linear or anbn:quadratic
         word = "a" * (target // 2) + "b" * (target // 2)
-    else:
-        raise KeyError(f"no sized inputs for {name!r}")
-    spec = builtin(name)
     res = run(spec, word, max_steps=64 * len(word) ** 2 + 64, watch_lengths=True)
     if res.verdict is not Verdict.ACCEPT:
         raise AssertionError(f"{name} rejected its generated input (n={len(word)})")

@@ -19,19 +19,8 @@ from .growth import fit_growth
 from .machine import (ExecutionFault, InputSymbolError, Verdict, executor_for, run,
                       validate_spec)
 from .machines import builtin
-from .oracles import (
-    BatchCase,
-    SplitMix64,
-    gen_lk,
-    gen_lprime,
-    in_lprime,
-    mutate_negative,
-    read_batch,
-    reference_fk,
-    write_batch,
-    FK_CLAUSES,
-    LPRIME_CLAUSES,
-)
+from .oracles import (gen_anbn_cases, gen_fk_cases, gen_lprime_cases, in_lprime,
+                      read_batch, write_batch)
 
 EXIT_OK = 0
 EXIT_FAIL = 1          # failed checks, rejected input, batch mismatch
@@ -50,6 +39,9 @@ _EPILOG = """exit codes:
 """
 
 VERIFY_SUITES = ("lprime", "fk", "anbn", "formulas", "pi")
+# Flags that count something; main() rejects a negative value for each.
+_COUNT_FLAGS = ("max_steps", "k_max", "cases", "len_max", "exhaustive_len", "count",
+                "min_exp", "max_exp")
 
 
 def _resolve_machine(ref: str):
@@ -70,7 +62,7 @@ def _cmd_run(args) -> int:
     try:
         spec = _resolve_machine(args.machine)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -152,18 +144,22 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.batch is not None and suite != "lprime":
+        print("error: --batch applies only to the lprime suite", file=sys.stderr)
+        return EXIT_USAGE
+    if args.max_steps is not None and args.batch is None:
+        print("error: --max-steps applies only with --batch", file=sys.stderr)
+        return EXIT_USAGE
+    k_max = {} if args.k_max is None else {"k_max": args.k_max}   # else the suite's default
     if suite == "pi":
-        checks = analysis.pi_suite(k_max=args.k_max if args.k_max is not None else 12,
-                                   seed=args.seed)
+        checks = analysis.pi_suite(seed=args.seed, **k_max)
     elif suite == "formulas":
-        checks = analysis.formulas_suite(
-            k_max=args.k_max if args.k_max is not None else 10, seed=args.seed)
+        checks = analysis.formulas_suite(seed=args.seed, **k_max)
     elif suite == "lprime":
-        if args.batch:
+        if args.batch is not None:
             return _verify_batch_against_oracle(args)
         checks = analysis.lprime_structured_suite(
-            cases_per_clause=args.cases, k_max=args.k_max if args.k_max is not None else 10,
-            seed=args.seed, workers=workers)
+            cases_per_clause=args.cases, seed=args.seed, workers=workers, **k_max)
         if args.exhaustive_len:
             scan = analysis.lprime_exhaustive_scan(args.exhaustive_len, workers)
             checks.append(analysis.Check(
@@ -221,10 +217,10 @@ def _cmd_bench(args) -> int:
         return EXIT_USAGE
     try:
         series = analysis.growth_series(name, range(lo, hi + 1), seed=args.seed)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        report = fit_growth([(n, steps) for n, steps, _ in series])
+    except (KeyError, ValueError) as exc:   # no such builtin; sizes too small to fit
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
-    report = fit_growth([(n, steps) for n, steps, _ in series])
     rows = [f"{n},{steps},{max_len},accept" for n, steps, max_len in series]
     if args.format == "json":
         text = json.dumps({
@@ -251,65 +247,14 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _gen_lprime_cases(count: int, k_max: int, seed: int) -> list[BatchCase]:
-    rng = SplitMix64(seed)
-    cases = []
-    for i in range(count):
-        k = rng.below(k_max + 1)
-        inst = gen_lprime(k, rng.next())
-        if i % 2 == 0:
-            cases.append(BatchCase(inst.render(), "accept", f"member:k={k}"))
-        else:
-            clauses = [c for c in LPRIME_CLAUSES if not (c == "v-mismatch" and k == 0)]
-            clause = clauses[rng.below(len(clauses))]
-            cases.append(BatchCase(mutate_negative(inst, clause, rng.next()),
-                                   "reject", f"{clause}:k={k}"))
-    return cases
-
-
-def _gen_fk_cases(count: int, k_max: int, seed: int) -> list[BatchCase]:
-    rng = SplitMix64(seed)
-    cases = []
-    for i in range(count):
-        k = 1 + rng.below(max(1, k_max))
-        f = tuple(1 + rng.below(5) for _ in range(k))
-        inst = gen_lk(k, f, 1 + rng.below(8), rng.next())
-        word = inst.render()
-        if i % 2 == 0:
-            cases.append(BatchCase(word, "output=" + reference_fk(k, word),
-                                   f"member:k={k}"))
-        else:
-            clause = FK_CLAUSES[rng.below(len(FK_CLAUSES))]
-            cases.append(BatchCase(mutate_negative(inst, clause, rng.next()),
-                                   "reject", f"{clause}:k={k}"))
-    return cases
-
-
-def _gen_anbn_cases(count: int, seed: int) -> list[BatchCase]:
-    rng = SplitMix64(seed)
-    cases = []
-    for i in range(count):
-        t = rng.below(40)
-        if i % 2 == 0:
-            cases.append(BatchCase("a" * t + "b" * t, "accept", f"member:n={t}"))
-        else:
-            word = "a" * t + "b" * (t + 1 + rng.below(3))
-            cases.append(BatchCase(word, "reject", "unbalanced"))
-    return cases
-
-
 def _cmd_gen(args) -> int:
+    k_max = {} if args.k_max is None else {"k_max": args.k_max}   # else the builder's default
     if args.family == "lprime":
-        cases = _gen_lprime_cases(args.count, args.k_max if args.k_max is not None else 8,
-                                  args.seed)
+        cases = gen_lprime_cases(args.count, args.seed, **k_max)
     elif args.family == "fk":
-        cases = _gen_fk_cases(args.count, args.k_max if args.k_max is not None else 3,
-                              args.seed)
-    elif args.family == "anbn":
-        cases = _gen_anbn_cases(args.count, args.seed)
-    else:
-        print(f"error: unknown family {args.family!r}", file=sys.stderr)
-        return EXIT_USAGE
+        cases = gen_fk_cases(args.count, args.seed, **k_max)
+    else:  # anbn; argparse admits only the three families
+        cases = gen_anbn_cases(args.count, args.seed)
     try:
         write_batch(args.out, cases)
     except OSError as exc:
@@ -319,8 +264,15 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # main() prints it as one line and returns 2, instead of argparse's
+        # usage text and SystemExit.  Unrecognized arguments are not quoted.
+        raise argparse.ArgumentError(None, message.replace("\n", "\\n"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmlab",
         description="simulation lab for queue, pushdown and tracked-tape machines",
         epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -350,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also scan all shape-plausible words up to this length "
                                "(lprime suite)")
     p_verify.add_argument("--batch", help="check a generated lprime batch file instead")
-    p_verify.add_argument("--max-steps", type=int, default=None)
+    p_verify.add_argument("--max-steps", type=int, default=None,
+                          help="step limit per batch case (with --batch only)")
     p_verify.add_argument("--workers", type=int, default=None)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=_cmd_verify)
@@ -379,10 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    max_steps = getattr(args, "max_steps", None)   # only run and verify take it
-    if max_steps is not None and max_steps < 0:
-        print(f"error: --max-steps must be >= 0, not {max_steps}", file=sys.stderr)
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        for flag in _COUNT_FLAGS:
+            value = getattr(args, flag, None)   # each subcommand takes some of them
+            if value is not None and value < 0:
+                parser.error(f"--{flag.replace('_', '-')} must be >= 0, not {value}")
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

@@ -179,12 +179,6 @@ class MachineSpec:
         # str hashes differ between processes (PYTHONHASHSEED).
         return (MachineSpec, tuple(getattr(self, f.name) for f in fields(self) if f.init))
 
-    def storage_index(self, ident: str) -> int:
-        for i, s in enumerate(self.storages):
-            if s.ident == ident:
-                return i
-        raise ValueError(f"unknown storage {ident!r}")
-
 
 @dataclass
 class ValidationReport:
@@ -609,11 +603,6 @@ class Executor:
         finally:
             cfg.state, cfg.input_pos, cfg.steps = state, pos, steps
 
-    def step_config(self, cfg: Configuration) -> StepRecord | None:
-        """Apply the unique applicable rule; ``None`` means no rule applies."""
-        records: list[StepRecord] = []
-        return None if self._steps(cfg, cfg.steps + 1, records, None) else records[0]
-
     # -- running -----------------------------------------------------------
 
     def _verdict_on_halt(self, cfg: Configuration) -> Verdict:
@@ -665,7 +654,8 @@ def initial_configuration(spec: MachineSpec, word: str) -> Configuration:
 
 def step(spec: MachineSpec, cfg: Configuration) -> StepRecord | None:
     """Apply one step in place; returns ``None`` when the machine halts."""
-    return executor_for(spec).step_config(cfg)
+    records: list[StepRecord] = []
+    return None if executor_for(spec)._steps(cfg, cfg.steps + 1, records, None) else records[0]
 
 
 def run(spec: MachineSpec, word: str, max_steps: int | None = None,
@@ -692,15 +682,7 @@ def check_bounded_delay(trace: Trace, region: tuple[int, int], d: int) -> bool:
         raise ValueError(f"region {region} outside trace of {len(trace.records)} steps")
     if d < 0:
         raise ValueError("d must be non-negative")
-    streak = 0
-    for rec in trace.records[start - 1:end]:
-        if rec.consumed:
-            streak = 0
-        else:
-            streak += 1
-            if streak > d:
-                return False
-    return True
+    return minimal_delay(trace, region) <= d
 
 
 def minimal_delay(trace: Trace, region: tuple[int, int]) -> int:

@@ -465,16 +465,16 @@ def builtin(name: str) -> MachineSpec:
     are immutable, so repeated lookups share one spec."""
     if name == "lprime":
         return build_lprime_acceptor()
-    if name.startswith("anbn:"):
-        return build_anbn(name.split(":", 1)[1])
-    for prefix, build, k_max in (("mk:", build_mk, MAX_MK), ("tk:", build_tk, MAX_TK)):
-        if name.startswith(prefix):
-            try:
+    try:   # a builder's ValueError means a bad parameter in the name
+        if name.startswith("anbn:"):
+            return build_anbn(name.split(":", 1)[1])
+        for prefix, build, k_max in (("mk:", build_mk, MAX_MK), ("tk:", build_tk, MAX_TK)):
+            if name.startswith(prefix):
                 k = int(name[len(prefix):])
                 if k > k_max:
                     raise KeyError(f"{prefix}<k> takes k <= {k_max}, not {k}")
                 return build(k)
-            except ValueError:
-                raise KeyError(f"bad machine parameter in {name!r}") from None
+    except ValueError:
+        raise KeyError(f"bad machine parameter in {name!r}") from None
     raise KeyError(f"unknown builtin machine {name!r}; "
                    f"known: {', '.join(BUILTIN_PATTERNS)}")

@@ -308,6 +308,57 @@ def mutate_negative(instance, clause: str, seed: int) -> str:
     raise TypeError(f"cannot mutate {type(instance).__name__}")
 
 
+def gen_lprime_cases(count: int, seed: int, k_max: int = 8) -> list[BatchCase]:
+    """Alternating members and single-clause non-members, tags 0..k_max."""
+    rng = SplitMix64(seed)
+    cases = []
+    for i in range(count):
+        k = rng.below(k_max + 1)
+        inst = gen_lprime(k, rng.next())
+        if i % 2 == 0:
+            cases.append(BatchCase(inst.render(), "accept", f"member:k={k}"))
+        else:
+            clauses = [c for c in LPRIME_CLAUSES if not (c == "v-mismatch" and k == 0)]
+            clause = clauses[rng.below(len(clauses))]
+            cases.append(BatchCase(mutate_negative(inst, clause, rng.next()),
+                                   "reject", f"{clause}:k={k}"))
+    return cases
+
+
+def gen_fk_cases(count: int, seed: int, k_max: int = 3) -> list[BatchCase]:
+    """Alternating interleaver inputs (with their outputs) and malformed
+    words, 1..k_max streams."""
+    rng = SplitMix64(seed)
+    cases = []
+    for i in range(count):
+        k = 1 + rng.below(max(1, k_max))
+        f = tuple(1 + rng.below(5) for _ in range(k))
+        inst = gen_lk(k, f, 1 + rng.below(8), rng.next())
+        word = inst.render()
+        if i % 2 == 0:
+            cases.append(BatchCase(word, "output=" + reference_fk(k, word),
+                                   f"member:k={k}"))
+        else:
+            clause = FK_CLAUSES[rng.below(len(FK_CLAUSES))]
+            cases.append(BatchCase(mutate_negative(inst, clause, rng.next()),
+                                   "reject", f"{clause}:k={k}"))
+    return cases
+
+
+def gen_anbn_cases(count: int, seed: int) -> list[BatchCase]:
+    """Alternating a^t b^t members and words with one to three extra b's."""
+    rng = SplitMix64(seed)
+    cases = []
+    for i in range(count):
+        t = rng.below(40)
+        if i % 2 == 0:
+            cases.append(BatchCase("a" * t + "b" * t, "accept", f"member:n={t}"))
+        else:
+            word = "a" * t + "b" * (t + 1 + rng.below(3))
+            cases.append(BatchCase(word, "reject", "unbalanced"))
+    return cases
+
+
 # --------------------------------------------------------------------------
 # Instance batch files: one case per line, word TAB expected TAB tag
 

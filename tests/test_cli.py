@@ -51,6 +51,53 @@ class TestRun:
         assert captured.err.startswith("error: --max-steps must be >= 0")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,needle", [
+        (["run", "--machine", "tk:7", "--input", "0"], "error: unknown machine 'tk:7'"),
+        (["run", "--machine", "anbn:foo", "--input", "ab"],
+         "error: unknown machine 'anbn:foo': bad machine parameter"),
+        (["bench", "--machine", "anbn:foo", "--min-exp", "3", "--max-exp", "6"],
+         "error: bad machine parameter in 'anbn:foo'"),
+        (["bench", "--machine", "mk:x", "--min-exp", "3", "--max-exp", "6"],
+         "error: bad machine parameter in 'mk:x'"),
+        (["bench", "--machine", "lprime", "--min-exp", "0", "--max-exp", "3"],
+         "error: sizes must be distinct"),
+        (["verify", "--suite", "lprime", "--k-max", "-1", "--cases", "2"],
+         "error: --k-max must be >= 0, not -1"),
+        (["verify", "--suite", "fk", "--cases", "-2"], "error: --cases must be >= 0"),
+        (["verify", "--suite", "anbn", "--len-max", "-1"], "error: --len-max must be"),
+        (["verify", "--suite", "lprime", "--exhaustive-len", "-1"],
+         "error: --exhaustive-len must be"),
+        (["bench", "--machine", "lprime", "--min-exp", "-3", "--max-exp", "1"],
+         "error: --min-exp must be >= 0"),
+        (["bench", "--machine", "lprime", "--min-exp", "1", "--max-exp", "-1"],
+         "error: --max-exp must be >= 0"),
+        (["gen", "--family", "lprime", "--count", "3", "--k-max", "-1", "--out", "x"],
+         "error: --k-max must be >= 0"),
+        (["gen", "--family", "anbn", "--count", "-1", "--out", "x"],
+         "error: --count must be >= 0"),
+        (["verify", "--suite", "fk", "--cases", "3", "--max-steps", "1"],
+         "error: --max-steps applies only with --batch"),
+        (["verify", "--suite", "fk", "--batch", "/nonexistent"],
+         "error: --batch applies only to the lprime suite"),
+        (["run", "--machine", "lprime", "--max-steps", "x"],
+         "error: argument --max-steps: invalid int value: 'x'"),
+        (["run", "--input", "a"], "error: the following arguments are required: --machine"),
+        ([], "error: the following arguments are required: command"),
+        (["verify", "--suite", "pi", "--k-max", "2", "a\nb"],
+         "error: unrecognized arguments: a\\nb"),
+    ])
+    def test_usage_error_is_one_line_exit_two(self, capsys, argv, needle):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(needle) and captured.err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qmlab run")
+
     @pytest.mark.parametrize("name", ["tk:7", "mk:65"])
     def test_builtin_k_above_bound_exit_two(self, capsys, name):
         assert main(["run", "--machine", name, "--input", "0"]) == 2
@@ -192,6 +239,13 @@ class TestVerify:
         code, out = invoke(capsys, "verify", "--suite", "formulas", "--k-max", "6")
         assert code == 0
         assert "failures=0" in out
+
+    def test_lprime_suite_k_max_zero_has_no_v_mismatch_cases(self, capsys):
+        code, out = invoke(capsys, "verify", "--suite", "lprime", "--k-max", "0",
+                           "--cases", "2")
+        assert code == 0
+        assert "PASS lprime:v-mismatch cases=0\n" in out
+        assert "PASS lprime:member cases=2\n" in out
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "mystery"]) == 2
