@@ -38,7 +38,13 @@ _EPILOG = """exit codes:
   5  execution fault in the machine
 """
 
-VERIFY_SUITES = ("lprime", "fk", "anbn", "formulas", "pi")
+# The flags each verify suite reads besides --format; with --batch the lprime
+# suite reads only --batch and --max-steps.  main() rejects any other flag.
+VERIFY_FLAGS = {"lprime": ("k_max", "cases", "seed", "exhaustive_len", "workers"),
+                "fk": ("cases", "seed", "workers"),
+                "anbn": ("len_max",),
+                "formulas": ("k_max", "seed"),
+                "pi": ("k_max", "seed")}
 # Flags that count something; main() rejects a negative value for each.
 _COUNT_FLAGS = ("max_steps", "k_max", "cases", "len_max", "exhaustive_len", "count",
                 "min_exp", "max_exp")
@@ -74,9 +80,6 @@ def _cmd_run(args) -> int:
             return EXIT_OK
     if args.batch is not None:
         return _run_batch(spec, args)
-    if args.input is None:
-        print("error: need --input, --batch or --dump-spec", file=sys.stderr)
-        return EXIT_USAGE
     try:
         res = run(spec, args.input, max_steps=args.max_steps,
                   trace=args.trace is not None)
@@ -135,8 +138,8 @@ def _run_batch(spec, args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = args.suite
-    if suite not in VERIFY_SUITES:
-        print(f"error: unknown suite {suite!r}; known: {', '.join(VERIFY_SUITES)}",
+    if suite not in VERIFY_FLAGS:
+        print(f"error: unknown suite {suite!r}; known: {', '.join(VERIFY_FLAGS)}",
               file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -144,22 +147,18 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.batch is not None and suite != "lprime":
-        print("error: --batch applies only to the lprime suite", file=sys.stderr)
-        return EXIT_USAGE
-    if args.max_steps is not None and args.batch is None:
-        print("error: --max-steps applies only with --batch", file=sys.stderr)
-        return EXIT_USAGE
     k_max = {} if args.k_max is None else {"k_max": args.k_max}   # else the suite's default
+    seed = 1 if args.seed is None else args.seed
+    cases = 200 if args.cases is None else args.cases
     if suite == "pi":
-        checks = analysis.pi_suite(seed=args.seed, **k_max)
+        checks = analysis.pi_suite(seed=seed, **k_max)
     elif suite == "formulas":
-        checks = analysis.formulas_suite(seed=args.seed, **k_max)
+        checks = analysis.formulas_suite(seed=seed, **k_max)
     elif suite == "lprime":
         if args.batch is not None:
             return _verify_batch_against_oracle(args)
         checks = analysis.lprime_structured_suite(
-            cases_per_clause=args.cases, seed=args.seed, workers=workers, **k_max)
+            cases_per_clause=cases, seed=seed, workers=workers, **k_max)
         if args.exhaustive_len:
             scan = analysis.lprime_exhaustive_scan(args.exhaustive_len, workers)
             checks.append(analysis.Check(
@@ -167,16 +166,16 @@ def _cmd_verify(args) -> int:
                 f"words={scan.words_checked} max-len={args.exhaustive_len}"
                 + (f" mismatches={list(scan.mismatches)}" if scan.mismatches else "")))
     elif suite == "fk":
-        checks = analysis.fk_suite(cases_per_k=args.cases, seed=args.seed,
+        checks = analysis.fk_suite(cases_per_k=cases, seed=seed,
                                    workers=workers)
     else:  # anbn
-        checks = analysis.anbn_suite(max_len=args.len_max)
+        checks = analysis.anbn_suite(**({} if args.len_max is None else {"max_len": args.len_max}))
     checks = sorted(checks, key=lambda c: c.case_id)
     lines = [c.line() for c in checks]
     failures = sum(1 for c in checks if not c.ok)
-    summary = f"verify suite={suite} seed={args.seed} checks={len(checks)} failures={failures}"
+    summary = f"verify suite={suite} seed={seed} checks={len(checks)} failures={failures}"
     if args.format == "json":
-        print(json.dumps({"suite": suite, "seed": args.seed,
+        print(json.dumps({"suite": suite, "seed": seed,
                           "checks": [{"id": c.case_id, "ok": c.ok, "detail": c.detail}
                                      for c in checks],
                           "failures": failures}, indent=2, sort_keys=True))
@@ -264,6 +263,30 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _flag_error(args) -> str | None:
+    """The error for a missing flag, or for a flag the command would not read."""
+    if args.command == "run" and args.input is not None and args.batch is not None:
+        return "give --input or --batch, not both"
+    if args.command == "run" and args.trace is not None and args.input is None:
+        return "--trace needs --input"
+    if args.command == "run" and args.input is None and args.batch is None and not args.dump_spec:
+        return "need --input, --batch or --dump-spec"
+    if args.command == "gen" and args.family == "anbn" and args.k_max is not None:
+        return "--k-max does not apply to the anbn family"
+    if args.command != "verify" or args.suite not in VERIFY_FLAGS:
+        return None
+    if args.batch is not None and args.suite != "lprime":
+        return "--batch applies only to the lprime suite"
+    if args.max_steps is not None and args.batch is None:
+        return "--max-steps applies only with --batch"
+    reads = () if args.batch is not None else VERIFY_FLAGS[args.suite]
+    for flag in ("seed", "k_max", "cases", "len_max", "exhaustive_len", "workers"):
+        if getattr(args, flag) is not None and flag not in reads:
+            where = "with --batch" if args.batch is not None else f"to the {args.suite} suite"
+            return f"--{flag.replace('_', '-')} does not apply {where}"
+    return None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # main() prints it as one line and returns 2, instead of argparse's
@@ -291,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named check suite")
     p_verify.add_argument("--suite", required=True,
-                          help=f"one of: {', '.join(VERIFY_SUITES)}")
-    p_verify.add_argument("--seed", type=int, default=1)
+                          help=f"one of: {', '.join(VERIFY_FLAGS)}")
+    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--k-max", type=int, default=None)
-    p_verify.add_argument("--cases", type=int, default=200,
+    p_verify.add_argument("--cases", type=int, default=None,
                           help="cases per clause (lprime) or per k (fk)")
-    p_verify.add_argument("--len-max", type=int, default=14,
+    p_verify.add_argument("--len-max", type=int, default=None,
                           help="exhaustive word length for the anbn suite")
-    p_verify.add_argument("--exhaustive-len", type=int, default=0,
+    p_verify.add_argument("--exhaustive-len", type=int, default=None,
                           help="also scan all shape-plausible words up to this length "
                                "(lprime suite)")
     p_verify.add_argument("--batch", help="check a generated lprime batch file instead")
@@ -339,6 +362,9 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)   # each subcommand takes some of them
             if value is not None and value < 0:
                 parser.error(f"--{flag.replace('_', '-')} must be >= 0, not {value}")
+        problem = _flag_error(args)
+        if problem:
+            parser.error(problem)
     except argparse.ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

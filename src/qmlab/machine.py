@@ -236,6 +236,8 @@ def validate_spec(spec: MachineSpec) -> ValidationReport:
         v("duplicate storage identifiers")
     if spec.acceptance is Acceptance.FINAL_STATES and not spec.finals <= states:
         v("final states not all declared")
+    if spec.finals and spec.acceptance is not Acceptance.FINAL_STATES:
+        v(f"final states given, but acceptance is {spec.acceptance.value}")
     if spec.mode is Mode.POST:
         if not spec.storages or spec.storages[0].kind is not Kind.QUEUE:
             v("post mode requires storage 0 to be a queue")
@@ -353,20 +355,6 @@ class StepRecord:
 class Trace:
     storage_ids: tuple[str, ...]
     records: list[StepRecord] = field(default_factory=list)
-    verdict: Verdict | None = None
-    halt_reason: str | None = None    # no_rule, step_limit or fault
-
-    @property
-    def steps(self) -> int:
-        return len(self.records)
-
-    @property
-    def input_consumed(self) -> int:
-        return sum(1 for r in self.records if r.consumed)
-
-    @property
-    def output_length(self) -> int:
-        return sum(1 for r in self.records if r.emit is not None)
 
     def to_lines(self) -> list[str]:
         """Render the trace in its file format, one record per line."""
@@ -386,6 +374,7 @@ class RunResult:
     output: str
     steps: int
     input_consumed: int
+    halt_reason: str            # no_rule, step_limit or fault
     trace: Trace | None = None
     fault: str | None = None
     max_lengths: tuple[int, ...] | None = None   # per-storage peak, if watched
@@ -633,12 +622,9 @@ class Executor:
         except ExecutionFault as exc:
             fault = str(exc)
             verdict, reason = Verdict.FAULT, "fault"
-        if tr is not None:
-            tr.verdict = verdict
-            tr.halt_reason = reason
         return RunResult(verdict=verdict, output="".join(cfg.output),
                          steps=cfg.steps, input_consumed=cfg.input_pos,
-                         trace=tr, fault=fault,
+                         halt_reason=reason, trace=tr, fault=fault,
                          max_lengths=tuple(maxes) if maxes is not None else None)
 
 

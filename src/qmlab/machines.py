@@ -41,13 +41,6 @@ from .machine import (
     TAPE_STAY,
 )
 
-# Regression constants, pinned by the test suite.
-MK_STEPS_PER_SYMBOL = 1          # the interleaver is real-time
-TK_STEPS_PER_SYMBOL_MAX = 8      # loose bound on the tape machine's constant
-LPRIME_PREFIX_DELAY = 0          # the acceptor is real-time on the prefix
-LPRIME_TAIL_OFFSET = 0           # measured tail == predicted_tail_steps(k)
-
-
 # --------------------------------------------------------------------------
 # The riffle permutation
 

@@ -21,7 +21,6 @@ from qmlab.analysis import (
 )
 from qmlab.machine import Verdict, check_bounded_delay, run
 from qmlab.machines import (
-    LPRIME_TAIL_OFFSET,
     build_lprime_acceptor,
     pi,
     pi_order,
@@ -62,12 +61,12 @@ def test_criterion_1_exact_cycle_lengths(timings):
 
 def test_criterion_2_exact_tail_steps(timings):
     """Steps after the stored prefix equal 2 + 2**(k+1) - 1 + k*k + 2*k + 1
-    with the single recorded offset (zero), for every k in 0..10."""
+    exactly, for every k in 0..10."""
     bad = [(k, t.tail_steps, predicted_tail_steps(k)) for k, t in timings.items()
-           if t.tail_steps != predicted_tail_steps(k) + LPRIME_TAIL_OFFSET]
+           if t.tail_steps != predicted_tail_steps(k)]
     report(2, not bad,
-           f"tail steps == closed form + c0 with c0 = {LPRIME_TAIL_OFFSET}"
-           f" for k in 0..10{'; mismatches: ' + str(bad) if bad else ''}")
+           "tail steps == closed form for k in 0..10"
+           f"{'; mismatches: ' + str(bad) if bad else ''}")
 
 
 def test_criterion_3_lprime_agreement():

@@ -9,15 +9,13 @@ counts) returns an exit code in 0..5 and, for exit 2 or 3, prints exactly one
 
 import contextlib
 import io
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmlab import specfile
-from qmlab.cli import VERIFY_SUITES, main
-from qmlab.machine import Acceptance
+from qmlab.cli import VERIFY_FLAGS, main
 from qmlab.machines import builtin
 from qmlab.oracles import BatchCase, write_batch
 from test_reference_stepper import machine_specs
@@ -53,10 +51,6 @@ def test_loads_raises_only_spec_format_error(text):
 @settings(max_examples=50, deadline=None)
 @given(spec=machine_specs())
 def test_generated_specs_round_trip(spec):
-    # The format writes final states only for final-state acceptance, the one
-    # mode that reads them; the generator draws them for every mode.
-    if spec.acceptance is not Acceptance.FINAL_STATES:
-        spec = replace(spec, finals=frozenset())
     assert specfile.loads(specfile.dumps(spec)) == spec
 
 
@@ -98,16 +92,21 @@ def _argv(draw, files, outdir):
             ("--trace", st.sampled_from((f"{outdir}/trace.csv", outdir))),
             ("--dump-spec", st.sampled_from((f"{outdir}/dumped.qm", outdir)))))
     elif command == "verify":
-        argv = ["verify"] + _flags(draw, (
-            ("--k-max", _int(-2, 3)), ("--cases", _int(-2, 3)),
-            ("--len-max", _int(-2, 4)), ("--exhaustive-len", _int(-2, 4)),
-        ), (
-            ("--suite", st.one_of(st.sampled_from(VERIFY_SUITES + ("mystery",)), _JUNK)),
-            ("--seed", _int(-3, 3)),
-            ("--batch", paths),
-            ("--max-steps", _int(-3, 50)),
-            ("--workers", _int(-1, 2)),
-            ("--format", st.sampled_from(("text", "json", "xml")))))
+        suite = draw(st.one_of(st.sampled_from((*VERIFY_FLAGS, "mystery")), _JUNK))
+        sizes = (("--k-max", _int(-2, 3)), ("--cases", _int(-2, 3)),
+                 ("--len-max", _int(-2, 4)), ("--exhaustive-len", _int(-2, 4)))
+        more = (("--suite", st.just(suite)), ("--seed", _int(-3, 3)), ("--batch", paths),
+                ("--max-steps", _int(-3, 50)), ("--workers", _int(-1, 2)),
+                ("--format", st.sampled_from(("text", "json", "xml"))))
+        if draw(st.booleans()):
+            # Only flags the suite reads (any other is a usage error), and
+            # always the sizes it reads, so that it runs small.
+            reads = VERIFY_FLAGS.get(suite, ()) + ("suite", "format")
+            if suite == "lprime" and draw(st.booleans()):
+                reads = ("suite", "format", "batch", "max_steps")
+            sizes, more = ([f for f in flags if f[0][2:].replace("-", "_") in reads]
+                           for flags in (sizes, more))
+        argv = ["verify"] + _flags(draw, sizes, more)
     elif command == "bench":
         argv = ["bench"] + _flags(draw, (
             ("--min-exp", _int(-2, 6)), ("--max-exp", _int(-2, 6)),

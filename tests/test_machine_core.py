@@ -213,6 +213,15 @@ class TestValidator:
         assert rep.ok
         assert any("island" in w for w in rep.warnings)
 
+    def test_finals_need_final_state_acceptance(self):
+        # The machine file writes final states only under final-state acceptance.
+        rule = Rule("s", "a", (WILDCARD,), "t", consume=True, ops=(NO_OP,))
+        spec = simple_machine(Kind.QUEUE, rule, finals=("t",), states=("s", "t"))
+        assert "final states given, but acceptance is empty_all_storages" \
+            in validate_spec(spec).violations
+        assert validate_spec(simple_machine(Kind.QUEUE, rule, finals=("t",), states=("s", "t"),
+                                            acceptance=Acceptance.FINAL_STATES)).ok
+
     def test_tracks_only_on_tapes(self):
         with pytest.raises(ValueError):
             StorageSpec("q", Kind.QUEUE, frozenset("ab"), tracks=2)
@@ -285,10 +294,10 @@ class TestRun:
     def test_step_accounting(self, word):
         res = run(echo_machine(Kind.QUEUE), word, trace=True)
         tr = res.trace
-        assert tr.steps == res.steps == len(tr.records)
-        assert tr.input_consumed == res.input_consumed == len(word)
-        assert tr.input_consumed <= tr.steps
-        assert tr.output_length == len(res.output) <= tr.steps
+        assert len(tr.records) == res.steps
+        assert sum(r.consumed for r in tr.records) == res.input_consumed == len(word)
+        assert res.input_consumed <= res.steps
+        assert sum(r.emit is not None for r in tr.records) == len(res.output) <= res.steps
         assert [r.step for r in tr.records] == list(range(1, res.steps + 1))
 
     def test_post_mode_conservation(self):
@@ -334,7 +343,7 @@ class TestTraceChecks:
 
     def test_bounded_delay_zero_equals_realtime(self):
         tr = self.trace_of("ab")
-        n = tr.steps
+        n = len(tr.records)
         assert check_bounded_delay(tr, (1, n), 0) == check_realtime(tr)
         assert check_bounded_delay(tr, (1, 2), 0)       # the consuming prefix
         assert not check_bounded_delay(tr, (1, n), 1)   # two silent pops at the end

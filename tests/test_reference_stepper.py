@@ -5,9 +5,9 @@ else: it scans every rule of the spec on every step, keeps the most specific
 applicable one (componentwise, input most significant) and has no cache.
 Plain, watched and traced ``Executor.run`` and the public ``step`` API must
 each agree with it on verdict, output, steps, input consumed, fault text,
-per-step records and peak storage lengths, and ``step`` must leave the same
-configuration behind, after a fault too.  The machines are the builtins, a few
-hand-written ones and randomly generated valid specs.
+halt reason, per-step records and peak storage lengths, and ``step`` must
+leave the same configuration behind, after a fault too.  The machines are the
+builtins, a few hand-written ones and randomly generated valid specs.
 """
 
 from dataclasses import dataclass
@@ -247,17 +247,16 @@ def check_runs(spec, word, max_steps):
     plain = ex.run(word, max_steps=max_steps)
     watched = ex.run(word, max_steps=max_steps, watch_lengths=True)
     traced = ex.run(word, max_steps=max_steps, trace=True)
-    want = (ref.verdict, ref.output, ref.steps, ref.input_consumed, ref.fault)
+    reason = {Verdict.STEP_LIMIT: "step_limit", Verdict.FAULT: "fault"}.get(ref.verdict, "no_rule")
+    want = (ref.verdict, ref.output, ref.steps, ref.input_consumed, ref.fault, reason)
     for res in (plain, watched, traced):
-        assert (res.verdict, res.output, res.steps, res.input_consumed, res.fault) == want
+        assert (res.verdict, res.output, res.steps, res.input_consumed, res.fault,
+                res.halt_reason) == want
     assert plain.trace is None and plain.max_lengths is None
     assert watched.trace is None and watched.max_lengths == ref.peaks
     assert traced.max_lengths is None
     assert [(r.step, r.state, r.consumed, r.lengths, r.emit)
             for r in traced.trace.records] == ref.records
-    assert traced.trace.verdict is ref.verdict
-    assert traced.trace.halt_reason == {Verdict.STEP_LIMIT: "step_limit",
-                                        Verdict.FAULT: "fault"}.get(ref.verdict, "no_rule")
 
 
 def check_steps(spec, word, limit):
@@ -349,12 +348,13 @@ def machine_specs(draw):
                    tuple(draw(_pattern(s)) for s in storages))
               for _ in range(draw(st.integers(4, 16)))]
     table = list({r.pattern_key(): r for r in reversed(table)}.values())
+    acceptance = draw(st.sampled_from(list(Acceptance)))
+    finals = (draw(st.frozensets(st.sampled_from(states)))
+              if acceptance is Acceptance.FINAL_STATES else frozenset())
     return MachineSpec(
         name="generated", states=states, start=states[0],
         input_alphabet=frozenset(_SYMBOLS), output_alphabet=frozenset("01"),
-        storages=tuple(storages), rules=tuple(table),
-        acceptance=draw(st.sampled_from(list(Acceptance))),
-        finals=draw(st.frozensets(st.sampled_from(states))),
+        storages=tuple(storages), rules=tuple(table), acceptance=acceptance, finals=finals,
         mode=Mode.POST if post else Mode.ONLINE, epsilon_accept=draw(st.booleans()))
 
 
