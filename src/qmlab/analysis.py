@@ -21,7 +21,6 @@ from .machine import (
     executor_for,
     minimal_delay,
     run,
-    storage_length_series,
 )
 from .machines import (
     builtin,
@@ -109,15 +108,16 @@ def lprime_cycle_starts(trace: Trace, prefix_length: int) -> list[int]:
     while a new cycle is preceded by the bit-run bookkeeping, so a consuming
     step after two or more silent steps opens the next cycle.
     """
-    starts: list[int] = []
-    silent = 0
-    for rec in trace.records[prefix_length:]:
-        if rec.consumed:
-            if not starts or silent >= 2:
-                starts.append(rec.step)
-            silent = 0
-        else:
-            silent += 1
+    consumed = trace.consumed   # step i + 1 consumed iff consumed[i]
+    i = consumed.find(1, prefix_length)
+    if i < 0:
+        return []
+    starts = [i + 1]
+    # Each later start is a consuming step right after two silent ones.
+    i = consumed.find(b"\x00\x00\x01", i)
+    while i >= 0:
+        starts.append(i + 3)
+        i = consumed.find(b"\x00\x00\x01", i + 3)
     return starts
 
 
@@ -126,9 +126,12 @@ def lprime_timing(inst: LprimeInstance, max_steps: int | None = None) -> LprimeT
     trace = res.trace
     p = inst.prefix_length
     k = inst.k
-    lengths = dict(storage_length_series(trace, "q"))
     starts = lprime_cycle_starts(trace, p)
-    cycle_lengths = tuple(lengths[s - 1] for s in starts)
+    if starts and starts[0] < 2:
+        raise ValueError("a cycle starts at step 1, before any queue length is traced")
+    # A cycle's length is the queue length after the step before its start.
+    q = trace.lengths[trace.storage_ids.index("q")::len(trace.storage_ids)]
+    cycle_lengths = tuple(q[s - 2] for s in starts)
     prefix_min_delay = minimal_delay(trace, (1, p))
     return LprimeTiming(
         k=k, verdict=res.verdict, prefix_length=p,

@@ -45,6 +45,10 @@ VERIFY_FLAGS = {"lprime": ("k_max", "cases", "seed", "exhaustive_len", "workers"
                 "anbn": ("len_max",),
                 "formulas": ("k_max", "seed"),
                 "pi": ("k_max", "seed")}
+# The largest --k-max of the pi and formulas suites, whose cost doubles with
+# each step of k: pi builds pi_order(2**k), formulas runs lprime through about
+# 2**(k+1) tail steps.
+SUITE_K_MAX = 16
 # Flags that count something; main() rejects a negative value for each.
 _COUNT_FLAGS = ("max_steps", "k_max", "cases", "len_max", "exhaustive_len", "count",
                 "min_exp", "max_exp")
@@ -284,6 +288,8 @@ def _flag_error(args) -> str | None:
         if getattr(args, flag) is not None and flag not in reads:
             where = "with --batch" if args.batch is not None else f"to the {args.suite} suite"
             return f"--{flag.replace('_', '-')} does not apply {where}"
+    if args.suite in ("pi", "formulas") and args.k_max is not None and args.k_max > SUITE_K_MAX:
+        return f"--k-max for the {args.suite} suite must be <= {SUITE_K_MAX}, not {args.k_max}"
     return None
 
 

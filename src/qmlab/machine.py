@@ -26,7 +26,9 @@ validator rejects rule tables where two distinct rules could tie.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
@@ -353,19 +355,60 @@ class StepRecord:
 
 @dataclass
 class Trace:
+    """Per-step columns of a run: after step ``i + 1``, the state
+    ``states[i]``, whether the step consumed an input symbol
+    (``consumed[i]``, 0 or 1), the emitted symbol ``emits[i]`` (or ``None``)
+    and the storage lengths ``lengths[i * k:(i + 1) * k]`` for ``k`` storages."""
     storage_ids: tuple[str, ...]
-    records: list[StepRecord] = field(default_factory=list)
+    states: list[str] = field(default_factory=list)
+    consumed: bytearray = field(default_factory=bytearray)
+    emits: list[str | None] = field(default_factory=list)
+    lengths: array = field(default_factory=lambda: array("q"))
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    @property
+    def records(self) -> TraceRecords:
+        """The steps as :class:`StepRecord` objects, built on access."""
+        return TraceRecords(self)
 
     def to_lines(self) -> list[str]:
-        """Render the trace in its file format, one record per line."""
+        """Render the trace in its file format, one step per line."""
         header = "step,state,consumed," + ",".join(
             f"len({i})" for i in self.storage_ids) + ",emit"
-        lines = [header]
-        for r in self.records:
-            lens = ",".join(str(n) for n in r.lengths)
-            lines.append(f"{r.step},{r.state},{'y' if r.consumed else 'n'},"
-                         f"{lens},{r.emit or ''}")
-        return lines
+        k = len(self.storage_ids)
+        # Each step's lengths as one string, built a storage column at a time.
+        lens = (map(",".join, zip(*(map(str, self.lengths[j::k]) for j in range(k))))
+                if k else [""] * len(self.states))
+        return [header] + [f"{i},{state},{'y' if consumed else 'n'},{ls},{emit or ''}"
+                           for i, (state, consumed, ls, emit) in enumerate(
+                               zip(self.states, self.consumed, lens, self.emits), 1)]
+
+
+class TraceRecords(Sequence):
+    """Read-only view of a :class:`Trace` as a sequence of :class:`StepRecord`."""
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: Trace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.states)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        t = self._trace
+        i = range(len(t.states))[i]   # IndexError outside the trace
+        k = len(t.storage_ids)
+        return StepRecord(i + 1, t.states[i], bool(t.consumed[i]),
+                          tuple(t.lengths[i * k:i * k + k]), t.emits[i])
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 @dataclass
@@ -501,23 +544,27 @@ class Executor:
         self._cache[key] = action
         return action
 
-    def _steps(self, cfg: Configuration, limit: int, records: list | None,
+    def _steps(self, cfg: Configuration, limit: int, trace: Trace | None,
                maxes: list | None) -> bool:
         """Step ``cfg`` in place until no rule applies (returns True) or
-        ``cfg.steps`` reaches ``limit`` (False).  Appends a
-        :class:`StepRecord` per step to ``records`` and raises peak lengths
-        in ``maxes`` unless they are ``None``.  On :class:`ExecutionFault`
-        ``cfg`` keeps what the faulting step did before the fault (input
-        consumed, earlier storages changed) but not its new state or its
-        step."""
+        ``cfg.steps`` reaches ``limit`` (False).  Appends each completed step
+        to the columns of ``trace`` and raises peak lengths in ``maxes``
+        unless they are ``None``.  On :class:`ExecutionFault` ``cfg`` keeps
+        what the faulting step did before the fault (input consumed, earlier
+        storages changed) but not its new state or its step, and ``trace``
+        gets nothing for that step."""
         cache, compile_ = self._cache, self._compile
         stores, word = cfg.stores, cfg.input
         n = len(word)
         # The input view at position pos; pos never passes n.
         padded = NO_SYMBOL * (n + 1) if self._post else word + NO_SYMBOL
         views = [_view(s) for s in stores]
-        observe = records is not None or maxes is not None
+        observe = trace is not None or maxes is not None
         lengths = list(cfg.storage_lengths()) if observe else None
+        if trace is not None:
+            lengths = array("q", lengths)   # so that extending the trace copies it
+            add_state, add_consumed = trace.states.append, trace.consumed.append
+            add_emit, add_lengths = trace.emits.append, trace.lengths.extend
         emit_ = cfg.output.append
         state, pos, steps = cfg.state, cfg.input_pos, cfg.steps
         try:
@@ -586,8 +633,11 @@ class Executor:
                             m = lengths[j] = lengths[j] + delta
                             if maxes is not None and m > maxes[j]:
                                 maxes[j] = m
-                    if records is not None:
-                        records.append(StepRecord(steps, state, consume, tuple(lengths), emit))
+                    if trace is not None:
+                        add_state(state)
+                        add_consumed(consume)
+                        add_emit(emit)
+                        add_lengths(lengths)
             return False
         finally:
             cfg.state, cfg.input_pos, cfg.steps = state, pos, steps
@@ -617,7 +667,7 @@ class Executor:
         maxes = list(cfg.storage_lengths()) if watch_lengths else None
         verdict, reason, fault = Verdict.STEP_LIMIT, "step_limit", None
         try:
-            if self._steps(cfg, limit, tr.records if tr is not None else None, maxes):
+            if self._steps(cfg, limit, tr, maxes):
                 verdict, reason = self._verdict_on_halt(cfg), "no_rule"
         except ExecutionFault as exc:
             fault = str(exc)
@@ -640,8 +690,11 @@ def initial_configuration(spec: MachineSpec, word: str) -> Configuration:
 
 def step(spec: MachineSpec, cfg: Configuration) -> StepRecord | None:
     """Apply one step in place; returns ``None`` when the machine halts."""
-    records: list[StepRecord] = []
-    return None if executor_for(spec)._steps(cfg, cfg.steps + 1, records, None) else records[0]
+    pos, emitted = cfg.input_pos, len(cfg.output)
+    if executor_for(spec)._steps(cfg, cfg.steps + 1, None, None):
+        return None
+    return StepRecord(cfg.steps, cfg.state, cfg.input_pos > pos, cfg.storage_lengths(),
+                      cfg.output[-1] if len(cfg.output) > emitted else None)
 
 
 def run(spec: MachineSpec, word: str, max_steps: int | None = None,
@@ -657,30 +710,25 @@ def run(spec: MachineSpec, word: str, max_steps: int | None = None,
 
 def check_realtime(trace: Trace) -> bool:
     """True iff every step consumed exactly one input symbol."""
-    return all(r.consumed for r in trace.records)
+    return 0 not in trace.consumed
 
 
 def check_bounded_delay(trace: Trace, region: tuple[int, int], d: int) -> bool:
     """True iff within ``region`` (1-based step range, inclusive) at most
     ``d`` consecutive steps occur without input consumption."""
-    start, end = region
-    if not (1 <= start <= end <= len(trace.records)):
-        raise ValueError(f"region {region} outside trace of {len(trace.records)} steps")
+    delay = minimal_delay(trace, region)   # checks the region first
     if d < 0:
         raise ValueError("d must be non-negative")
-    return minimal_delay(trace, region) <= d
+    return delay <= d
 
 
 def minimal_delay(trace: Trace, region: tuple[int, int]) -> int:
     """Smallest d for which :func:`check_bounded_delay` holds on the region."""
     start, end = region
-    if not (1 <= start <= end <= len(trace.records)):
-        raise ValueError(f"region {region} outside trace of {len(trace.records)} steps")
-    worst = streak = 0
-    for rec in trace.records[start - 1:end]:
-        streak = 0 if rec.consumed else streak + 1
-        worst = max(worst, streak)
-    return worst
+    if not (1 <= start <= end <= len(trace)):
+        raise ValueError(f"region {region} outside trace of {len(trace)} steps")
+    # The longest run of non-consuming steps: split the region at consuming ones.
+    return max(map(len, trace.consumed[start - 1:end].split(b"\x01")))
 
 
 def storage_length_series(trace: Trace, storage: str) -> list[tuple[int, int]]:
@@ -690,4 +738,4 @@ def storage_length_series(trace: Trace, storage: str) -> list[tuple[int, int]]:
     except ValueError:
         raise ValueError(f"unknown storage {storage!r}; trace covers "
                          f"{trace.storage_ids}") from None
-    return [(r.step, r.lengths[idx]) for r in trace.records]
+    return list(enumerate(trace.lengths[idx::len(trace.storage_ids)], 1))

@@ -98,6 +98,10 @@ class TestRun:
          "error: --cases does not apply with --batch"),
         (["gen", "--family", "anbn", "--k-max", "9", "--out", "x"],
          "error: --k-max does not apply to the anbn family"),
+        (["verify", "--suite", "pi", "--k-max", "17"],
+         "error: --k-max for the pi suite must be <= 16, not 17"),
+        (["verify", "--suite", "formulas", "--k-max", "40", "--seed", "2000"],
+         "error: --k-max for the formulas suite must be <= 16, not 40"),
     ])
     def test_usage_error_is_one_line_exit_two(self, capsys, argv, needle):
         assert main(argv) == 2

@@ -1,10 +1,13 @@
-"""Fuzz tests: machine files and command lines never end in a traceback.
+"""Fuzz tests: machine files, batch files and command lines never end in a
+traceback.
 
 ``specfile.loads`` may only raise ``SpecFormatError``; dumping and reloading a
 valid spec gives it back.  ``cli.main`` on generated argv (every subcommand,
 known and unknown machines and suites, junk tokens, small and negative
 counts) returns an exit code in 0..5 and, for exit 2 or 3, prints exactly one
-``error:`` line.  Every size is small so the file runs in seconds.
+``error:`` line.  ``run --batch`` and ``verify --suite lprime --batch`` on
+generated batch file contents exit 0..3 the same way.  Every size is small so
+the file runs in seconds.
 """
 
 import contextlib
@@ -163,5 +166,47 @@ def test_cli_argv_never_crash(files):
         assert "Traceback" not in err
         if code in (2, 3):
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+    check()
+
+
+# --------------------------------------------------------------------------
+# Batch file contents
+
+# Symbols of the lprime and fk alphabets, and some outside every alphabet.
+_WORD = st.text("abc01#$xZ \u00e9", max_size=8)
+_EXPECTED = st.one_of(st.sampled_from(("accept", "reject", "output=", "output=01$",
+                                       "fault", "")), _WORD)
+_CASE_LINE = st.tuples(_WORD, _EXPECTED, _WORD).map("\t".join)
+_BATCH_LINE = st.one_of(_CASE_LINE, _CASE_LINE, st.just(""),
+                        st.lists(_WORD, max_size=5).map("\t".join),   # any field count
+                        st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+_BATCH_BYTES = st.one_of(
+    st.builds(lambda lines, eol: eol.join(lines).encode(),
+              st.lists(_BATCH_LINE, max_size=6), st.sampled_from(("\n", "\r\n"))),
+    st.binary(max_size=40))   # may not even be UTF-8
+
+
+def test_batch_contents_never_crash(tmp_path):
+    path = tmp_path / "batch.tsv"
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_BATCH_BYTES,
+           command=st.sampled_from((("run", "--machine", "lprime"), ("run", "--machine", "mk:1"),
+                                    ("run", "--machine", "tk:1"),
+                                    ("verify", "--suite", "lprime"))),
+           max_steps=st.one_of(st.just(()), _int(0, 20).map(lambda n: ("--max-steps", n))))
+    def check(data, command, max_steps):
+        path.write_bytes(data)
+        argv = [*command, "--batch", str(path), *max_steps]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 1, 2, 3), (data, argv, code)
+        assert "Traceback" not in err and err.count("error:") <= 1, (data, argv, err)
+        if code in (2, 3):   # nothing is printed before the one error line
+            assert out.getvalue() == "" and err.startswith("error: "), (data, argv, err)
+            assert err.count("\n") == 1, (data, argv, err)
 
     check()

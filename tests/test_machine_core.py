@@ -20,6 +20,7 @@ from qmlab.machine import (
     Mode,
     QueueOp,
     Rule,
+    StepRecord,
     StorageSpec,
     TapeOp,
     NO_OP,
@@ -365,6 +366,16 @@ class TestTraceChecks:
         assert storage_length_series(tr, "s") == [(1, 1), (2, 2), (3, 3)]
         with pytest.raises(ValueError):
             storage_length_series(tr, "nope")
+
+    def test_records_view(self):
+        tr = self.trace_of("ab")
+        records = tr.records
+        assert len(records) == len(tr) == 4
+        assert records[-1] == records[3] == StepRecord(4, "go", False, (0,), "b")
+        assert records[1:3] == list(records)[1:3]
+        assert records == list(records) and records != list(records)[:-1]
+        with pytest.raises(IndexError):
+            records[4]
 
     def test_trace_file_format(self):
         tr = self.trace_of("ab")

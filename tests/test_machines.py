@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmlab import analysis
 from qmlab.analysis import lprime_cycle_starts, lprime_timing
 from qmlab.machine import (
     Verdict,
@@ -29,11 +30,13 @@ from qmlab.machines import (
     predicted_tail_steps_sum,
 )
 from qmlab.oracles import (
+    LPRIME_CLAUSES,
     SplitMix64,
     gen_lk,
     gen_lprime,
     in_lprime,
     is_anbn,
+    mutate_negative,
     reference_fk,
 )
 
@@ -330,3 +333,29 @@ class TestCycleStartExtraction:
         assert len(starts) == 3
         # cycle 1 opens right after the mode-switch step
         assert starts[0] == inst.prefix_length + 2
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_matches_record_by_record_scan(self, k):
+        spec = build_lprime_acceptor()
+        for seed in (1, 2):
+            inst = gen_lprime(k, seed)
+            words = [inst.render()] + [mutate_negative(inst, clause, seed)
+                                       for clause in LPRIME_CLAUSES if k or clause != "v-mismatch"]
+            for word in words:
+                trace = run(spec, word, trace=True).trace
+                for prefix in (0, inst.prefix_length, len(trace) + 1):
+                    want, silent = [], 0
+                    for rec in trace.records[prefix:]:
+                        if rec.consumed:
+                            if not want or silent >= 2:
+                                want.append(rec.step)
+                            silent = 0
+                        else:
+                            silent += 1
+                    assert lprime_cycle_starts(trace, prefix) == want
+
+    def test_timing_rejects_a_cycle_start_at_step_one(self, monkeypatch):
+        # No queue length is traced before step 1, so there is no cycle length.
+        monkeypatch.setattr(analysis, "lprime_cycle_starts", lambda trace, p: [1])
+        with pytest.raises(ValueError, match="step 1"):
+            lprime_timing(gen_lprime(1, 1))

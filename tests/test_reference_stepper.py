@@ -6,8 +6,11 @@ applicable one (componentwise, input most significant) and has no cache.
 Plain, watched and traced ``Executor.run`` and the public ``step`` API must
 each agree with it on verdict, output, steps, input consumed, fault text,
 halt reason, per-step records and peak storage lengths, and ``step`` must
-leave the same configuration behind, after a fault too.  The machines are the
-builtins, a few hand-written ones and randomly generated valid specs.
+leave the same configuration behind, after a fault too.  A traced run's
+trace file lines, ``check_realtime``, ``minimal_delay`` and
+``storage_length_series`` must equal values computed from the reference's
+records.  The machines are the builtins, a few hand-written ones and
+randomly generated valid specs.
 """
 
 from dataclasses import dataclass
@@ -32,10 +35,13 @@ from qmlab.machine import (
     StorageSpec,
     TapeOp,
     Verdict,
+    check_realtime,
     default_step_limit,
     executor_for,
     initial_configuration,
+    minimal_delay,
     step,
+    storage_length_series,
     validate_spec,
 )
 from qmlab.machines import builtin
@@ -257,6 +263,31 @@ def check_runs(spec, word, max_steps):
     assert traced.max_lengths is None
     assert [(r.step, r.state, r.consumed, r.lengths, r.emit)
             for r in traced.trace.records] == ref.records
+    check_trace(spec, traced.trace, ref.records)
+
+
+def check_trace(spec, tr, records):
+    """The trace's file lines and checks against values computed record by
+    record from the reference."""
+    ids = tuple(s.ident for s in spec.storages)
+    assert len(tr) == len(records)
+    assert tr.to_lines() == ["step,state,consumed," + ",".join(f"len({i})" for i in ids)
+                             + ",emit"] + [
+        f"{n},{state},{'y' if consumed else 'n'},{','.join(map(str, lengths))},{emit or ''}"
+        for n, state, consumed, lengths, emit in records]
+    assert check_realtime(tr) == all(consumed for _, _, consumed, _, _ in records)
+    worst = streak = 0
+    for _, _, consumed, _, _ in records:
+        streak = 0 if consumed else streak + 1
+        worst = max(worst, streak)
+    if records:
+        assert minimal_delay(tr, (1, len(records))) == worst
+    else:
+        with pytest.raises(ValueError):
+            minimal_delay(tr, (1, 0))
+    for j, ident in enumerate(ids):
+        assert storage_length_series(tr, ident) == [(n, lengths[j])
+                                                    for n, _, _, lengths, _ in records]
 
 
 def check_steps(spec, word, limit):
@@ -292,7 +323,8 @@ def test_step_matches_reference(name, data):
 
 
 # --------------------------------------------------------------------------
-# Generated specs: 1-3 storages of mixed kinds, online or post mode, wildcard
+# Generated specs: 0-3 storages of mixed kinds (at least one, a queue first,
+# in post mode), online or post mode, wildcard
 # and "-" patterns, consume/emit, and actions that can fault (pop on empty,
 # head off the left end, consume past the end of the input).
 
@@ -326,7 +358,7 @@ def _op(storage, pat):
 def machine_specs(draw):
     post = draw(st.booleans())
     storages = []
-    for j in range(draw(st.integers(1, 3))):
+    for j in range(draw(st.integers(1 if post else 0, 3))):
         kind = Kind.QUEUE if post and j == 0 else draw(st.sampled_from(list(Kind)))
         tracks = draw(st.integers(1, 3)) if kind is Kind.TAPE else 1
         storages.append(StorageSpec(f"s{j}", kind, frozenset(_SYMBOLS), tracks))
@@ -360,7 +392,7 @@ def machine_specs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(spec=machine_specs(), word=st.text(_SYMBOLS, max_size=8),
-       max_steps=st.one_of(st.just(60), st.integers(0, 60)))
+       max_steps=st.one_of(st.just(60), st.just(0), st.integers(0, 60)))
 def test_generated_spec_runs_match_reference(spec, word, max_steps):
     assert validate_spec(spec).ok
     check_runs(spec, word, max_steps)
