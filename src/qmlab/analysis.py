@@ -121,8 +121,8 @@ def lprime_cycle_starts(trace: Trace, prefix_length: int) -> list[int]:
     return starts
 
 
-def lprime_timing(inst: LprimeInstance, max_steps: int | None = None) -> LprimeTiming:
-    res = executor_for(builtin("lprime")).run(inst.render(), max_steps=max_steps, trace=True)
+def lprime_timing(inst: LprimeInstance) -> LprimeTiming:
+    res = executor_for(builtin("lprime")).run(inst.render(), trace=True)
     trace = res.trace
     p = inst.prefix_length
     k = inst.k
@@ -284,6 +284,20 @@ def lprime_structured_suite(cases_per_clause: int = 10000, k_max: int = 10,
     return checks
 
 
+def lprime_suite(k_max: int = 10, cases: int = 200, seed: int = 1,
+                 exhaustive_len: int | None = None, workers: int | None = None) -> list[Check]:
+    """The structured suite, plus the exhaustive scan when ``exhaustive_len`` > 0."""
+    checks = lprime_structured_suite(cases_per_clause=cases, k_max=k_max, seed=seed,
+                                     workers=workers)
+    if exhaustive_len:
+        scan = lprime_exhaustive_scan(exhaustive_len, workers)
+        checks.append(Check(
+            "lprime:exhaustive", scan.ok,
+            f"words={scan.words_checked} max-len={exhaustive_len}"
+            + (f" mismatches={list(scan.mismatches)}" if scan.mismatches else "")))
+    return checks
+
+
 # --------------------------------------------------------------------------
 # Interleaver equivalence (queue machine, tape machine, direct evaluation)
 
@@ -309,9 +323,8 @@ def _fk_task(task: tuple[int, int, int]) -> tuple[str, int, list[str]]:
     return (f"fk:k={k}", count, bad)
 
 
-def fk_suite(cases_per_k: int = 1000, ks: tuple[int, ...] = (1, 2, 3),
-             seed: int = 11, workers: int | None = None) -> list[Check]:
-    tasks = [(k, cases_per_k, seed + k) for k in ks]
+def fk_suite(cases: int = 200, seed: int = 1, workers: int | None = None) -> list[Check]:
+    tasks = [(k, cases, seed + k) for k in (1, 2, 3)]
     results = parallel_map(_fk_task, tasks, workers)
     return [Check(case_id, not bad,
                   f"cases={count}" + (f" failures={bad}" if bad else ""))
@@ -328,19 +341,19 @@ def _anbn_words(max_len: int):
             yield "".join(tup)
 
 
-def anbn_suite(max_len: int = 14) -> list[Check]:
+def anbn_suite(len_max: int = 14) -> list[Check]:
     checks = []
     execs = {v: executor_for(builtin(f"anbn:{v}")) for v in ("linear", "quadratic")}
     for variant, ex in execs.items():
         bad = []
         count = 0
-        for word in _anbn_words(max_len):
+        for word in _anbn_words(len_max):
             count += 1
             got = ex.run(word).verdict is Verdict.ACCEPT
             if got != is_anbn(word) and len(bad) < 5:
                 bad.append(word)
         checks.append(Check(f"anbn:{variant}.exhaustive", not bad,
-                            f"words={count} max-len={max_len}"
+                            f"words={count} max-len={len_max}"
                             + (f" failures={bad}" if bad else "")))
     ratios = []
     for t in (8, 16, 32, 64, 128, 256, 512, 1024):

@@ -10,6 +10,7 @@ file works too.  ``QMLAB_WORKERS`` overrides the worker count for suites.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -38,17 +39,21 @@ _EPILOG = """exit codes:
   5  execution fault in the machine
 """
 
-# The flags each verify suite reads besides --format; with --batch the lprime
-# suite reads only --batch and --max-steps.  main() rejects any other flag.
-VERIFY_FLAGS = {"lprime": ("k_max", "cases", "seed", "exhaustive_len", "workers"),
-                "fk": ("cases", "seed", "workers"),
-                "anbn": ("len_max",),
-                "formulas": ("k_max", "seed"),
-                "pi": ("k_max", "seed")}
-# The largest --k-max of the pi and formulas suites, whose cost doubles with
-# each step of k: pi builds pi_order(2**k), formulas runs lprime through about
-# 2**(k+1) tail steps.
+# The function each verify suite and gen family calls.  Its parameters are
+# the flags the suite or family reads and its defaults are theirs; main()
+# rejects any other flag.  With --batch the lprime suite reads only --batch
+# and --max-steps.
+VERIFY_SUITES = {"lprime": analysis.lprime_suite, "fk": analysis.fk_suite,
+                 "anbn": analysis.anbn_suite, "formulas": analysis.formulas_suite,
+                 "pi": analysis.pi_suite}
+GEN_FAMILIES = {"lprime": gen_lprime_cases, "fk": gen_fk_cases, "anbn": gen_anbn_cases}
+VERIFY_FLAGS = {name: tuple(inspect.signature(fn).parameters)
+                for name, fn in VERIFY_SUITES.items()}
+# The largest --k-max wherever it is an exponent (every suite and the lprime
+# family), and the largest bench --max-exp: each builds words of about 2**k
+# symbols, so the cost doubles with each step.
 SUITE_K_MAX = 16
+BENCH_MAX_EXP = 20
 # Flags that count something; main() rejects a negative value for each.
 _COUNT_FLAGS = ("max_steps", "k_max", "cases", "len_max", "exhaustive_len", "count",
                 "min_exp", "max_exp")
@@ -83,7 +88,9 @@ def _cmd_run(args) -> int:
         if args.input is None and args.batch is None:
             return EXIT_OK
     if args.batch is not None:
-        return _run_batch(spec, args)
+        return _check_batch(spec, args, _expected_judge,
+                            lambda n, failed: f"batch {args.batch}: {n - failed}/{n} "
+                                              "cases matched")
     try:
         res = run(spec, args.input, max_steps=args.max_steps,
                   trace=args.trace is not None)
@@ -101,107 +108,82 @@ def _cmd_run(args) -> int:
             Verdict.STEP_LIMIT: EXIT_LIMIT, Verdict.FAULT: EXIT_FAULT}[res.verdict]
 
 
-def _run_cases(spec, args):
-    """Run every case of ``args.batch`` on one executor.  Returns the list of
-    ``(case, result)`` pairs, or an exit code after a one-line error."""
+def _check_batch(spec, args, judge, summary) -> int:
+    """Run every case of ``args.batch`` on one executor, then print a FAIL line
+    for each case that ``judge`` finds a fault in and ``summary(cases,
+    failures)``.  A bad file or case prints one error line and no report."""
     try:
         cases = read_batch(args.batch)
     except (OSError, ValueError) as exc:   # unreadable file or malformed line
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     ex = executor_for(spec)
-    results = []
+    fails = []
     for i, case in enumerate(cases):
         try:
-            results.append((case, ex.run(case.word, max_steps=args.max_steps)))
+            res = ex.run(case.word, max_steps=args.max_steps)
         except InputSymbolError as exc:
             print(f"error: batch case {i}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    return results
+        if fault := judge(case, res):
+            fails.append(f"FAIL case {i} tag={case.tag} {fault}")
+    print("\n".join(fails + [summary(len(cases), len(fails))]))
+    return EXIT_OK if not fails else EXIT_FAIL
 
 
-def _run_batch(spec, args) -> int:
-    results = _run_cases(spec, args)
-    if isinstance(results, int):
-        return results
-    failures = 0
-    for i, (case, res) in enumerate(results):
-        if case.expected.startswith("output="):
-            ok = res.output == case.expected[len("output="):] and res.accepted
-            got = f"output={res.output}"
-        else:
-            ok = res.verdict.value == case.expected
-            got = res.verdict.value
-        if not ok:
-            failures += 1
-            print(f"FAIL case {i} tag={case.tag} word={case.word} "
-                  f"expected={case.expected} got={got}")
-    print(f"batch {args.batch}: {len(results) - failures}/{len(results)} cases matched")
-    return EXIT_OK if failures == 0 else EXIT_FAIL
+def _expected_judge(case, res) -> str | None:
+    """Compares the verdict string with the expected field, or the output of an
+    accepting run with an ``output=`` field."""
+    if case.expected.startswith("output="):
+        ok = res.output == case.expected[len("output="):] and res.accepted
+        got = f"output={res.output}"
+    else:
+        ok = res.verdict.value == case.expected
+        got = res.verdict.value
+    return None if ok else f"word={case.word} expected={case.expected} got={got}"
+
+
+def _oracle_judge(case, res) -> str | None:
+    """Checks the expected field against in_lprime, and that the run accepts
+    exactly the members: any run that does not accept is a rejection."""
+    want = in_lprime(case.word)
+    if res.accepted == want and case.expected == ("accept" if want else "reject"):
+        return None
+    return (f"expected={case.expected} oracle={'accept' if want else 'reject'} "
+            f"got={res.verdict.value}")
+
+
+def _arguments(args, fn) -> dict:
+    """Each parameter of ``fn``: its flag's value if given, else its default."""
+    params = inspect.signature(fn).parameters
+    return {p: params[p].default if getattr(args, p) is None else getattr(args, p)
+            for p in params}
 
 
 def _cmd_verify(args) -> int:
-    suite = args.suite
-    if suite not in VERIFY_FLAGS:
-        print(f"error: unknown suite {suite!r}; known: {', '.join(VERIFY_FLAGS)}",
-              file=sys.stderr)
-        return EXIT_USAGE
     try:
-        workers = analysis.effective_workers(args.workers)
+        analysis.effective_workers(args.workers)   # a bad QMLAB_WORKERS is a usage error
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    k_max = {} if args.k_max is None else {"k_max": args.k_max}   # else the suite's default
-    seed = 1 if args.seed is None else args.seed
-    cases = 200 if args.cases is None else args.cases
-    if suite == "pi":
-        checks = analysis.pi_suite(seed=seed, **k_max)
-    elif suite == "formulas":
-        checks = analysis.formulas_suite(seed=seed, **k_max)
-    elif suite == "lprime":
-        if args.batch is not None:
-            return _verify_batch_against_oracle(args)
-        checks = analysis.lprime_structured_suite(
-            cases_per_clause=cases, seed=seed, workers=workers, **k_max)
-        if args.exhaustive_len:
-            scan = analysis.lprime_exhaustive_scan(args.exhaustive_len, workers)
-            checks.append(analysis.Check(
-                "lprime:exhaustive", scan.ok,
-                f"words={scan.words_checked} max-len={args.exhaustive_len}"
-                + (f" mismatches={list(scan.mismatches)}" if scan.mismatches else "")))
-    elif suite == "fk":
-        checks = analysis.fk_suite(cases_per_k=cases, seed=seed,
-                                   workers=workers)
-    else:  # anbn
-        checks = analysis.anbn_suite(**({} if args.len_max is None else {"max_len": args.len_max}))
-    checks = sorted(checks, key=lambda c: c.case_id)
+    if args.batch is not None:
+        return _check_batch(builtin("lprime"), args, _oracle_judge,
+                            lambda n, failed: f"verify suite=lprime batch={args.batch} "
+                                              f"cases={n} failures={failed}")
+    suite = VERIFY_SUITES[args.suite]
+    arguments = _arguments(args, suite)
+    checks = sorted(suite(**arguments), key=lambda c: c.case_id)
+    seed = arguments.get("seed", 1)   # the anbn suite takes no seed and reports 1
     lines = [c.line() for c in checks]
     failures = sum(1 for c in checks if not c.ok)
-    summary = f"verify suite={suite} seed={seed} checks={len(checks)} failures={failures}"
+    summary = f"verify suite={args.suite} seed={seed} checks={len(checks)} failures={failures}"
     if args.format == "json":
-        print(json.dumps({"suite": suite, "seed": seed,
+        print(json.dumps({"suite": args.suite, "seed": seed,
                           "checks": [{"id": c.case_id, "ok": c.ok, "detail": c.detail}
                                      for c in checks],
                           "failures": failures}, indent=2, sort_keys=True))
     else:
         print("\n".join(lines + [summary]))
-    return EXIT_OK if failures == 0 else EXIT_FAIL
-
-
-def _verify_batch_against_oracle(args) -> int:
-    results = _run_cases(builtin("lprime"), args)
-    if isinstance(results, int):
-        return results
-    failures = 0
-    for i, (case, res) in enumerate(results):
-        want = in_lprime(case.word)
-        ok = (res.accepted == want
-              and case.expected == ("accept" if want else "reject"))
-        if not ok:
-            failures += 1
-            print(f"FAIL case {i} tag={case.tag} expected={case.expected} "
-                  f"oracle={'accept' if want else 'reject'} got={res.verdict.value}")
-    print(f"verify suite=lprime batch={args.batch} cases={len(results)} failures={failures}")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
@@ -251,13 +233,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    k_max = {} if args.k_max is None else {"k_max": args.k_max}   # else the builder's default
-    if args.family == "lprime":
-        cases = gen_lprime_cases(args.count, args.seed, **k_max)
-    elif args.family == "fk":
-        cases = gen_fk_cases(args.count, args.seed, **k_max)
-    else:  # anbn; argparse admits only the three families
-        cases = gen_anbn_cases(args.count, args.seed)
+    family = GEN_FAMILIES[args.family]
+    cases = family(**_arguments(args, family))
     try:
         write_batch(args.out, cases)
     except OSError as exc:
@@ -275,21 +252,30 @@ def _flag_error(args) -> str | None:
         return "--trace needs --input"
     if args.command == "run" and args.input is None and args.batch is None and not args.dump_spec:
         return "need --input, --batch or --dump-spec"
-    if args.command == "gen" and args.family == "anbn" and args.k_max is not None:
-        return "--k-max does not apply to the anbn family"
-    if args.command != "verify" or args.suite not in VERIFY_FLAGS:
+    if args.command == "bench" and args.max_exp is not None and args.max_exp > BENCH_MAX_EXP:
+        return f"--max-exp must be <= {BENCH_MAX_EXP}, not {args.max_exp}"
+    if args.command == "verify":
+        table, name, kind, batch = VERIFY_SUITES, args.suite, "suite", args.batch
+    elif args.command == "gen":
+        table, name, kind, batch = GEN_FAMILIES, args.family, "family", None
+    else:
         return None
-    if args.batch is not None and args.suite != "lprime":
+    if name not in table:
+        return f"unknown suite {name!r}; known: {', '.join(table)}"
+    if batch is not None and name != "lprime":
         return "--batch applies only to the lprime suite"
-    if args.max_steps is not None and args.batch is None:
+    if args.command == "verify" and args.max_steps is not None and batch is None:
         return "--max-steps applies only with --batch"
-    reads = () if args.batch is not None else VERIFY_FLAGS[args.suite]
-    for flag in ("seed", "k_max", "cases", "len_max", "exhaustive_len", "workers"):
-        if getattr(args, flag) is not None and flag not in reads:
-            where = "with --batch" if args.batch is not None else f"to the {args.suite} suite"
+    reads = () if batch is not None else inspect.signature(table[name]).parameters
+    for flag in vars(args):   # in the parser's order
+        if (getattr(args, flag) is not None and flag not in reads
+                and any(flag in inspect.signature(fn).parameters for fn in table.values())):
+            where = "with --batch" if batch is not None else f"to the {name} {kind}"
             return f"--{flag.replace('_', '-')} does not apply {where}"
-    if args.suite in ("pi", "formulas") and args.k_max is not None and args.k_max > SUITE_K_MAX:
-        return f"--k-max for the {args.suite} suite must be <= {SUITE_K_MAX}, not {args.k_max}"
+    # In the fk family --k-max counts streams, not an exponent.
+    if ("k_max" in reads and args.k_max is not None and args.k_max > SUITE_K_MAX
+            and (args.command, name) != ("gen", "fk")):
+        return f"--k-max for the {name} {kind} must be <= {SUITE_K_MAX}, not {args.k_max}"
     return None
 
 
@@ -351,10 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=_cmd_bench)
 
     p_gen = sub.add_parser("gen", help="generate an instance batch file")
-    p_gen.add_argument("--family", required=True, choices=("lprime", "fk", "anbn"))
-    p_gen.add_argument("--count", type=int, default=100)
+    p_gen.add_argument("--family", required=True, choices=tuple(GEN_FAMILIES))
+    p_gen.add_argument("--count", type=int, default=None)
     p_gen.add_argument("--k-max", type=int, default=None)
-    p_gen.add_argument("--seed", type=int, default=1)
+    p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen)
     return parser

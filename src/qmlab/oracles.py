@@ -308,7 +308,7 @@ def mutate_negative(instance, clause: str, seed: int) -> str:
     raise TypeError(f"cannot mutate {type(instance).__name__}")
 
 
-def gen_lprime_cases(count: int, seed: int, k_max: int = 8) -> list[BatchCase]:
+def gen_lprime_cases(count: int = 100, seed: int = 1, k_max: int = 8) -> list[BatchCase]:
     """Alternating members and single-clause non-members, tags 0..k_max."""
     rng = SplitMix64(seed)
     cases = []
@@ -325,7 +325,7 @@ def gen_lprime_cases(count: int, seed: int, k_max: int = 8) -> list[BatchCase]:
     return cases
 
 
-def gen_fk_cases(count: int, seed: int, k_max: int = 3) -> list[BatchCase]:
+def gen_fk_cases(count: int = 100, seed: int = 1, k_max: int = 3) -> list[BatchCase]:
     """Alternating interleaver inputs (with their outputs) and malformed
     words, 1..k_max streams."""
     rng = SplitMix64(seed)
@@ -345,7 +345,7 @@ def gen_fk_cases(count: int, seed: int, k_max: int = 3) -> list[BatchCase]:
     return cases
 
 
-def gen_anbn_cases(count: int, seed: int) -> list[BatchCase]:
+def gen_anbn_cases(count: int = 100, seed: int = 1) -> list[BatchCase]:
     """Alternating a^t b^t members and words with one to three extra b's."""
     rng = SplitMix64(seed)
     cases = []

@@ -98,7 +98,7 @@ def test_criterion_4_linear_time_certification():
 def test_criterion_5_interleaver_equivalence():
     """Queue machine, tape machine and direct evaluation give identical
     outputs on 1000 seeded instances per k in {1, 2, 3}."""
-    checks = fk_suite(cases_per_k=1000, ks=(1, 2, 3), seed=2718)
+    checks = fk_suite(cases=1000, seed=2718)
     report(5, all(c.ok for c in checks), "; ".join(c.line() for c in checks))
 
 
@@ -135,7 +135,7 @@ def test_criterion_8_post_machine_demonstration():
     """Both post-mode acceptors agree with the predicate exhaustively to
     length 14; the halving variant fits linear, the rotating variant fits
     with slope >= 1.9 over pair counts 8..1024."""
-    checks = anbn_suite(max_len=14)
+    checks = anbn_suite(len_max=14)
     exhaustive_ok = all(c.ok for c in checks if "exhaustive" in c.case_id)
     lin = growth_report("anbn:linear", ANBN_EXPONENTS)
     quad = growth_report("anbn:quadratic", ANBN_EXPONENTS)

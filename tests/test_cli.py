@@ -8,7 +8,8 @@ from dataclasses import replace
 
 import pytest
 
-from qmlab.cli import main
+from qmlab import oracles
+from qmlab.cli import VERIFY_FLAGS, main
 from qmlab.oracles import read_batch
 
 
@@ -102,8 +103,23 @@ class TestRun:
          "error: --k-max for the pi suite must be <= 16, not 17"),
         (["verify", "--suite", "formulas", "--k-max", "40", "--seed", "2000"],
          "error: --k-max for the formulas suite must be <= 16, not 40"),
+        (["verify", "--suite", "lprime", "--k-max", "17", "--cases", "1", "--workers", "1"],
+         "error: --k-max for the lprime suite must be <= 16, not 17"),
+        (["gen", "--family", "lprime", "--k-max", "17", "--out", "x"],
+         "error: --k-max for the lprime family must be <= 16, not 17"),
+        (["bench", "--machine", "lprime", "--max-exp", "21"],
+         "error: --max-exp must be <= 20, not 21"),
     ])
-    def test_usage_error_is_one_line_exit_two(self, capsys, argv, needle):
+    def test_usage_error_is_one_line_exit_two(self, capsys, monkeypatch, argv, needle):
+        real = oracles.SplitMix64.letters
+
+        def bounded_letters(self, n):
+            # A size flag above its bound must stop before it builds a word
+            # longer than any bound admits.
+            assert n <= 1 << 16, f"a usage error built a word of {n} letters"
+            return real(self, n)
+
+        monkeypatch.setattr(oracles.SplitMix64, "letters", bounded_letters)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -184,6 +200,28 @@ class TestGenAndBatch:
                            "--batch", str(path))
         assert code == 0
 
+    def test_step_limited_batch(self, capsys, tmp_path):
+        """run --batch compares verdict strings; verify --batch counts any run
+        that does not accept as a rejection, so only the members fail."""
+        path = tmp_path / "limited.tsv"
+        path.write_text("aca\taccept\tm\nab0c0ba\treject\tn\nacb\treject\tr\n"
+                        "ab0c0ab\taccept\tm2\n")
+        code, out = invoke(capsys, "run", "--machine", "lprime", "--batch", str(path),
+                           "--max-steps", "5")
+        assert code == 1
+        assert out == (
+            "FAIL case 0 tag=m word=aca expected=accept got=step_limit_exceeded\n"
+            "FAIL case 1 tag=n word=ab0c0ba expected=reject got=step_limit_exceeded\n"
+            "FAIL case 3 tag=m2 word=ab0c0ab expected=accept got=step_limit_exceeded\n"
+            f"batch {path}: 1/4 cases matched\n")
+        code, out = invoke(capsys, "verify", "--suite", "lprime", "--batch", str(path),
+                           "--max-steps", "5")
+        assert code == 1
+        assert out == (
+            "FAIL case 0 tag=m expected=accept oracle=accept got=step_limit_exceeded\n"
+            "FAIL case 3 tag=m2 expected=accept oracle=accept got=step_limit_exceeded\n"
+            f"verify suite=lprime batch={path} cases=4 failures=2\n")
+
     def test_verify_reads_generated_batch(self, capsys, tmp_path):
         path = tmp_path / "cases.tsv"
         invoke(capsys, "gen", "--family", "lprime", "--count", "30", "--seed", "8",
@@ -263,6 +301,65 @@ class TestVerify:
         assert code == 0
         assert "PASS lprime:v-mismatch cases=0\n" in out
         assert "PASS lprime:member cases=2\n" in out
+
+    @pytest.mark.parametrize("argv,report", [
+        (["pi", "--k-max", "2"], """\
+PASS pi:k=00.matches-halving n=1
+PASS pi:k=00.permutation n=1
+PASS pi:k=01.matches-halving n=2
+PASS pi:k=01.permutation n=2
+PASS pi:k=02.matches-halving n=4
+PASS pi:k=02.permutation n=4
+verify suite=pi seed=1 checks=6 failures=0
+"""),
+        (["formulas", "--k-max", "2"], """\
+PASS formulas:k=00.cycle-lengths observed=[2] predicted=[2]
+PASS formulas:k=00.prefix-realtime min-delay=0
+PASS formulas:k=00.tail-steps observed=4 predicted=4
+PASS formulas:k=00.verdict verdict=accept
+PASS formulas:k=01.cycle-lengths observed=[5, 2] predicted=[5, 2]
+PASS formulas:k=01.prefix-realtime min-delay=0
+PASS formulas:k=01.tail-steps observed=9 predicted=9
+PASS formulas:k=01.verdict verdict=accept
+PASS formulas:k=02.cycle-lengths observed=[9, 5, 2] predicted=[9, 5, 2]
+PASS formulas:k=02.prefix-realtime min-delay=0
+PASS formulas:k=02.tail-steps observed=18 predicted=18
+PASS formulas:k=02.verdict verdict=accept
+verify suite=formulas seed=1 checks=12 failures=0
+"""),
+        (["anbn", "--len-max", "3"], """\
+PASS anbn:linear.exhaustive words=15 max-len=3
+PASS anbn:quadratic.exhaustive words=15 max-len=3
+PASS anbn:speedup.monotone linear/quadratic step ratios=['0.4500', '0.2396', '0.1232', \
+'0.0623', '0.0312', '0.0156', '0.0078', '0.0039']
+verify suite=anbn seed=1 checks=3 failures=0
+"""),
+        (["fk", "--cases", "2"], """\
+PASS fk:k=1 cases=2
+PASS fk:k=2 cases=2
+PASS fk:k=3 cases=2
+verify suite=fk seed=1 checks=3 failures=0
+"""),
+        (["lprime", "--k-max", "1", "--cases", "2", "--exhaustive-len", "4"], """\
+PASS lprime:bad-format cases=2
+PASS lprime:bad-length cases=2
+PASS lprime:exhaustive words=209 max-len=4
+PASS lprime:member cases=2
+PASS lprime:v-mismatch cases=2
+PASS lprime:w-not-pi cases=2
+verify suite=lprime seed=1 checks=6 failures=0
+"""),
+    ])
+    def test_golden_report(self, capsys, argv, report):
+        assert invoke(capsys, "verify", "--suite", *argv) == (0, report)
+
+    def test_verify_flags_are_the_readme_table(self):
+        # The flag table of the README, without --format and the --batch form.
+        assert VERIFY_FLAGS == {"lprime": ("k_max", "cases", "seed", "exhaustive_len", "workers"),
+                                "fk": ("cases", "seed", "workers"),
+                                "anbn": ("len_max",),
+                                "formulas": ("k_max", "seed"),
+                                "pi": ("k_max", "seed")}
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "mystery"]) == 2
@@ -363,8 +460,8 @@ def test_verify_exits_one_on_a_failed_check(monkeypatch, capsys):
 
     real = analysis.lprime_timing
 
-    def off_by_one_at_k2(inst, max_steps=None):
-        t = real(inst, max_steps)
+    def off_by_one_at_k2(inst):
+        t = real(inst)
         return replace(t, predicted_tail=t.predicted_tail + 1) if t.k == 2 else t
 
     monkeypatch.setattr(analysis, "lprime_timing", off_by_one_at_k2)
