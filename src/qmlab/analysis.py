@@ -130,7 +130,7 @@ def lprime_timing(inst: LprimeInstance) -> LprimeTiming:
     if starts and starts[0] < 2:
         raise ValueError("a cycle starts at step 1, before any queue length is traced")
     # A cycle's length is the queue length after the step before its start.
-    q = trace.lengths[trace.storage_ids.index("q")::len(trace.storage_ids)]
+    q = trace.lengths_of("q")
     cycle_lengths = tuple(q[s - 2] for s in starts)
     prefix_min_delay = minimal_delay(trace, (1, p))
     return LprimeTiming(

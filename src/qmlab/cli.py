@@ -19,7 +19,7 @@ from . import analysis, specfile
 from .growth import fit_growth
 from .machine import (ExecutionFault, InputSymbolError, Verdict, executor_for, run,
                       validate_spec)
-from .machines import builtin
+from .machines import MAX_MK, builtin
 from .oracles import (gen_anbn_cases, gen_fk_cases, gen_lprime_cases, in_lprime,
                       read_batch, write_batch)
 
@@ -49,14 +49,14 @@ VERIFY_SUITES = {"lprime": analysis.lprime_suite, "fk": analysis.fk_suite,
 GEN_FAMILIES = {"lprime": gen_lprime_cases, "fk": gen_fk_cases, "anbn": gen_anbn_cases}
 VERIFY_FLAGS = {name: tuple(inspect.signature(fn).parameters)
                 for name, fn in VERIFY_SUITES.items()}
-# The largest --k-max wherever it is an exponent (every suite and the lprime
-# family), and the largest bench --max-exp: each builds words of about 2**k
-# symbols, so the cost doubles with each step.
+# The largest value of each size flag whose cost at least doubles with each
+# step: --k-max wherever it is an exponent and bench --max-exp build words of
+# about 2**k symbols; --len-max and --exhaustive-len run at least 2**k words.
 SUITE_K_MAX = 16
 BENCH_MAX_EXP = 20
 # Flags that count something; main() rejects a negative value for each.
 _COUNT_FLAGS = ("max_steps", "k_max", "cases", "len_max", "exhaustive_len", "count",
-                "min_exp", "max_exp")
+                "min_exp", "max_exp", "workers")
 
 
 def _resolve_machine(ref: str):
@@ -272,10 +272,15 @@ def _flag_error(args) -> str | None:
                 and any(flag in inspect.signature(fn).parameters for fn in table.values())):
             where = "with --batch" if batch is not None else f"to the {name} {kind}"
             return f"--{flag.replace('_', '-')} does not apply {where}"
-    # In the fk family --k-max counts streams, not an exponent.
-    if ("k_max" in reads and args.k_max is not None and args.k_max > SUITE_K_MAX
-            and (args.command, name) != ("gen", "fk")):
-        return f"--k-max for the {name} {kind} must be <= {SUITE_K_MAX}, not {args.k_max}"
+    if (args.command, name) == ("gen", "fk"):
+        # Here --k-max counts streams, and no builtin runs more than mk:64.
+        if args.k_max is not None and not 1 <= args.k_max <= MAX_MK:
+            return f"--k-max for the fk family must be in 1..{MAX_MK}, not {args.k_max}"
+        return None
+    for flag in ("k_max", "len_max", "exhaustive_len"):
+        if flag in reads and (value := getattr(args, flag)) is not None and value > SUITE_K_MAX:
+            return (f"--{flag.replace('_', '-')} for the {name} {kind} must be "
+                    f"<= {SUITE_K_MAX}, not {value}")
     return None
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -166,20 +166,11 @@ class MachineSpec:
     finals: frozenset[str] = frozenset()
     mode: Mode = Mode.ONLINE
     epsilon_accept: bool = False
-    # hash(self), computed on first use: hashing a large rule table costs
-    # hundreds of microseconds, and run() looks its executor up by spec.
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(tuple(
-                getattr(self, f.name) for f in fields(self) if f.compare)))
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuild through the constructor so the cached hash is not pickled:
-        # str hashes differ between processes (PYTHONHASHSEED).
-        return (MachineSpec, tuple(getattr(self, f.name) for f in fields(self) if f.init))
+        # Hashing the whole rule table costs hundreds of microseconds, and
+        # run() looks its executor up by spec; equal specs share these fields.
+        return hash((self.name, self.start, len(self.rules)))
 
 
 @dataclass
@@ -309,13 +300,12 @@ def validate_spec(spec: MachineSpec) -> ValidationReport:
 
 
 class _Tape:
-    __slots__ = ("cells", "head", "nonblank", "blank")
+    __slots__ = ("cells", "head", "blank")
 
     def __init__(self, blank: str):
         self.blank = blank
         self.cells = [blank]
         self.head = 0
-        self.nonblank = 0
 
 
 @dataclass
@@ -340,8 +330,9 @@ class Configuration:
         return tuple(s)
 
     def storage_lengths(self) -> tuple[int, ...]:
-        return tuple(s.nonblank if isinstance(s, _Tape) else len(s)
-                     for s in self.stores)
+        """Per storage, its number of symbols; a tape's non-blank cells."""
+        return tuple(len(s.cells) - s.cells.count(s.blank) if isinstance(s, _Tape)
+                     else len(s) for s in self.stores)
 
 
 @dataclass(frozen=True, slots=True)
@@ -373,14 +364,22 @@ class Trace:
         """The steps as :class:`StepRecord` objects, built on access."""
         return TraceRecords(self)
 
+    def lengths_of(self, storage: str) -> array:
+        """The length of ``storage`` after each step."""
+        try:
+            j = self.storage_ids.index(storage)
+        except ValueError:
+            raise ValueError(f"unknown storage {storage!r}; trace covers "
+                             f"{self.storage_ids}") from None
+        return self.lengths[j::len(self.storage_ids)]
+
     def to_lines(self) -> list[str]:
         """Render the trace in its file format, one step per line."""
         header = "step,state,consumed," + ",".join(
             f"len({i})" for i in self.storage_ids) + ",emit"
-        k = len(self.storage_ids)
         # Each step's lengths as one string, built a storage column at a time.
-        lens = (map(",".join, zip(*(map(str, self.lengths[j::k]) for j in range(k))))
-                if k else [""] * len(self.states))
+        lens = (map(",".join, zip(*(map(str, self.lengths_of(i)) for i in self.storage_ids)))
+                if self.storage_ids else [""] * len(self.states))
         return [header] + [f"{i},{state},{'y' if consumed else 'n'},{ls},{emit or ''}"
                            for i, (state, consumed, ls, emit) in enumerate(
                                zip(self.states, self.consumed, lens, self.emits), 1)]
@@ -511,6 +510,7 @@ class Executor:
     # -- configuration -----------------------------------------------------
 
     def initial(self, word: str) -> Configuration:
+        """Start-of-run configuration; in post mode, storage 0 holds the input."""
         alpha = self.spec.input_alphabet
         if not alpha.issuperset(word):
             for i, ch in enumerate(word):
@@ -602,13 +602,11 @@ class Executor:
                         views[j] = s[0]
                     elif code == _WRITE:
                         s.cells[s.head] = arg
-                        s.nonblank += delta
                         views[j] = arg
                     elif code == _RIGHT:
                         cells = s.cells
                         if arg is not None:
                             cells[s.head] = arg
-                            s.nonblank += delta
                         head = s.head = s.head + 1
                         if head == len(cells):
                             cells.append(s.blank)
@@ -616,7 +614,6 @@ class Executor:
                     elif code == _LEFT:
                         if arg is not None:
                             s.cells[s.head] = arg
-                            s.nonblank += delta
                         if s.head == 0:
                             raise ExecutionFault(fault)
                         head = s.head = s.head - 1
@@ -646,18 +643,16 @@ class Executor:
 
     def _verdict_on_halt(self, cfg: Configuration) -> Verdict:
         spec = self.spec
-        if not cfg.input and not spec.epsilon_accept:
-            return Verdict.REJECT
         consumed_all = self._post or cfg.input_pos == len(cfg.input)
-        if spec.acceptance is Acceptance.EMPTY_STORAGES:
-            empty = all(n == 0 for n in cfg.storage_lengths())
-            return Verdict.ACCEPT if (empty and consumed_all) else Verdict.REJECT
-        if spec.acceptance is Acceptance.FINAL_STATES:
-            return Verdict.ACCEPT if (consumed_all and cfg.state in spec.finals) \
-                else Verdict.REJECT
-        # OUTPUT_BIT: the verdict is the last emitted symbol.
-        return Verdict.ACCEPT if (cfg.output and cfg.output[-1] == "1") \
-            else Verdict.REJECT
+        if not cfg.input and not spec.epsilon_accept:
+            accept = False
+        elif spec.acceptance is Acceptance.EMPTY_STORAGES:
+            accept = consumed_all and not any(cfg.storage_lengths())
+        elif spec.acceptance is Acceptance.FINAL_STATES:
+            accept = consumed_all and cfg.state in spec.finals
+        else:   # OUTPUT_BIT: the verdict is the last emitted symbol.
+            accept = cfg.output[-1:] == ["1"]
+        return Verdict.ACCEPT if accept else Verdict.REJECT
 
     def run(self, word: str, max_steps: int | None = None,
             trace: bool = False, watch_lengths: bool = False) -> RunResult:
@@ -681,11 +676,6 @@ class Executor:
 @lru_cache(maxsize=128)
 def executor_for(spec: MachineSpec) -> Executor:
     return Executor(spec)
-
-
-def initial_configuration(spec: MachineSpec, word: str) -> Configuration:
-    """Start-of-run configuration; in post mode, storage 0 holds the input."""
-    return executor_for(spec).initial(word)
 
 
 def step(spec: MachineSpec, cfg: Configuration) -> StepRecord | None:
@@ -733,9 +723,4 @@ def minimal_delay(trace: Trace, region: tuple[int, int]) -> int:
 
 def storage_length_series(trace: Trace, storage: str) -> list[tuple[int, int]]:
     """Length of one storage after each step, as (step, length) pairs."""
-    try:
-        idx = trace.storage_ids.index(storage)
-    except ValueError:
-        raise ValueError(f"unknown storage {storage!r}; trace covers "
-                         f"{trace.storage_ids}") from None
-    return list(enumerate(trace.lengths[idx::len(trace.storage_ids)], 1))
+    return list(enumerate(trace.lengths_of(storage), 1))

@@ -45,6 +45,12 @@ from .machine import (
 # The riffle permutation
 
 
+def _riffle_strides(n: int) -> list[int]:
+    """The strides 1, 2, 4, ..., n of the riffle permutation on length n, in
+    output order: the group of stride s holds the 1-based indices s, 3s, 5s, ..."""
+    return [1 << e for e in range(n.bit_length())]
+
+
 def pi_order(n: int) -> list[int]:
     """Source index (0-based) of each output position under the riffle
     permutation, for a power-of-two length n: positions are grouped by how
@@ -52,12 +58,7 @@ def pi_order(n: int) -> list[int]:
     last index alone at the end."""
     if n <= 0 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
-    order = []
-    stride = 1
-    while stride <= n:
-        order.extend(range(stride - 1, n, 2 * stride))
-        stride *= 2
-    return order
+    return [i for s in _riffle_strides(n) for i in range(s - 1, n, 2 * s)]
 
 
 def pi(word: str) -> str:
@@ -67,7 +68,7 @@ def pi(word: str) -> str:
     n = len(word)
     if n == 0 or n & (n - 1):
         return word
-    return "".join(word[i] for i in pi_order(n))
+    return "".join(word[s - 1::2 * s] for s in _riffle_strides(n))
 
 
 # --------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from dataclasses import replace
 
 import pytest
 
-from qmlab import oracles
-from qmlab.cli import VERIFY_FLAGS, main
+from qmlab import analysis, oracles
+from qmlab.cli import SUITE_K_MAX, VERIFY_FLAGS, main
 from qmlab.oracles import read_batch
 
 
@@ -109,8 +109,19 @@ class TestRun:
          "error: --k-max for the lprime family must be <= 16, not 17"),
         (["bench", "--machine", "lprime", "--max-exp", "21"],
          "error: --max-exp must be <= 20, not 21"),
+        (["verify", "--suite", "lprime", "--exhaustive-len", "17", "--k-max", "1", "--cases", "1",
+          "--workers", "1"], "error: --exhaustive-len for the lprime suite must be <= 16, not 17"),
+        (["verify", "--suite", "anbn", "--len-max", "17"],
+         "error: --len-max for the anbn suite must be <= 16, not 17"),
+        (["gen", "--family", "fk", "--k-max", "0", "--count", "4", "--out", "x"],
+         "error: --k-max for the fk family must be in 1..64, not 0"),
+        (["gen", "--family", "fk", "--k-max", "65", "--out", "x"],
+         "error: --k-max for the fk family must be in 1..64, not 65"),
+        (["verify", "--suite", "fk", "--cases", "1", "--workers", "-5"],
+         "error: --workers must be >= 0, not -5"),
     ])
-    def test_usage_error_is_one_line_exit_two(self, capsys, monkeypatch, argv, needle):
+    def test_usage_error_is_one_line_exit_two(self, capsys, monkeypatch, tmp_path, argv,
+                                              needle):
         real = oracles.SplitMix64.letters
 
         def bounded_letters(self, n):
@@ -119,7 +130,17 @@ class TestRun:
             assert n <= 1 << 16, f"a usage error built a word of {n} letters"
             return real(self, n)
 
+        def bounded(fn):
+            # ... or before it enumerates words longer than any bound admits.
+            def call(max_len):
+                assert max_len <= SUITE_K_MAX, f"a usage error called {fn.__name__}({max_len})"
+                return fn(max_len)
+            return call
+
         monkeypatch.setattr(oracles.SplitMix64, "letters", bounded_letters)
+        for name in ("shape_compositions", "_anbn_words"):
+            monkeypatch.setattr(analysis, name, bounded(getattr(analysis, name)))
+        monkeypatch.chdir(tmp_path)   # a gen that is wrongly accepted writes here
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

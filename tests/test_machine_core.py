@@ -1,5 +1,6 @@
 """Core executor semantics: storages, matching, verdicts, traces."""
 
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -27,7 +28,7 @@ from qmlab.machine import (
     Verdict,
     check_bounded_delay,
     check_realtime,
-    initial_configuration,
+    executor_for,
     minimal_delay,
     run,
     step,
@@ -84,7 +85,7 @@ class TestStorageLaws:
             Rule("load", "b", (WILDCARD,), "load", consume=True, ops=(QueueOp(push="b"),)),
             Rule("load", NO_SYMBOL, ("a",), "done", ops=(QueueOp(pop=True, push="c"),)),
             storage_alphabet="abc", states=("load", "done"))
-        cfg = initial_configuration(spec, "ab")
+        cfg = executor_for(spec).initial("ab")
         while step(spec, cfg):
             pass
         assert cfg.storage_contents(0) == ("b", "c")
@@ -97,7 +98,7 @@ class TestStorageLaws:
             Rule("load", "b", (WILDCARD,), "load", consume=True, ops=(QueueOp(push="b"),)),
             Rule("load", NO_SYMBOL, ("b",), "done", ops=(QueueOp(pop=True, push="c"),)),
             storage_alphabet="abc", states=("load", "done"))
-        cfg = initial_configuration(spec, "ab")
+        cfg = executor_for(spec).initial("ab")
         while step(spec, cfg):
             pass
         assert cfg.storage_contents(0) == ("a", "c")
@@ -116,7 +117,7 @@ class TestTape:
 
     def test_write_and_extent(self):
         spec = self.write_right_machine()
-        cfg = initial_configuration(spec, "101")
+        cfg = executor_for(spec).initial("101")
         while step(spec, cfg):
             pass
         cells, head = cfg.storage_contents(0)
@@ -231,7 +232,7 @@ class TestValidator:
 class TestInitialConfiguration:
     def test_online_start(self):
         spec = echo_machine(Kind.QUEUE)
-        cfg = initial_configuration(spec, "aca".replace("c", "b"))
+        cfg = executor_for(spec).initial("aca".replace("c", "b"))
         assert cfg.input_pos == 0 and cfg.steps == 0
         assert cfg.storage_contents(0) == ()
 
@@ -239,13 +240,13 @@ class TestInitialConfiguration:
         spec = simple_machine(
             Kind.QUEUE, Rule("s", NO_SYMBOL, ("a",), "s", ops=(NO_OP,)),
             mode=Mode.POST, states=("s",))
-        cfg = initial_configuration(spec, "aabb")
+        cfg = executor_for(spec).initial("aabb")
         assert cfg.storage_contents(0) == ("a", "a", "b", "b")
 
     def test_bad_symbol_rejected_with_position(self):
         spec = echo_machine(Kind.QUEUE)
         with pytest.raises(InputSymbolError) as exc:
-            initial_configuration(spec, "a7b")
+            executor_for(spec).initial("a7b")
         assert exc.value.position == 1
 
 
@@ -308,7 +309,7 @@ class TestRun:
             Rule("s", NO_SYMBOL, ("a",), "t", ops=(NO_OP,)),
             Rule("t", NO_SYMBOL, ("a",), "u", ops=(NO_OP,)),
             mode=Mode.POST, states=("s", "t", "u"))
-        cfg = initial_configuration(spec, "ab")
+        cfg = executor_for(spec).initial("ab")
         seen = [cfg.storage_contents(0)]
         while step(spec, cfg):
             seen.append(cfg.storage_contents(0))
@@ -405,3 +406,27 @@ def test_unpickled_spec_hashes_like_a_fresh_one_in_another_process():
         assert (same_hash, equal) == ("True", "True")
         fresh_hashes.add(fresh)
     assert len(fresh_hashes) == 2     # the seeds really change the hash
+
+
+@pytest.mark.parametrize("name", ["tk:3", "mk:3", "lprime"])
+def test_reloaded_spec_hashes_equal_and_shares_the_executor(name):
+    # A dumped machine file replays on the executor of the builtin it came from.
+    from qmlab import specfile
+    from qmlab.machines import builtin
+    spec = builtin(name)
+    reloaded = specfile.loads(specfile.dumps(spec))
+    assert reloaded is not spec and reloaded == spec
+    assert hash(reloaded) == hash(spec)
+    assert executor_for(reloaded) is executor_for(spec)
+
+
+def test_specs_differing_in_one_rule_get_their_own_executors():
+    spec = echo_machine(Kind.QUEUE)
+    rules = list(spec.rules)
+    rules[2] = dataclasses.replace(rules[2], emit="b")   # pops an a, emits b
+    other = dataclasses.replace(spec, rules=tuple(rules))
+    assert (other.name, other.start, len(other.rules)) == (spec.name, spec.start,
+                                                            len(spec.rules))
+    assert other != spec
+    assert executor_for(other) is not executor_for(spec)
+    assert run(spec, "ab").output == "ab" and run(other, "ab").output == "bb"

@@ -38,7 +38,6 @@ from qmlab.machine import (
     check_realtime,
     default_step_limit,
     executor_for,
-    initial_configuration,
     minimal_delay,
     step,
     storage_length_series,
@@ -294,7 +293,7 @@ def check_steps(spec, word, limit):
     """``step`` driven to halt, fault or ``limit`` against the reference,
     including the configuration it leaves behind."""
     ref = reference_run(spec, word, max_steps=limit)
-    cfg = initial_configuration(spec, word)
+    cfg = executor_for(spec).initial(word)
     records, fault = [], None
     try:
         while cfg.steps < limit and (rec := step(spec, cfg)) is not None:
