@@ -44,22 +44,31 @@ from .oracles import (
 )
 
 
+# The most worker processes a suite may ask for: a typo such as 100000 would
+# otherwise start that many.
+MAX_WORKERS = 64
+
+
 def effective_workers(workers: int | None = None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("QMLAB_WORKERS")
-    if env:
+    """``workers`` if given, else ``QMLAB_WORKERS`` if set, else the CPU count
+    up to 8; 0 means 1.  A count outside 0..MAX_WORKERS is a ValueError."""
+    source = "--workers"
+    if workers is None and (env := os.environ.get("QMLAB_WORKERS")):
         try:
-            return max(1, int(env))
+            workers, source = int(env), "QMLAB_WORKERS"
         except ValueError:
             raise ValueError(f"QMLAB_WORKERS must be an integer, got {env!r}") from None
-    return max(1, min(8, os.cpu_count() or 1))
+    if workers is None:
+        return max(1, min(8, os.cpu_count() or 1))
+    if not 0 <= workers <= MAX_WORKERS:
+        raise ValueError(f"{source} must be in 0..{MAX_WORKERS}, not {workers}")
+    return max(1, workers)
 
 
 def parallel_map(fn, tasks: list, workers: int | None = None) -> list:
-    """Order-preserving map, optionally fanned out over processes."""
-    n = effective_workers(workers)
-    if n <= 1 or len(tasks) <= 1:
+    """Order-preserving map, fanned out over at most one process per task."""
+    n = min(effective_workers(workers), len(tasks))
+    if n <= 1:
         return [fn(t) for t in tasks]
     with multiprocessing.Pool(n) as pool:
         return pool.map(fn, tasks, chunksize=max(1, len(tasks) // (n * 16)))

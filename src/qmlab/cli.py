@@ -5,6 +5,9 @@ check suite, ``bench`` step growth, ``gen`` instance batch files.  Builtin
 machine names: ``mk:<k>``, ``tk:<k>``, ``lprime``, ``anbn:linear``,
 ``anbn:quadratic``; anywhere a machine is named, a path to a machine spec
 file works too.  ``QMLAB_WORKERS`` overrides the worker count for suites.
+
+Errors go one way: a command raises ``_Exit(code, message)`` or lets an
+``OSError`` (exit 3) escape, and ``main`` alone prints ``error: <message>``.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ import sys
 
 from . import analysis, specfile
 from .growth import fit_growth
-from .machine import (ExecutionFault, InputSymbolError, Verdict, executor_for, run,
-                      validate_spec)
+from .machine import InputSymbolError, Verdict, executor_for, run, validate_spec
 from .machines import MAX_MK, builtin
 from .oracles import (gen_anbn_cases, gen_fk_cases, gen_lprime_cases, in_lprime,
                       read_batch, write_batch)
@@ -54,9 +56,16 @@ VERIFY_FLAGS = {name: tuple(inspect.signature(fn).parameters)
 # about 2**k symbols; --len-max and --exhaustive-len run at least 2**k words.
 SUITE_K_MAX = 16
 BENCH_MAX_EXP = 20
-# Flags that count something; main() rejects a negative value for each.
+# anbn:quadratic takes t*t + 2*t steps on a**t b**t: a series up to 2**13
+# symbols costs about 22 M steps, one up to 2**20 about 2.7e11.
+QUADRATIC_MAX_EXP = 13
+# Flags that count something; _flag_error() rejects a negative value for each.
 _COUNT_FLAGS = ("max_steps", "k_max", "cases", "len_max", "exhaustive_len", "count",
                 "min_exp", "max_exp", "workers")
+
+
+class _Exit(Exception):
+    """``_Exit(code, message)``: main() prints ``error: <message>`` and returns ``code``."""
 
 
 def _resolve_machine(ref: str):
@@ -64,24 +73,20 @@ def _resolve_machine(ref: str):
         return builtin(ref)
     except KeyError as exc:
         reason = exc.args[0]
-    if os.path.exists(ref):
+    if not os.path.exists(ref):
+        raise _Exit(EXIT_USAGE, f"unknown machine {ref!r}: {reason}, and no such file")
+    try:
         spec = specfile.load(ref)
-        report = validate_spec(spec)
-        if not report.ok:
-            raise ValueError("invalid machine file: " + "; ".join(report.violations))
-        return spec
-    raise KeyError(f"unknown machine {ref!r}: {reason}, and no such file")
+    except ValueError as exc:   # malformed or not UTF-8
+        raise _Exit(EXIT_IO, exc) from None
+    report = validate_spec(spec)
+    if not report.ok:
+        raise _Exit(EXIT_IO, "invalid machine file: " + "; ".join(report.violations))
+    return spec
 
 
 def _cmd_run(args) -> int:
-    try:
-        spec = _resolve_machine(args.machine)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    spec = _resolve_machine(args.machine)
     if args.dump_spec:
         specfile.dump(spec, args.dump_spec)
         print(f"wrote machine spec to {args.dump_spec}")
@@ -95,8 +100,7 @@ def _cmd_run(args) -> int:
         res = run(spec, args.input, max_steps=args.max_steps,
                   trace=args.trace is not None)
     except InputSymbolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, exc) from None
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write("\n".join(res.trace.to_lines()) + "\n")
@@ -111,20 +115,18 @@ def _cmd_run(args) -> int:
 def _check_batch(spec, args, judge, summary) -> int:
     """Run every case of ``args.batch`` on one executor, then print a FAIL line
     for each case that ``judge`` finds a fault in and ``summary(cases,
-    failures)``.  A bad file or case prints one error line and no report."""
+    failures)``.  A bad file or case is an error and prints no report."""
     try:
         cases = read_batch(args.batch)
-    except (OSError, ValueError) as exc:   # unreadable file or malformed line
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except ValueError as exc:   # malformed line
+        raise _Exit(EXIT_IO, exc) from None
     ex = executor_for(spec)
     fails = []
     for i, case in enumerate(cases):
         try:
             res = ex.run(case.word, max_steps=args.max_steps)
         except InputSymbolError as exc:
-            print(f"error: batch case {i}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Exit(EXIT_USAGE, f"batch case {i}: {exc}") from None
         if fault := judge(case, res):
             fails.append(f"FAIL case {i} tag={case.tag} {fault}")
     print("\n".join(fails + [summary(len(cases), len(fails))]))
@@ -162,10 +164,9 @@ def _arguments(args, fn) -> dict:
 
 def _cmd_verify(args) -> int:
     try:
-        analysis.effective_workers(args.workers)   # a bad QMLAB_WORKERS is a usage error
+        analysis.effective_workers(args.workers)   # a bad --workers or QMLAB_WORKERS: exit 2
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, exc) from None
     if args.batch is not None:
         return _check_batch(builtin("lprime"), args, _oracle_judge,
                             lambda n, failed: f"verify suite=lprime batch={args.batch} "
@@ -198,14 +199,12 @@ def _cmd_bench(args) -> int:
     lo = args.min_exp if args.min_exp is not None else _default_exponents(name).start
     hi = args.max_exp if args.max_exp is not None else _default_exponents(name).stop - 1
     if hi < lo or hi - lo < 3:
-        print("error: need at least 4 sizes (max-exp >= min-exp + 3)", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, "need at least 4 sizes (max-exp >= min-exp + 3)")
     try:
         series = analysis.growth_series(name, range(lo, hi + 1), seed=args.seed)
         report = fit_growth([(n, steps) for n, steps, _ in series])
     except (KeyError, ValueError) as exc:   # no such builtin; sizes too small to fit
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, exc.args[0]) from None
     rows = [f"{n},{steps},{max_len},accept" for n, steps, max_len in series]
     if args.format == "json":
         text = json.dumps({
@@ -235,17 +234,18 @@ def _cmd_bench(args) -> int:
 def _cmd_gen(args) -> int:
     family = GEN_FAMILIES[args.family]
     cases = family(**_arguments(args, family))
-    try:
-        write_batch(args.out, cases)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_batch(args.out, cases)
     print(f"wrote {len(cases)} cases to {args.out}")
     return EXIT_OK
 
 
 def _flag_error(args) -> str | None:
-    """The error for a missing flag, or for a flag the command would not read."""
+    """The error for a negative count, for a missing flag, or for a flag the
+    command would not read."""
+    for flag in _COUNT_FLAGS:
+        value = getattr(args, flag, None)   # each subcommand takes some of them
+        if value is not None and value < 0:
+            return f"--{flag.replace('_', '-')} must be >= 0, not {value}"
     if args.command == "run" and args.input is not None and args.batch is not None:
         return "give --input or --batch, not both"
     if args.command == "run" and args.trace is not None and args.input is None:
@@ -254,6 +254,9 @@ def _flag_error(args) -> str | None:
         return "need --input, --batch or --dump-spec"
     if args.command == "bench" and args.max_exp is not None and args.max_exp > BENCH_MAX_EXP:
         return f"--max-exp must be <= {BENCH_MAX_EXP}, not {args.max_exp}"
+    if (args.command == "bench" and args.machine == "anbn:quadratic"
+            and args.max_exp is not None and args.max_exp > QUADRATIC_MAX_EXP):
+        return f"--max-exp for anbn:quadratic must be <= {QUADRATIC_MAX_EXP}, not {args.max_exp}"
     if args.command == "verify":
         table, name, kind, batch = VERIFY_SUITES, args.suite, "suite", args.batch
     elif args.command == "gen":
@@ -286,9 +289,9 @@ def _flag_error(args) -> str | None:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        # main() prints it as one line and returns 2, instead of argparse's
-        # usage text and SystemExit.  Unrecognized arguments are not quoted.
-        raise argparse.ArgumentError(None, message.replace("\n", "\\n"))
+        # One line and exit 2, instead of argparse's usage text and
+        # SystemExit.  Unrecognized arguments are not quoted.
+        raise _Exit(EXIT_USAGE, message.replace("\n", "\\n"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,27 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        for flag in _COUNT_FLAGS:
-            value = getattr(args, flag, None)   # each subcommand takes some of them
-            if value is not None and value < 0:
-                parser.error(f"--{flag.replace('_', '-')} must be >= 0, not {value}")
-        problem = _flag_error(args)
-        if problem:
-            parser.error(problem)
-    except argparse.ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
+        if problem := _flag_error(args):
+            raise _Exit(EXIT_USAGE, problem)
         return args.func(args)
-    except ExecutionFault as exc:
-        print(f"fault: {exc}", file=sys.stderr)
-        return EXIT_FAULT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (_Exit, OSError) as exc:   # an OSError is an unreadable or unwritable file
+        code, message = exc.args if isinstance(exc, _Exit) else (EXIT_IO, exc)
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from qmlab import analysis, oracles
-from qmlab.cli import SUITE_K_MAX, VERIFY_FLAGS, main
+from qmlab.cli import QUADRATIC_MAX_EXP, SUITE_K_MAX, VERIFY_FLAGS, main
 from qmlab.oracles import read_batch
 
 
@@ -17,6 +17,10 @@ def invoke(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def no_pool(processes=None, *args, **kwargs):
+    pytest.fail(f"started a pool of {processes} processes")
 
 
 class TestRun:
@@ -119,6 +123,10 @@ class TestRun:
          "error: --k-max for the fk family must be in 1..64, not 65"),
         (["verify", "--suite", "fk", "--cases", "1", "--workers", "-5"],
          "error: --workers must be >= 0, not -5"),
+        (["bench", "--machine", "anbn:quadratic", "--max-exp", "14"],
+         "error: --max-exp for anbn:quadratic must be <= 13, not 14"),
+        (["verify", "--suite", "fk", "--cases", "1", "--workers", "100000"],
+         "error: --workers must be in 0..64, not 100000"),
     ])
     def test_usage_error_is_one_line_exit_two(self, capsys, monkeypatch, tmp_path, argv,
                                               needle):
@@ -137,14 +145,54 @@ class TestRun:
                 return fn(max_len)
             return call
 
+        real_point = analysis.growth_point
+
+        def bounded_point(name, target, seed):
+            # ... or before it runs a bench size that no machine admits.
+            assert target <= 1 << QUADRATIC_MAX_EXP, f"a usage error ran {name} at {target}"
+            return real_point(name, target, seed)
+
         monkeypatch.setattr(oracles.SplitMix64, "letters", bounded_letters)
         for name in ("shape_compositions", "_anbn_words"):
             monkeypatch.setattr(analysis, name, bounded(getattr(analysis, name)))
+        monkeypatch.setattr(analysis, "growth_point", bounded_point)
+        monkeypatch.setattr(analysis.multiprocessing, "Pool", no_pool)
         monkeypatch.chdir(tmp_path)   # a gen that is wrongly accepted writes here
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(needle) and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["run", "--machine", "invalid.qm", "--input", "0"],
+         "error: invalid machine file: start state 'b' not declared"),
+        (["run", "--machine", "malformed.qm", "--input", "0"], "error: line 2: "),
+        (["run", "--machine", "latin1.qm", "--input", "0"], "codec can't decode"),
+        (["run", "--machine", ".", "--input", "0"], "Is a directory"),
+        (["run", "--machine", "lprime", "--batch", "missing.tsv"], "No such file"),
+        (["verify", "--suite", "lprime", "--batch", "missing.tsv"], "No such file"),
+        (["gen", "--family", "lprime", "--count", "2", "--out", "missing/x.tsv"],
+         "No such file"),
+        (["run", "--machine", "lprime", "--input", "aca", "--trace", "missing/t.csv"],
+         "No such file"),
+        (["run", "--machine", "mk:1", "--dump-spec", "missing/mk1.qm"], "No such file"),
+        (["bench", "--machine", "mk:1", "--min-exp", "3", "--max-exp", "6",
+          "--out", "missing/b.csv"], "No such file"),
+    ], ids=["invalid-machine", "malformed-machine", "non-utf8-machine", "directory-machine",
+            "run-missing-batch", "verify-missing-batch", "gen-out", "run-trace",
+            "run-dump-spec", "bench-out"])
+    def test_file_error_is_one_line_exit_three(self, capsys, monkeypatch, tmp_path, argv,
+                                               needle):
+        (tmp_path / "invalid.qm").write_text(
+            "name: bad\nstates: a\nstart: b\ninput_alphabet: 01\noutput_alphabet:\n")
+        (tmp_path / "malformed.qm").write_text("name: bad\nno header here\n")
+        (tmp_path / "latin1.qm").write_bytes("name: b\xe4d\n".encode("latin-1"))
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert needle in captured.err
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_:
@@ -464,6 +512,47 @@ def test_bad_workers_env_is_a_usage_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: QMLAB_WORKERS") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("env,argv,needle", [
+    ("100000", [], "error: QMLAB_WORKERS must be in 0..64, not 100000"),
+    ("-5", [], "error: QMLAB_WORKERS must be in 0..64, not -5"),
+    (None, ["--workers", "65"], "error: --workers must be in 0..64, not 65"),
+])
+def test_worker_count_outside_its_bound_is_a_usage_error(monkeypatch, capsys, env, argv,
+                                                         needle):
+    monkeypatch.setattr(analysis.multiprocessing, "Pool", no_pool)
+    if env is None:
+        monkeypatch.delenv("QMLAB_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("QMLAB_WORKERS", env)
+    assert main(["verify", "--suite", "fk", "--cases", "1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(needle) and captured.err.count("\n") == 1
+
+
+def test_parallel_map_starts_at_most_one_process_per_task(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(analysis.multiprocessing, "Pool", SerialPool)
+    assert analysis.parallel_map(abs, [-1, -2, -3], workers=analysis.MAX_WORKERS) == [1, 2, 3]
+    assert analysis.parallel_map(abs, [-4, -5, -6], workers=2) == [4, 5, 6]
+    assert analysis.parallel_map(abs, [-7], workers=8) == [7]
+    assert sizes == [3, 2]
 
 
 def test_console_entry_point_subprocess():

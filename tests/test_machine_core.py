@@ -387,8 +387,8 @@ class TestTraceChecks:
 
 
 def test_unpickled_spec_hashes_like_a_fresh_one_in_another_process():
-    # MachineSpec caches its hash; str hashes depend on PYTHONHASHSEED, so the
-    # cached value must not travel with a pickle into a worker process.
+    # str hashes depend on PYTHONHASHSEED, so a spec unpickled in a worker
+    # process must hash like one built there: no hash may travel with it.
     from qmlab.machines import build_mk
     spec = build_mk(2)
     hash(spec)
