@@ -8,6 +8,8 @@ file works too.  ``QMLAB_WORKERS`` overrides the worker count for suites.
 
 Errors go one way: a command raises ``_Exit(code, message)`` or lets an
 ``OSError`` (exit 3) escape, and ``main`` alone prints ``error: <message>``.
+A closed stdout is the one quiet exit 3: the reader has gone, so there is no
+one to tell.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .oracles import (gen_anbn_cases, gen_fk_cases, gen_lprime_cases, in_lprime,
 EXIT_OK = 0
 EXIT_FAIL = 1          # failed checks, rejected input, batch mismatch
 EXIT_USAGE = 2         # unknown machine, suite or arguments
-EXIT_IO = 3            # unreadable or unwritable file
+EXIT_IO = 3            # unreadable or unwritable file, or a closed stdout
 EXIT_LIMIT = 4         # step limit exceeded
 EXIT_FAULT = 5         # execution fault
 
@@ -36,7 +38,7 @@ _EPILOG = """exit codes:
   0  all checks passed / input accepted
   1  a check failed, the input was rejected, or a batch case mismatched
   2  usage error: unknown machine, suite or arguments
-  3  unreadable or unwritable file
+  3  unreadable or unwritable file, or stdout closed by its reader
   4  step limit exceeded
   5  execution fault in the machine
 """
@@ -360,6 +362,11 @@ def main(argv=None) -> int:
         if problem := _flag_error(args):
             raise _Exit(EXIT_USAGE, problem)
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): no error line, and stdout
+        # goes to the null device so that the flush at exit writes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except (_Exit, OSError) as exc:   # an OSError is an unreadable or unwritable file
         code, message = exc.args if isinstance(exc, _Exit) else (EXIT_IO, exc)
         print(f"error: {message}", file=sys.stderr)

@@ -26,12 +26,13 @@ validator rejects rule tables where two distinct rules could tie.
 
 from __future__ import annotations
 
+import textwrap
 from array import array
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 WILDCARD = "*"
 # Pattern token and observation value for "no input symbol": end of input in
@@ -307,8 +308,12 @@ class _Tape:
         self.cells = [blank]
         self.head = 0
 
+    def __len__(self) -> int:
+        """The number of non-blank cells, so a tape is false when blank."""
+        return len(self.cells) - self.cells.count(self.blank)
 
-@dataclass
+
+@dataclass(slots=True)
 class Configuration:
     """A full instantaneous description of a run.
 
@@ -331,8 +336,7 @@ class Configuration:
 
     def storage_lengths(self) -> tuple[int, ...]:
         """Per storage, its number of symbols; a tape's non-blank cells."""
-        return tuple(len(s.cells) - s.cells.count(s.blank) if isinstance(s, _Tape)
-                     else len(s) for s in self.stores)
+        return tuple(map(len, self.stores))
 
 
 @dataclass(frozen=True, slots=True)
@@ -410,7 +414,7 @@ class TraceRecords(Sequence):
         return list(self) == list(other)
 
 
-@dataclass
+@dataclass(slots=True)
 class RunResult:
     verdict: Verdict
     output: str
@@ -431,70 +435,227 @@ def default_step_limit(input_len: int) -> int:
     return 64 * (input_len + 1) ** 2
 
 
-def _view(store) -> str:
-    """What a rule observes of one live storage."""
-    if isinstance(store, _Tape):
-        return store.cells[store.head]
-    if not store:
-        return EMPTY
-    return store[0] if isinstance(store, deque) else store[-1]
+# The verdicts as module constants: a global is cheaper to read than an
+# enum member.
+_ACCEPT, _REJECT = Verdict.ACCEPT, Verdict.REJECT
+_STEP_LIMIT, _FAULT = Verdict.STEP_LIMIT, Verdict.FAULT
 
-
-# Storage effects of a compiled action, one tuple
-# ``(storage index, code, arg, length delta, fault text)`` per storage that
-# the action changes.  The compiler knows every storage's view, so it settles
-# statically whether a pop faults, how a tape write changes the nonblank
-# count, and, where it can, the view after the action.
-_APPEND_SET = 0       # push onto an empty queue or onto a pushdown; view := arg
+# Storage effect codes of a compiled action.  The compiler knows every
+# storage's view, so it settles statically whether a pop faults, how a tape
+# write changes the non-blank count, and, where it can, the view after the
+# action.
+_KEEP = 0             # the storage stays as it is
 _APPEND = 1           # push onto a non-empty queue; view unchanged
-_POPLEFT = 2          # queue pop
-_POPLEFT_APPEND = 3   # queue pop, then push
-_POP = 4              # pushdown pop
-_SET_TOP = 5          # pushdown pop, then push: replace the top; view := arg
-_WRITE = 6            # tape write, head stays; view := arg
-_RIGHT = 7            # tape: write arg unless None, then move right
-_LEFT = 8             # tape: write arg unless None, then move left (faults at cell 0)
-_FAULT = 9            # pop on an empty queue or pushdown
+_APPEND_SET = 2       # push onto an empty queue or onto a pushdown; view := arg
+_POPLEFT = 3          # queue pop
+_POPLEFT_APPEND = 4   # queue pop, then push
+_POP = 5              # pushdown pop
+_SET_TOP = 6          # pushdown pop, then push: replace the top; view := arg
+_POP_EMPTY = 7        # pop on an empty queue or pushdown: faults
+_WRITE = 8            # tape write, head stays; view := arg
+_RIGHT = 9            # tape: write arg unless None, then move right
+_LEFT = 10            # tape: write arg unless None, then move left (faults at cell 0)
 
 
-def _effect(j: int, storage: StorageSpec, view: str, op: QueueOp | TapeOp) -> tuple | None:
-    """Compile ``op`` on storage ``j`` whose current view is ``view``;
-    ``None`` when the op leaves the storage as it is."""
+def _effect(storage: StorageSpec, view: str, op: QueueOp | TapeOp) -> tuple[int, str | None, int]:
+    """Compile ``op`` on a storage whose current view is ``view`` to
+    ``(code, arg, length delta)``."""
     if storage.kind is Kind.TAPE:
         write = op.write if op.write != view else None
         blank = storage.blank_cell
         delta = 0 if write is None else (write != blank) - (view != blank)
         if op.move == "R":
-            return (j, _RIGHT, write, delta, None)
+            return _RIGHT, write, delta
         if op.move == "L":
-            return (j, _LEFT, write, delta,
-                    f"tape head moved off the left end of {storage.ident!r}")
-        return None if write is None else (j, _WRITE, write, delta, None)
+            return _LEFT, write, delta
+        return (_KEEP, None, 0) if write is None else (_WRITE, write, delta)
     queue = storage.kind is Kind.QUEUE
     if op.pop:
         if view == EMPTY:
-            return (j, _FAULT, None, 0,
-                    f"pop on empty {storage.kind.value} {storage.ident!r}")
+            return _POP_EMPTY, None, 0
         if op.push is None:
-            return (j, _POPLEFT if queue else _POP, None, -1, None)
+            return _POPLEFT if queue else _POP, None, -1
         if queue:
-            return (j, _POPLEFT_APPEND, op.push, 0, None)
-        return None if op.push == view else (j, _SET_TOP, op.push, 0, None)
+            return _POPLEFT_APPEND, op.push, 0
+        return (_KEEP, None, 0) if op.push == view else (_SET_TOP, op.push, 0)
     if op.push is None:
-        return None
-    return (j, _APPEND if queue and view != EMPTY else _APPEND_SET, op.push, 1, None)
+        return _KEEP, None, 0
+    return _APPEND if queue and view != EMPTY else _APPEND_SET, op.push, 1
+
+
+def _fault(storage: StorageSpec) -> str:
+    """The fault of an action on ``storage``: its one impossible effect."""
+    if storage.kind is Kind.TAPE:
+        return f"tape head moved off the left end of {storage.ident!r}"
+    return f"pop on empty {storage.kind.value} {storage.ident!r}"
+
+
+# The run loop, as a template specialised to a storage layout by
+# :func:`_run_loop`.  Storage j lives in locals: its object ``sj``, its view
+# ``vj`` and, for a tape, its ``cellsj``, ``headj`` and ``blankj``; its
+# effect code and argument in an action are ``cj`` and ``aj``.  Per storage
+# kind, its lines at the start of a run and its branch in a step; a tape's
+# head is written back in the ``finally``.
+_LOOP_SETUP = {
+    Kind.QUEUE: "v{j} = s{j}[0] if s{j} else EMPTY",
+    Kind.PUSHDOWN: "v{j} = s{j}[-1] if s{j} else EMPTY",
+    Kind.TAPE: "cells{j}, head{j}, blank{j} = s{j}.cells, s{j}.head, s{j}.blank\n"
+               "v{j} = cells{j}[head{j}]",
+}
+_LOOP_APPLY = {
+    Kind.QUEUE: """\
+if c{j}:
+    if c{j} == {_APPEND}:
+        s{j}.append(a{j})
+    elif c{j} == {_POPLEFT}:
+        s{j}.popleft()
+        v{j} = s{j}[0] if s{j} else EMPTY
+    elif c{j} == {_POPLEFT_APPEND}:
+        s{j}.popleft()
+        s{j}.append(a{j})
+        v{j} = s{j}[0]
+    elif c{j} == {_APPEND_SET}:
+        s{j}.append(a{j})
+        v{j} = a{j}
+    else:
+        raise ExecutionFault(_fault(ex.spec.storages[{j}]))""",
+    Kind.PUSHDOWN: """\
+if c{j}:
+    if c{j} == {_APPEND_SET}:
+        s{j}.append(a{j})
+        v{j} = a{j}
+    elif c{j} == {_POP}:
+        s{j}.pop()
+        v{j} = s{j}[-1] if s{j} else EMPTY
+    elif c{j} == {_SET_TOP}:
+        s{j}[-1] = v{j} = a{j}
+    else:
+        raise ExecutionFault(_fault(ex.spec.storages[{j}]))""",
+    Kind.TAPE: """\
+if c{j}:
+    if c{j} == {_RIGHT}:
+        if a{j} is not None:
+            cells{j}[head{j}] = a{j}
+        head{j} += 1
+        if head{j} == len(cells{j}):
+            cells{j}.append(blank{j})
+        v{j} = cells{j}[head{j}]
+    elif c{j} == {_LEFT}:
+        if a{j} is not None:
+            cells{j}[head{j}] = a{j}
+        if head{j} == 0:
+            raise ExecutionFault(_fault(ex.spec.storages[{j}]))
+        head{j} -= 1
+        v{j} = cells{j}[head{j}]
+    else:
+        cells{j}[head{j}] = v{j} = a{j}""",
+}
+_LOOP = """\
+def run_loop(ex, cfg, limit, trace, maxes):
+    cache, compile_ = ex._cache, ex._compile
+    word = cfg.input
+    n = len(word)
+    # The input view at position pos; pos never passes n.
+    padded = NO_SYMBOL * (n + 1) if ex._post else word + NO_SYMBOL
+    {stores} = cfg.stores
+{setup}
+    observe = trace is not None or maxes is not None
+    if observe:
+        lengths = array("q", cfg.storage_lengths())
+    if trace is not None:
+        add_state, add_consumed = trace.states.append, trace.consumed.append
+        add_emit, add_lengths = trace.emits.append, trace.lengths.extend
+    emit_ = cfg.output.append
+    state, pos, steps = cfg.state, cfg.input_pos, cfg.steps
+    view = padded[pos]
+    try:
+        while steps < limit:
+            try:
+                action = cache[state, view{views}]
+            except KeyError:
+                action = compile_((state, view{views}))
+            if action is None:
+                return True
+            next_state, consume, emit, deltas{slots} = action
+            if consume:
+                if pos >= n:
+                    raise ExecutionFault("input consumed past end of word")
+                pos += 1
+                view = padded[pos]
+{apply}
+            if emit is not None:
+                emit_(emit)
+            state = next_state
+            steps += 1
+            if observe:
+                for j, delta in deltas:
+                    m = lengths[j] = lengths[j] + delta
+                    if maxes is not None and m > maxes[j]:
+                        maxes[j] = m
+                if trace is not None:
+                    add_state(state)
+                    add_consumed(consume)
+                    add_emit(emit)
+                    add_lengths(lengths)
+        return False
+    finally:
+        cfg.state, cfg.input_pos, cfg.steps = state, pos, steps
+{final}
+"""
+
+
+@lru_cache(maxsize=256)
+def _run_loop(layout: tuple[Kind, ...]):
+    """The run loop for storages of the kinds ``layout``, built from
+    ``_LOOP``: ``run_loop(ex, cfg, limit, trace, maxes)`` steps ``cfg`` in
+    place until no rule applies (returns True) or ``cfg.steps`` reaches
+    ``limit`` (False).  It appends each completed step to the columns of
+    ``trace`` and raises peak lengths in ``maxes`` unless they are ``None``.
+    On :class:`ExecutionFault` ``cfg`` keeps what the faulting step did
+    before the fault (input consumed, earlier storages changed) but not its
+    new state or its step, and ``trace`` gets nothing for that step."""
+    def lines(parts: dict, indent: str) -> str:   # the effect codes are literals
+        return "\n".join(textwrap.indent(parts[kind].format_map(dict(globals(), j=j)), indent)
+                         for j, kind in enumerate(layout))
+
+    js = range(len(layout))
+    source = _LOOP.format(
+        stores=", ".join(f"s{j}" for j in js) + "," if js else "_",
+        views="".join(f", v{j}" for j in js),
+        slots="".join(f", c{j}, a{j}" for j in js),
+        setup=lines(_LOOP_SETUP, "    "), apply=lines(_LOOP_APPLY, " " * 12),
+        final="\n".join(f"        s{j}.head = head{j}"
+                        for j, kind in enumerate(layout) if kind is Kind.TAPE))
+    namespace: dict = {}
+    exec(compile(source, f"<run loop {','.join(k.value for k in layout)}>", "exec"),
+         globals(), namespace)
+    return namespace["run_loop"]
+
+
+def _acceptance_test(spec: MachineSpec):
+    """Whether a run of ``spec`` that halted in ``cfg`` accepts a non-empty
+    word: one test, chosen by the acceptance kind."""
+    if spec.acceptance is Acceptance.OUTPUT_BIT:   # the last emitted symbol
+        return lambda cfg: cfg.output[-1:] == ["1"]
+    post, finals = spec.mode is Mode.POST, spec.finals
+    if spec.acceptance is Acceptance.FINAL_STATES:
+        return lambda cfg: (post or cfg.input_pos == len(cfg.input)) and cfg.state in finals
+    return lambda cfg: (post or cfg.input_pos == len(cfg.input)) and not any(cfg.stores)
 
 
 class Executor:
     """Compiled form of a machine: per-state rule lists ordered by
-    specificity plus a cache from concrete observations to compiled actions.
+    specificity, a cache from concrete observations to compiled actions and
+    the run loop of its storage layout.
 
-    The cache key is ``(state, input view, *storage views)``.  The first time
-    a key is looked up it is compiled to ``None`` (no rule applies) or to
-    ``(next_state, consume, emit, effects)``, where ``effects`` holds only the
-    storages the rule changes (see :func:`_effect`).  A :class:`MachineSpec`
-    is immutable, so one executor can serve any number of runs; each run's
-    state lives in its own :class:`Configuration`.
+    The cache key is ``(state, input view, view of storage 0, ...)``.  The
+    first time a key is looked up it is compiled to ``None`` (no rule
+    applies) or to ``(next_state, consume, emit, deltas, code 0, arg 0,
+    code 1, arg 1, ...)``: per storage, in its fixed slots, what the action
+    does to it (see :func:`_effect`), and in ``deltas`` the ``(storage,
+    length delta)`` pairs that watched and traced runs apply.  A
+    :class:`MachineSpec` is immutable, so one executor can serve any number
+    of runs; each run's state lives in its own :class:`Configuration`.
     """
 
     def __init__(self, spec: MachineSpec):
@@ -506,6 +667,12 @@ class Executor:
             rules.sort(key=Rule.specificity, reverse=True)
         self._cache: dict[tuple, tuple | None] = {}
         self._post = spec.mode is Mode.POST
+        self._loop = _run_loop(tuple(s.kind for s in spec.storages))
+        self._factories = tuple(partial(_Tape, s.blank_cell) if s.kind is Kind.TAPE
+                                else deque if s.kind is Kind.QUEUE else list
+                                for s in spec.storages)
+        self._storage_ids = tuple(s.ident for s in spec.storages)
+        self._accepts = _acceptance_test(spec)
 
     # -- configuration -----------------------------------------------------
 
@@ -516,16 +683,10 @@ class Executor:
             for i, ch in enumerate(word):
                 if ch not in alpha:
                     raise InputSymbolError(ch, i)
-        stores: list = []
-        for j, st in enumerate(self.spec.storages):
-            if st.kind is Kind.QUEUE:
-                stores.append(deque(word) if (self._post and j == 0) else deque())
-            elif st.kind is Kind.PUSHDOWN:
-                stores.append([])
-            else:
-                stores.append(_Tape(st.blank_cell))
-        return Configuration(input=word, state=self.spec.start, input_pos=0,
-                             stores=stores, output=[], steps=0)
+        stores = [make() for make in self._factories]
+        if self._post:
+            stores[0].extend(word)
+        return Configuration(word, self.spec.start, 0, stores, [], 0)
 
     # -- stepping ----------------------------------------------------------
 
@@ -534,143 +695,36 @@ class Executor:
         action = None
         for rule in self.rules_by_state.get(state, ()):
             if rule.matches(input_view, views):   # presorted: first match wins
-                effects = []
+                slots, deltas = [], []
                 for j, (st, view, op) in enumerate(zip(self.spec.storages, views, rule.ops)):
-                    eff = _effect(j, st, view, op)
-                    if eff is not None:
-                        effects.append(eff)
-                action = (rule.next_state, rule.consume, rule.emit, tuple(effects))
+                    code, arg, delta = _effect(st, view, op)
+                    slots += code, arg
+                    if delta:
+                        deltas.append((j, delta))
+                action = (rule.next_state, rule.consume, rule.emit, tuple(deltas), *slots)
                 break
         self._cache[key] = action
         return action
 
-    def _steps(self, cfg: Configuration, limit: int, trace: Trace | None,
-               maxes: list | None) -> bool:
-        """Step ``cfg`` in place until no rule applies (returns True) or
-        ``cfg.steps`` reaches ``limit`` (False).  Appends each completed step
-        to the columns of ``trace`` and raises peak lengths in ``maxes``
-        unless they are ``None``.  On :class:`ExecutionFault` ``cfg`` keeps
-        what the faulting step did before the fault (input consumed, earlier
-        storages changed) but not its new state or its step, and ``trace``
-        gets nothing for that step."""
-        cache, compile_ = self._cache, self._compile
-        stores, word = cfg.stores, cfg.input
-        n = len(word)
-        # The input view at position pos; pos never passes n.
-        padded = NO_SYMBOL * (n + 1) if self._post else word + NO_SYMBOL
-        views = [_view(s) for s in stores]
-        observe = trace is not None or maxes is not None
-        lengths = list(cfg.storage_lengths()) if observe else None
-        if trace is not None:
-            lengths = array("q", lengths)   # so that extending the trace copies it
-            add_state, add_consumed = trace.states.append, trace.consumed.append
-            add_emit, add_lengths = trace.emits.append, trace.lengths.extend
-        emit_ = cfg.output.append
-        state, pos, steps = cfg.state, cfg.input_pos, cfg.steps
-        try:
-            while steps < limit:
-                try:
-                    action = cache[(state, padded[pos], *views)]
-                except KeyError:
-                    action = compile_((state, padded[pos], *views))
-                if action is None:
-                    return True
-                next_state, consume, emit, effects = action
-                if consume:
-                    if pos >= n:
-                        raise ExecutionFault("input consumed past end of word")
-                    pos += 1
-                for j, code, arg, delta, fault in effects:
-                    s = stores[j]
-                    if code == _APPEND_SET:
-                        s.append(arg)
-                        views[j] = arg
-                    elif code == _POPLEFT:
-                        s.popleft()
-                        views[j] = s[0] if s else EMPTY
-                    elif code == _APPEND:
-                        s.append(arg)
-                    elif code == _POP:
-                        s.pop()
-                        views[j] = s[-1] if s else EMPTY
-                    elif code == _SET_TOP:
-                        s[-1] = arg
-                        views[j] = arg
-                    elif code == _POPLEFT_APPEND:
-                        s.popleft()
-                        s.append(arg)
-                        views[j] = s[0]
-                    elif code == _WRITE:
-                        s.cells[s.head] = arg
-                        views[j] = arg
-                    elif code == _RIGHT:
-                        cells = s.cells
-                        if arg is not None:
-                            cells[s.head] = arg
-                        head = s.head = s.head + 1
-                        if head == len(cells):
-                            cells.append(s.blank)
-                        views[j] = cells[head]
-                    elif code == _LEFT:
-                        if arg is not None:
-                            s.cells[s.head] = arg
-                        if s.head == 0:
-                            raise ExecutionFault(fault)
-                        head = s.head = s.head - 1
-                        views[j] = s.cells[head]
-                    else:
-                        raise ExecutionFault(fault)
-                if emit is not None:
-                    emit_(emit)
-                state = next_state
-                steps += 1
-                if observe:
-                    for j, _, _, delta, _ in effects:
-                        if delta:
-                            m = lengths[j] = lengths[j] + delta
-                            if maxes is not None and m > maxes[j]:
-                                maxes[j] = m
-                    if trace is not None:
-                        add_state(state)
-                        add_consumed(consume)
-                        add_emit(emit)
-                        add_lengths(lengths)
-            return False
-        finally:
-            cfg.state, cfg.input_pos, cfg.steps = state, pos, steps
-
     # -- running -----------------------------------------------------------
-
-    def _verdict_on_halt(self, cfg: Configuration) -> Verdict:
-        spec = self.spec
-        consumed_all = self._post or cfg.input_pos == len(cfg.input)
-        if not cfg.input and not spec.epsilon_accept:
-            accept = False
-        elif spec.acceptance is Acceptance.EMPTY_STORAGES:
-            accept = consumed_all and not any(cfg.storage_lengths())
-        elif spec.acceptance is Acceptance.FINAL_STATES:
-            accept = consumed_all and cfg.state in spec.finals
-        else:   # OUTPUT_BIT: the verdict is the last emitted symbol.
-            accept = cfg.output[-1:] == ["1"]
-        return Verdict.ACCEPT if accept else Verdict.REJECT
 
     def run(self, word: str, max_steps: int | None = None,
             trace: bool = False, watch_lengths: bool = False) -> RunResult:
         cfg = self.initial(word)
         limit = default_step_limit(len(word)) if max_steps is None else max_steps
-        tr = Trace(tuple(s.ident for s in self.spec.storages)) if trace else None
+        tr = Trace(self._storage_ids) if trace else None
         maxes = list(cfg.storage_lengths()) if watch_lengths else None
-        verdict, reason, fault = Verdict.STEP_LIMIT, "step_limit", None
+        reason, fault = "no_rule", None
         try:
-            if self._steps(cfg, limit, tr, maxes):
-                verdict, reason = self._verdict_on_halt(cfg), "no_rule"
+            if self._loop(self, cfg, limit, tr, maxes):
+                accept = (word or self.spec.epsilon_accept) and self._accepts(cfg)
+                verdict = _ACCEPT if accept else _REJECT
+            else:
+                verdict, reason = _STEP_LIMIT, "step_limit"
         except ExecutionFault as exc:
-            fault = str(exc)
-            verdict, reason = Verdict.FAULT, "fault"
-        return RunResult(verdict=verdict, output="".join(cfg.output),
-                         steps=cfg.steps, input_consumed=cfg.input_pos,
-                         halt_reason=reason, trace=tr, fault=fault,
-                         max_lengths=tuple(maxes) if maxes is not None else None)
+            verdict, reason, fault = _FAULT, "fault", str(exc)
+        return RunResult(verdict, "".join(cfg.output), cfg.steps, cfg.input_pos, reason,
+                         tr, fault, None if maxes is None else tuple(maxes))
 
 
 @lru_cache(maxsize=128)
@@ -680,8 +734,9 @@ def executor_for(spec: MachineSpec) -> Executor:
 
 def step(spec: MachineSpec, cfg: Configuration) -> StepRecord | None:
     """Apply one step in place; returns ``None`` when the machine halts."""
+    ex = executor_for(spec)
     pos, emitted = cfg.input_pos, len(cfg.output)
-    if executor_for(spec)._steps(cfg, cfg.steps + 1, None, None):
+    if ex._loop(ex, cfg, cfg.steps + 1, None, None):
         return None
     return StepRecord(cfg.steps, cfg.state, cfg.input_pos > pos, cfg.storage_lengths(),
                       cfg.output[-1] if len(cfg.output) > emitted else None)

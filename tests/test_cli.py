@@ -565,6 +565,24 @@ def test_console_entry_point_subprocess():
     assert "verdict=accept" in proc.stdout
 
 
+def test_closed_stdout_exits_three_with_empty_stderr(tmp_path):
+    # 4,000 mismatched cases print about 200 KB of FAIL lines, more than a
+    # pipe holds, so the writer is still writing when the reader closes.
+    path = tmp_path / "cases.tsv"
+    path.write_text("aca\treject\tt\n" * 4000, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qmlab", "run", "--machine", "lprime", "--batch", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()   # like `| head -1`
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3
+    assert first == b"FAIL case 0 tag=t word=aca expected=reject got=accept\n"
+    assert err == b""
+
+
 def test_verify_exits_one_on_a_failed_check(monkeypatch, capsys):
     from qmlab import analysis
 

@@ -12,6 +12,7 @@ from qmlab.machine import (
     Verdict,
     check_bounded_delay,
     check_realtime,
+    executor_for,
     minimal_delay,
     run,
     storage_length_series,
@@ -207,6 +208,15 @@ class TestMk:
         res = run(build_mk(k), word)
         assert res.accepted
         assert res.output == reference_fk(k, word)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_widest_builtin_layout(self, seed):
+        # mk:64 has 64 queues: its cache key has 66 elements.
+        word = gen_lk(MAX_MK, tuple(1 + (seed + i) % 3 for i in range(MAX_MK)), 2,
+                      seed).render()
+        res = executor_for(builtin(f"mk:{MAX_MK}")).run(word)
+        assert res.accepted and res.steps == len(word)
+        assert res.output == reference_fk(MAX_MK, word)
 
 
 class TestTk:

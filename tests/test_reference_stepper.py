@@ -219,7 +219,7 @@ _ANBN_WORDS = st.one_of(st.text("ab", max_size=10),
 
 MACHINES = {
     "lprime": (lambda: builtin("lprime"), _lprime_words()),
-    **{f"mk:{k}": (lambda k=k: builtin(f"mk:{k}"), _fk_words(k)) for k in (1, 2, 3)},
+    **{f"mk:{k}": (lambda k=k: builtin(f"mk:{k}"), _fk_words(k)) for k in (1, 2, 3, 5)},
     **{f"tk:{k}": (lambda k=k: builtin(f"tk:{k}"), _fk_words(k)) for k in (1, 2)},
     "anbn:linear": (lambda: builtin("anbn:linear"), _ANBN_WORDS),
     "anbn:quadratic": (lambda: builtin("anbn:quadratic"), _ANBN_WORDS),
@@ -322,7 +322,7 @@ def test_step_matches_reference(name, data):
 
 
 # --------------------------------------------------------------------------
-# Generated specs: 0-3 storages of mixed kinds (at least one, a queue first,
+# Generated specs: 0-5 storages of mixed kinds (at least one, a queue first,
 # in post mode), online or post mode, wildcard
 # and "-" patterns, consume/emit, and actions that can fault (pop on empty,
 # head off the left end, consume past the end of the input).
@@ -357,7 +357,7 @@ def _op(storage, pat):
 def machine_specs(draw):
     post = draw(st.booleans())
     storages = []
-    for j in range(draw(st.integers(1 if post else 0, 3))):
+    for j in range(draw(st.integers(1 if post else 0, 5))):
         kind = Kind.QUEUE if post and j == 0 else draw(st.sampled_from(list(Kind)))
         tracks = draw(st.integers(1, 3)) if kind is Kind.TAPE else 1
         storages.append(StorageSpec(f"s{j}", kind, frozenset(_SYMBOLS), tracks))
