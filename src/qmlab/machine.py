@@ -26,6 +26,7 @@ validator rejects rule tables where two distinct rules could tie.
 
 from __future__ import annotations
 
+import re
 import textwrap
 from array import array
 from collections import deque
@@ -441,9 +442,8 @@ _ACCEPT, _REJECT = Verdict.ACCEPT, Verdict.REJECT
 _STEP_LIMIT, _FAULT = Verdict.STEP_LIMIT, Verdict.FAULT
 
 # Storage effect codes of a compiled action.  The compiler knows every
-# storage's view, so it settles statically whether a pop faults, how a tape
-# write changes the non-blank count, and, where it can, the view after the
-# action.
+# storage's view, so it settles statically whether a pop faults and, where it
+# can, the view after the action.
 _KEEP = 0             # the storage stays as it is
 _APPEND = 1           # push onto a non-empty queue; view unchanged
 _APPEND_SET = 2       # push onto an empty queue or onto a pushdown; view := arg
@@ -457,30 +457,28 @@ _RIGHT = 9            # tape: write arg unless None, then move right
 _LEFT = 10            # tape: write arg unless None, then move left (faults at cell 0)
 
 
-def _effect(storage: StorageSpec, view: str, op: QueueOp | TapeOp) -> tuple[int, str | None, int]:
+def _effect(storage: StorageSpec, view: str, op: QueueOp | TapeOp) -> tuple[int, str | None]:
     """Compile ``op`` on a storage whose current view is ``view`` to
-    ``(code, arg, length delta)``."""
+    ``(code, arg)``."""
     if storage.kind is Kind.TAPE:
         write = op.write if op.write != view else None
-        blank = storage.blank_cell
-        delta = 0 if write is None else (write != blank) - (view != blank)
         if op.move == "R":
-            return _RIGHT, write, delta
+            return _RIGHT, write
         if op.move == "L":
-            return _LEFT, write, delta
-        return (_KEEP, None, 0) if write is None else (_WRITE, write, delta)
+            return _LEFT, write
+        return (_KEEP, None) if write is None else (_WRITE, write)
     queue = storage.kind is Kind.QUEUE
     if op.pop:
         if view == EMPTY:
-            return _POP_EMPTY, None, 0
+            return _POP_EMPTY, None
         if op.push is None:
-            return _POPLEFT if queue else _POP, None, -1
+            return _POPLEFT if queue else _POP, None
         if queue:
-            return _POPLEFT_APPEND, op.push, 0
-        return (_KEEP, None, 0) if op.push == view else (_SET_TOP, op.push, 0)
+            return _POPLEFT_APPEND, op.push
+        return (_KEEP, None) if op.push == view else (_SET_TOP, op.push)
     if op.push is None:
-        return _KEEP, None, 0
-    return _APPEND if queue and view != EMPTY else _APPEND_SET, op.push, 1
+        return _KEEP, None
+    return _APPEND if queue and view != EMPTY else _APPEND_SET, op.push
 
 
 def _fault(storage: StorageSpec) -> str:
@@ -490,26 +488,30 @@ def _fault(storage: StorageSpec) -> str:
     return f"pop on empty {storage.kind.value} {storage.ident!r}"
 
 
-# The run loop, as a template specialised to a storage layout by
-# :func:`_run_loop`.  Storage j lives in locals: its object ``sj``, its view
-# ``vj`` and, for a tape, its ``cellsj``, ``headj`` and ``blankj``; its
-# effect code and argument in an action are ``cj`` and ``aj``.  Per storage
-# kind, its lines at the start of a run and its branch in a step; a tape's
-# head is written back in the ``finally``.
+# The run loop, as a template specialised by :func:`_run_loop` to a storage
+# layout and to what a run observes.  Storage j lives in locals: its object
+# ``sj``, its view ``vj`` and, for a tape, its ``cellsj``, ``headj`` and
+# ``blankj``; its effect code and argument in an action are ``cj`` and
+# ``aj``.  Per storage kind, its lines at the start of a run, its branch in a
+# step and its lines in the ``finally``.  A marker line ``@name`` becomes the
+# lines ``_WATCH`` and ``_TRACE`` give ``name`` in watched and traced loops,
+# and nothing in a plain one.
 _LOOP_SETUP = {
-    Kind.QUEUE: "v{j} = s{j}[0] if s{j} else EMPTY",
-    Kind.PUSHDOWN: "v{j} = s{j}[-1] if s{j} else EMPTY",
+    Kind.QUEUE: "v{j} = s{j}[0] if s{j} else EMPTY\n@setup",
+    Kind.PUSHDOWN: "v{j} = s{j}[-1] if s{j} else EMPTY\n@setup",
     Kind.TAPE: "cells{j}, head{j}, blank{j} = s{j}.cells, s{j}.head, s{j}.blank\n"
-               "v{j} = cells{j}[head{j}]",
+               "v{j} = cells{j}[head{j}]\n@setup",
 }
 _LOOP_APPLY = {
     Kind.QUEUE: """\
 if c{j}:
     if c{j} == {_APPEND}:
         s{j}.append(a{j})
+        @grow
     elif c{j} == {_POPLEFT}:
         s{j}.popleft()
         v{j} = s{j}[0] if s{j} else EMPTY
+        @shrink
     elif c{j} == {_POPLEFT_APPEND}:
         s{j}.popleft()
         s{j}.append(a{j})
@@ -517,6 +519,7 @@ if c{j}:
     elif c{j} == {_APPEND_SET}:
         s{j}.append(a{j})
         v{j} = a{j}
+        @grow
     else:
         raise ExecutionFault(_fault(ex.spec.storages[{j}]))""",
     Kind.PUSHDOWN: """\
@@ -524,9 +527,11 @@ if c{j}:
     if c{j} == {_APPEND_SET}:
         s{j}.append(a{j})
         v{j} = a{j}
+        @grow
     elif c{j} == {_POP}:
         s{j}.pop()
         v{j} = s{j}[-1] if s{j} else EMPTY
+        @shrink
     elif c{j} == {_SET_TOP}:
         s{j}[-1] = v{j} = a{j}
     else:
@@ -535,6 +540,7 @@ if c{j}:
 if c{j}:
     if c{j} == {_RIGHT}:
         if a{j} is not None:
+            @write
             cells{j}[head{j}] = a{j}
         head{j} += 1
         if head{j} == len(cells{j}):
@@ -542,14 +548,18 @@ if c{j}:
         v{j} = cells{j}[head{j}]
     elif c{j} == {_LEFT}:
         if a{j} is not None:
+            @write
             cells{j}[head{j}] = a{j}
         if head{j} == 0:
             raise ExecutionFault(_fault(ex.spec.storages[{j}]))
         head{j} -= 1
         v{j} = cells{j}[head{j}]
     else:
+        @write
         cells{j}[head{j}] = v{j} = a{j}""",
 }
+_LOOP_FINAL = {Kind.QUEUE: "@final", Kind.PUSHDOWN: "@final",
+               Kind.TAPE: "s{j}.head = head{j}\n@final"}
 _LOOP = """\
 def run_loop(ex, cfg, limit, trace, maxes):
     cache, compile_ = ex._cache, ex._compile
@@ -559,12 +569,7 @@ def run_loop(ex, cfg, limit, trace, maxes):
     padded = NO_SYMBOL * (n + 1) if ex._post else word + NO_SYMBOL
     {stores} = cfg.stores
 {setup}
-    observe = trace is not None or maxes is not None
-    if observe:
-        lengths = array("q", cfg.storage_lengths())
-    if trace is not None:
-        add_state, add_consumed = trace.states.append, trace.consumed.append
-        add_emit, add_lengths = trace.emits.append, trace.lengths.extend
+    @begin
     emit_ = cfg.output.append
     state, pos, steps = cfg.state, cfg.input_pos, cfg.steps
     view = padded[pos]
@@ -576,7 +581,7 @@ def run_loop(ex, cfg, limit, trace, maxes):
                 action = compile_((state, view{views}))
             if action is None:
                 return True
-            next_state, consume, emit, deltas{slots} = action
+            next_state, consume, emit{slots} = action
             if consume:
                 if pos >= n:
                     raise ExecutionFault("input consumed past end of word")
@@ -587,45 +592,60 @@ def run_loop(ex, cfg, limit, trace, maxes):
                 emit_(emit)
             state = next_state
             steps += 1
-            if observe:
-                for j, delta in deltas:
-                    m = lengths[j] = lengths[j] + delta
-                    if maxes is not None and m > maxes[j]:
-                        maxes[j] = m
-                if trace is not None:
-                    add_state(state)
-                    add_consumed(consume)
-                    add_emit(emit)
-                    add_lengths(lengths)
+            @step
         return False
     finally:
         cfg.state, cfg.input_pos, cfg.steps = state, pos, steps
 {final}
 """
+_TAPE_DELTA = "(a{j} != blank{j}) - (v{j} != blank{j})"   # a write's change of the length
+_PEAK = "if l{j} > m{j}:\n    m{j}, p{j} = l{j}, steps\n"       # raised in step pj
+# A watched run keeps storage j's length in lj and its peak in mj.  Peaks
+# count completed steps: a step changes a length by one at most, so the
+# ``finally`` lowers by one a peak raised in a step that did not complete.
+_WATCH = {"setup": "l{j}, m{j}, p{j} = len(s{j}), maxes[{j}], -1\n",
+          "grow": "l{j} += 1\n" + _PEAK, "shrink": "l{j} -= 1\n",
+          "write": f"l{{j}} += {_TAPE_DELTA}\n" + _PEAK,
+          "final": "maxes[{j}] = m{j} - (p{j} == steps)\n"}
+# A traced run keeps the lengths in one row, appended after each step.
+_TRACE = {"begin": 'lengths = array("q", cfg.storage_lengths())\n'
+                   "add_state, add_consumed = trace.states.append, trace.consumed.append\n"
+                   "add_emit, add_lengths = trace.emits.append, trace.lengths.extend\n",
+          "grow": "lengths[{j}] += 1\n", "shrink": "lengths[{j}] -= 1\n",
+          "write": f"lengths[{{j}}] += {_TAPE_DELTA}\n",
+          "step": "add_state(state)\nadd_consumed(consume)\n"
+                  "add_emit(emit)\nadd_lengths(lengths)\n"}
+_MARKER = re.compile(r"^( *)@(\w+)\n?", re.M)
 
 
 @lru_cache(maxsize=256)
-def _run_loop(layout: tuple[Kind, ...]):
+def _run_loop(layout: tuple[Kind, ...], watch: bool, traced: bool):
     """The run loop for storages of the kinds ``layout``, built from
     ``_LOOP``: ``run_loop(ex, cfg, limit, trace, maxes)`` steps ``cfg`` in
     place until no rule applies (returns True) or ``cfg.steps`` reaches
-    ``limit`` (False).  It appends each completed step to the columns of
-    ``trace`` and raises peak lengths in ``maxes`` unless they are ``None``.
-    On :class:`ExecutionFault` ``cfg`` keeps what the faulting step did
-    before the fault (input consumed, earlier storages changed) but not its
-    new state or its step, and ``trace`` gets nothing for that step."""
+    ``limit`` (False).  If ``traced`` it appends each completed step to the
+    columns of ``trace``, and if ``watch`` it raises the peak lengths in
+    ``maxes`` to those after each completed step.  On
+    :class:`ExecutionFault` ``cfg`` keeps what the faulting step did before
+    the fault (input consumed, earlier storages changed) but not its new
+    state or its step, and neither ``trace`` nor ``maxes`` counts that step."""
+    extras = [extra for on, extra in ((watch, _WATCH), (traced, _TRACE)) if on]
+
+    def expand(template: str) -> str:   # each marker line, as its extra lines
+        return _MARKER.sub(lambda m: textwrap.indent(
+            "".join(extra.get(m[2], "") for extra in extras), m[1]), template)
+
     def lines(parts: dict, indent: str) -> str:   # the effect codes are literals
-        return "\n".join(textwrap.indent(parts[kind].format_map(dict(globals(), j=j)), indent)
-                         for j, kind in enumerate(layout))
+        return "\n".join(textwrap.indent(expand(parts[kind]).format_map(dict(globals(), j=j)),
+                                         indent) for j, kind in enumerate(layout))
 
     js = range(len(layout))
-    source = _LOOP.format(
+    source = expand(_LOOP).format(
         stores=", ".join(f"s{j}" for j in js) + "," if js else "_",
         views="".join(f", v{j}" for j in js),
         slots="".join(f", c{j}, a{j}" for j in js),
         setup=lines(_LOOP_SETUP, "    "), apply=lines(_LOOP_APPLY, " " * 12),
-        final="\n".join(f"        s{j}.head = head{j}"
-                        for j, kind in enumerate(layout) if kind is Kind.TAPE))
+        final=lines(_LOOP_FINAL, " " * 8))
     namespace: dict = {}
     exec(compile(source, f"<run loop {','.join(k.value for k in layout)}>", "exec"),
          globals(), namespace)
@@ -646,14 +666,14 @@ def _acceptance_test(spec: MachineSpec):
 class Executor:
     """Compiled form of a machine: per-state rule lists ordered by
     specificity, a cache from concrete observations to compiled actions and
-    the run loop of its storage layout.
+    the run loops of its storage layout.
 
     The cache key is ``(state, input view, view of storage 0, ...)``.  The
     first time a key is looked up it is compiled to ``None`` (no rule
-    applies) or to ``(next_state, consume, emit, deltas, code 0, arg 0,
-    code 1, arg 1, ...)``: per storage, in its fixed slots, what the action
-    does to it (see :func:`_effect`), and in ``deltas`` the ``(storage,
-    length delta)`` pairs that watched and traced runs apply.  A
+    applies) or to ``(next_state, consume, emit, code 0, arg 0, code 1,
+    arg 1, ...)``: per storage, in its fixed slots, what the action does to
+    it (see :func:`_effect`).  The plain run loop is built with the
+    executor; the loops of watched and traced runs on first use.  A
     :class:`MachineSpec` is immutable, so one executor can serve any number
     of runs; each run's state lives in its own :class:`Configuration`.
     """
@@ -667,7 +687,8 @@ class Executor:
             rules.sort(key=Rule.specificity, reverse=True)
         self._cache: dict[tuple, tuple | None] = {}
         self._post = spec.mode is Mode.POST
-        self._loop = _run_loop(tuple(s.kind for s in spec.storages))
+        self._layout = tuple(s.kind for s in spec.storages)
+        self._loop = _run_loop(self._layout, False, False)
         self._factories = tuple(partial(_Tape, s.blank_cell) if s.kind is Kind.TAPE
                                 else deque if s.kind is Kind.QUEUE else list
                                 for s in spec.storages)
@@ -695,13 +716,9 @@ class Executor:
         action = None
         for rule in self.rules_by_state.get(state, ()):
             if rule.matches(input_view, views):   # presorted: first match wins
-                slots, deltas = [], []
-                for j, (st, view, op) in enumerate(zip(self.spec.storages, views, rule.ops)):
-                    code, arg, delta = _effect(st, view, op)
-                    slots += code, arg
-                    if delta:
-                        deltas.append((j, delta))
-                action = (rule.next_state, rule.consume, rule.emit, tuple(deltas), *slots)
+                action = (rule.next_state, rule.consume, rule.emit,
+                          *(x for st, view, op in zip(self.spec.storages, views, rule.ops)
+                            for x in _effect(st, view, op)))
                 break
         self._cache[key] = action
         return action
@@ -714,9 +731,11 @@ class Executor:
         limit = default_step_limit(len(word)) if max_steps is None else max_steps
         tr = Trace(self._storage_ids) if trace else None
         maxes = list(cfg.storage_lengths()) if watch_lengths else None
+        loop = (_run_loop(self._layout, bool(watch_lengths), bool(trace))
+                if trace or watch_lengths else self._loop)
         reason, fault = "no_rule", None
         try:
-            if self._loop(self, cfg, limit, tr, maxes):
+            if loop(self, cfg, limit, tr, maxes):
                 accept = (word or self.spec.epsilon_accept) and self._accepts(cfg)
                 verdict = _ACCEPT if accept else _REJECT
             else:

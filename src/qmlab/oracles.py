@@ -10,7 +10,9 @@ Generators are seed-deterministic.  The generator algorithm is pinned so any
 reimplementation reproduces identical suites: splitmix64 (state advances by
 0x9E3779B97F4A7C15; output is the finalizer z ^= z>>30, z *= 0xBF58476D1CE4E5B9,
 z ^= z>>27, z *= 0x94D049BB133111EB, z ^= z>>31, all mod 2**64), with
-``below(n)`` defined as ``next() % n``.
+``below(n)`` defined as ``next() % n``.  ``bits(n)`` and ``letters(n)`` draw
+n values of ``below(2)`` in one call: the same stream, and the same state
+after, as n calls of ``below(2)``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,14 @@ from dataclasses import dataclass
 from .machines import pi
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+# SplitMix64._draw works on blocks of _LANES 128-bit lanes: 1 in every lane,
+# the low 64 bits of every lane, and (i + 1) * _GAMMA in lane i.
+_LANES = 1024
+_ONES = int.from_bytes((1).to_bytes(16, "little") * _LANES, "little")
+_LOW = _MASK * _ONES
+_STRIDES = _GAMMA * int.from_bytes(
+    b"".join(i.to_bytes(16, "little") for i in range(1, _LANES + 1)), "little")
 
 
 class SplitMix64:
@@ -30,7 +40,7 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def next(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -42,11 +52,34 @@ class SplitMix64:
     def choice(self, seq):
         return seq[self.below(len(seq))]
 
+    def _draw(self, n: int, symbols: bytes) -> str:
+        """n values of ``below(2)``, each as ``symbols[value]``.  ``next``
+        runs on up to ``_LANES`` states at once, state i in the low half of
+        the i-th 128-bit lane of one integer.  Each lane is cut back to its
+        low 64 bits after each multiply (reducing mod 2**64) and after each
+        right shift (which moves the next lane's low bits into this lane's
+        high half), so that the next product fits in its lane."""
+        drawn = []
+        for start in range(0, n, _LANES):
+            r = min(_LANES, n - start)
+            ones, low, strides = _ONES, _LOW, _STRIDES
+            if r < _LANES:   # a last, partial block: the first r lanes
+                cut = (1 << 128 * r) - 1
+                ones, low, strides = ones & cut, low & cut, strides & cut
+            z = (self.state * ones + strides) & low
+            self.state = (self.state + r * _GAMMA) & _MASK
+            z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+            z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB
+            z ^= z >> 31                           # a lane's bit 0 is its next() % 2
+            drawn.append(z.to_bytes(16 * r, "little")[::16])
+        # Byte b of the table is symbols[b % 2].
+        return b"".join(drawn).translate(symbols * 128).decode("ascii")
+
     def bits(self, n: int) -> str:
-        return "".join("01"[self.below(2)] for _ in range(n))
+        return self._draw(n, b"01")
 
     def letters(self, n: int) -> str:
-        return "".join("ab"[self.below(2)] for _ in range(n))
+        return self._draw(n, b"ab")
 
 
 # --------------------------------------------------------------------------
@@ -235,8 +268,8 @@ def gen_lk(k: int, f: tuple[int, ...] | list[int], m: int, seed: int) -> FkInsta
         raise ValueError("need k >= 1, one length >= 1 per stream and m >= 1")
     rng = SplitMix64(seed)
     prefixes = tuple(rng.bits(fi) for fi in f)
-    blocks = tuple(rng.bits(k) for _ in range(m))
-    return FkInstance(prefixes, blocks)
+    rows = rng.bits(k * m)
+    return FkInstance(prefixes, tuple(rows[i:i + k] for i in range(0, k * m, k)))
 
 
 def gen_lprime(k: int, seed: int) -> LprimeInstance:

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,55 @@ class TestTape:
             alphabet="01", storage_alphabet="01", output="01", states=("w", "x"))
         res = run(spec, "00", trace=True)
         assert [r.lengths[0] for r in res.trace.records] == [1, 0]
+
+
+class TestFaultPeaks:
+    """Peak lengths count completed steps only: a step that faults after it
+    grew a storage leaves no mark in ``max_lengths`` or in the trace."""
+
+    def two_queues(self, *rules):
+        queue = partial(StorageSpec, kind=Kind.QUEUE, alphabet=frozenset("a"))
+        return MachineSpec(
+            name="two-queues", states=("s", "t"), start="s", input_alphabet=frozenset("a"),
+            output_alphabet=frozenset(), storages=(queue("q"), queue("r")), rules=rules,
+            acceptance=Acceptance.EMPTY_STORAGES)
+
+    def runs(self, spec, word):
+        ex = executor_for(spec)
+        return (ex.run(word, watch_lengths=True), ex.run(word, trace=True),
+                ex.run(word, trace=True, watch_lengths=True))
+
+    def test_push_then_pop_on_empty_queue(self):
+        spec = self.two_queues(Rule("s", "a", (WILDCARD, WILDCARD), "s", consume=True,
+                                    ops=(QueueOp(push="a"), QueueOp(pop=True))))
+        watched, traced, both = self.runs(spec, "a")
+        for res in (watched, traced, both):
+            assert res.verdict is Verdict.FAULT and res.steps == 0
+        assert watched.max_lengths == both.max_lengths == (0, 0)
+        assert len(traced.trace) == len(both.trace) == 0
+
+    def test_peak_of_an_earlier_step_stays(self):
+        spec = self.two_queues(
+            Rule("s", "a", (WILDCARD, WILDCARD), "t", consume=True,
+                 ops=(QueueOp(push="a"), NO_OP)),
+            Rule("t", "a", (WILDCARD, WILDCARD), "t", consume=True,
+                 ops=(QueueOp(push="a"), QueueOp(pop=True))))
+        watched, traced, both = self.runs(spec, "aa")
+        assert watched.verdict is Verdict.FAULT and watched.steps == 1
+        assert watched.max_lengths == both.max_lengths == (1, 0)
+        assert traced.trace.to_lines() == both.trace.to_lines() == [
+            "step,state,consumed,len(q),len(r),emit", "1,t,y,1,0,"]
+
+    def test_tape_write_then_move_off_left_end(self):
+        spec = simple_machine(
+            Kind.TAPE,
+            Rule("w", "0", (WILDCARD,), "w", consume=True, ops=(TapeOp(write="1", move="L"),)),
+            alphabet="01", storage_alphabet="01", output="01", states=("w",))
+        res = run(spec, "0", trace=True, watch_lengths=True)
+        assert res.verdict is Verdict.FAULT and "left end" in res.fault
+        assert res.max_lengths == (0,)
+        assert len(res.trace) == 0
+        assert run(spec, "0", watch_lengths=True).max_lengths == (0,)
 
 
 class TestMatching:

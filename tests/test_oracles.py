@@ -1,9 +1,12 @@
 """Reference oracles: membership, parsing, the riffle permutation, generators."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmlab.cli import main
 from qmlab.machines import pi, pi_order
 from qmlab.oracles import (
     FK_CLAUSES,
@@ -181,6 +184,45 @@ class TestGenerators:
         rng = SplitMix64(0)
         assert [rng.next() for _ in range(3)] == [
             16294208416658607535, 7960286522194355700, 487617019471545679]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1, 12345])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 1000, 8193])
+    def test_one_call_draws_match_per_draw_reference(self, n, seed):
+        # The reference draws one below(2) at a time, from its own generator.
+        for draw, alpha in ((SplitMix64.bits, "01"), (SplitMix64.letters, "ab")):
+            rng, ref = SplitMix64(seed), SplitMix64(seed)
+            assert draw(rng, n) == "".join(alpha[ref.below(2)] for _ in range(n))
+            assert rng.state == ref.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1, 12345])
+    def test_mixed_draws_stay_in_step(self, seed):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        for n in (5, 1030, 0, 77):
+            assert rng.bits(n) == "".join("01"[ref.below(2)] for _ in range(n))
+            assert rng.next() == ref.next()
+            assert rng.letters(n + 3) == "".join("ab"[ref.below(2)] for _ in range(n + 3))
+            assert rng.below(7) == ref.below(7)
+        assert rng.state == ref.state
+
+    # Digests of generated words and batch files, so that a faster generator
+    # must reproduce the suites byte for byte.
+    def test_generated_words_are_pinned(self):
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+        assert digest(gen_lk(3, (5, 5, 5), 100, 9).render()) == (
+            "482c75c66cc4fe1f53526b29c3299f7badbe0c44d867dfc7232181dc02804367")
+        assert digest(gen_lprime(10, 3).render()) == (
+            "a247405048c703c63a16d5b2b20e2d3bf637302924d4c55c306e5349426f1ddd")
+
+    @pytest.mark.parametrize("family, sha256", [
+        ("lprime", "693a03b8b877341ef9c7b456685b60b1030e937fc600d605e7dd2c07f1eb7752"),
+        ("fk", "3c8df788a89f43ddb9ec091a3602d6c67c55edf4600bd51dc1a817194955d3ec"),
+        ("anbn", "947ffc485a2198eb29883394cb647b1a71b369cf232152bcf258c5e272c126e5")])
+    def test_gen_batch_files_are_pinned(self, family, sha256, tmp_path):
+        out = tmp_path / "cases.tsv"
+        assert main(["gen", "--family", family, "--count", "200", "--seed", "7",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_gen_lprime_shape(self):
         inst = gen_lprime(0, 7)

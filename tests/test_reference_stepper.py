@@ -246,15 +246,17 @@ def _config(cfg):
 
 
 def check_runs(spec, word, max_steps):
-    """Plain, watched and traced runs on one executor against the reference."""
+    """Plain, watched, traced, and both watched and traced runs on one
+    executor against the reference."""
     ref = reference_run(spec, word, max_steps)
     ex = executor_for(spec)
     plain = ex.run(word, max_steps=max_steps)
     watched = ex.run(word, max_steps=max_steps, watch_lengths=True)
     traced = ex.run(word, max_steps=max_steps, trace=True)
+    both = ex.run(word, max_steps=max_steps, trace=True, watch_lengths=True)
     reason = {Verdict.STEP_LIMIT: "step_limit", Verdict.FAULT: "fault"}.get(ref.verdict, "no_rule")
     want = (ref.verdict, ref.output, ref.steps, ref.input_consumed, ref.fault, reason)
-    for res in (plain, watched, traced):
+    for res in (plain, watched, traced, both):
         assert (res.verdict, res.output, res.steps, res.input_consumed, res.fault,
                 res.halt_reason) == want
     assert plain.trace is None and plain.max_lengths is None
@@ -263,6 +265,8 @@ def check_runs(spec, word, max_steps):
     assert [(r.step, r.state, r.consumed, r.lengths, r.emit)
             for r in traced.trace.records] == ref.records
     check_trace(spec, traced.trace, ref.records)
+    assert both.max_lengths == watched.max_lengths
+    assert both.trace.to_lines() == traced.trace.to_lines()
 
 
 def check_trace(spec, tr, records):
