@@ -458,8 +458,7 @@ _LEFT = 10            # tape: write arg unless None, then move left (faults at c
 
 
 def _effect(storage: StorageSpec, view: str, op: QueueOp | TapeOp) -> tuple[int, str | None]:
-    """Compile ``op`` on a storage whose current view is ``view`` to
-    ``(code, arg)``."""
+    """Compile ``op`` on a storage whose current view is ``view`` to ``(code, arg)``."""
     if storage.kind is Kind.TAPE:
         write = op.write if op.write != view else None
         if op.move == "R":
@@ -495,7 +494,8 @@ def _fault(storage: StorageSpec) -> str:
 # ``aj``.  Per storage kind, its lines at the start of a run, its branch in a
 # step and its lines in the ``finally``.  A marker line ``@name`` becomes the
 # lines ``_WATCH`` and ``_TRACE`` give ``name`` in watched and traced loops,
-# and nothing in a plain one.
+# and nothing in a plain one.  The dead ``if False`` block numbers a step's
+# locals first (CPython numbers them as met; past 256, each use costs more).
 _LOOP_SETUP = {
     Kind.QUEUE: "v{j} = s{j}[0] if s{j} else EMPTY\n@setup",
     Kind.PUSHDOWN: "v{j} = s{j}[-1] if s{j} else EMPTY\n@setup",
@@ -558,10 +558,12 @@ if c{j}:
         @write
         cells{j}[head{j}] = v{j} = a{j}""",
 }
-_LOOP_FINAL = {Kind.QUEUE: "@final", Kind.PUSHDOWN: "@final",
-               Kind.TAPE: "s{j}.head = head{j}\n@final"}
+_LOOP_FINAL = {**dict.fromkeys(Kind, "@final"), Kind.TAPE: "s{j}.head = head{j}\n@final"}
 _LOOP = """\
 def run_loop(ex, cfg, limit, trace, maxes):
+    if False:   # never runs: the compiler meets a step's locals here first
+        state = pos = steps = view = action = next_state = consume = emit = add_state = None
+        add_consumed = add_emit = add_lengths{hot} = None
     cache, compile_ = ex._cache, ex._compile
     word = cfg.input
     n = len(word)
@@ -600,9 +602,8 @@ def run_loop(ex, cfg, limit, trace, maxes):
 """
 _TAPE_DELTA = "(a{j} != blank{j}) - (v{j} != blank{j})"   # a write's change of the length
 _PEAK = "if l{j} > m{j}:\n    m{j}, p{j} = l{j}, steps\n"       # raised in step pj
-# A watched run keeps storage j's length in lj and its peak in mj.  Peaks
-# count completed steps: a step changes a length by one at most, so the
-# ``finally`` lowers by one a peak raised in a step that did not complete.
+# A watched run keeps storage j's length in lj and its peak in mj; the
+# ``finally`` undoes a peak raised by a faulting step (by one, a step's most).
 _WATCH = {"setup": "l{j}, m{j}, p{j} = len(s{j}), maxes[{j}], -1\n",
           "grow": "l{j} += 1\n" + _PEAK, "shrink": "l{j} -= 1\n",
           "write": f"l{{j}} += {_TAPE_DELTA}\n" + _PEAK,
@@ -613,19 +614,17 @@ _TRACE = {"begin": 'lengths = array("q", cfg.storage_lengths())\n'
                    "add_emit, add_lengths = trace.emits.append, trace.lengths.extend\n",
           "grow": "lengths[{j}] += 1\n", "shrink": "lengths[{j}] -= 1\n",
           "write": f"lengths[{{j}}] += {_TAPE_DELTA}\n",
-          "step": "add_state(state)\nadd_consumed(consume)\n"
-                  "add_emit(emit)\nadd_lengths(lengths)\n"}
+          "step": "add_state(state)\nadd_consumed(consume)\nadd_emit(emit)\nadd_lengths(lengths)\n"}
 _MARKER = re.compile(r"^( *)@(\w+)\n?", re.M)
 
 
 @lru_cache(maxsize=256)
 def _run_loop(layout: tuple[Kind, ...], watch: bool, traced: bool):
-    """The run loop for storages of the kinds ``layout``, built from
-    ``_LOOP``: ``run_loop(ex, cfg, limit, trace, maxes)`` steps ``cfg`` in
-    place until no rule applies (returns True) or ``cfg.steps`` reaches
-    ``limit`` (False).  If ``traced`` it appends each completed step to the
-    columns of ``trace``, and if ``watch`` it raises the peak lengths in
-    ``maxes`` to those after each completed step.  On
+    """The run loop for storages of the kinds ``layout``:
+    ``run_loop(ex, cfg, limit, trace, maxes)`` steps ``cfg`` in place until no
+    rule applies (returns True) or ``cfg.steps`` reaches ``limit`` (False),
+    appending each completed step to ``trace`` if ``traced`` and raising the
+    peaks in ``maxes`` to the lengths after it if ``watch``.  On
     :class:`ExecutionFault` ``cfg`` keeps what the faulting step did before
     the fault (input consumed, earlier storages changed) but not its new
     state or its step, and neither ``trace`` nor ``maxes`` counts that step."""
@@ -644,6 +643,7 @@ def _run_loop(layout: tuple[Kind, ...], watch: bool, traced: bool):
         stores=", ".join(f"s{j}" for j in js) + "," if js else "_",
         views="".join(f", v{j}" for j in js),
         slots="".join(f", c{j}, a{j}" for j in js),
+        hot="".join(f" = v{j} = c{j} = a{j}" for j in js),
         setup=lines(_LOOP_SETUP, "    "), apply=lines(_LOOP_APPLY, " " * 12),
         final=lines(_LOOP_FINAL, " " * 8))
     namespace: dict = {}

@@ -2,14 +2,13 @@
 """Per-step cost of plain, watched and traced runs, and the cost of drawing
 seeded bits.
 
-    python3 tools/step_cost.py
-    python3 tools/step_cost.py --repeat 9 --out costs.json
+    python3 tools/step_cost.py > costs.txt
 
 For each machine, one seeded word (the kind ``analysis.growth_point`` runs)
 is run on one executor in three ways: plain, with ``watch_lengths=True`` and
-with ``trace=True``.  Each repeat times the three once, in that order, after
-one untimed warm-up run of each; a mode's figure is its fastest repeat
-divided by the run's steps, in ns/step.  ``bits`` is the fastest
+with ``trace=True``.  After one untimed warm-up run of each, the three are
+timed in that order, ``REPEAT`` times over; a mode's figure is its fastest
+repeat divided by the run's steps, in ns/step.  ``bits`` is the fastest
 ``SplitMix64(seed).bits(n)`` call, in µs per 1,000 bits, for each ``n``.
 The program is imported from ``src/`` next to this directory.  The last line
 printed is one JSON object.  Standard library only.
@@ -34,6 +33,7 @@ from qmlab.oracles import SplitMix64, gen_lprime  # noqa: E402
 
 SEED = 1
 BIT_COUNTS = (64, 1024, 8192)
+REPEAT = 7
 
 
 def words() -> dict[str, str]:
@@ -82,26 +82,17 @@ def bit_costs(repeat: int) -> dict:
             for n in BIT_COUNTS}
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--repeat", type=int, default=7)
-    p.add_argument("--out", help="also write the JSON object to this file")
-    args = p.parse_args(argv)
-    if args.repeat < 1:
-        p.error("--repeat must be >= 1")
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
     result = {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
-              "repeat": args.repeat, "runs": run_costs(args.repeat),
-              "bits_us_per_1000": bit_costs(args.repeat)}
+              "repeat": REPEAT, "runs": run_costs(REPEAT),
+              "bits_us_per_1000": bit_costs(REPEAT)}
     for name, r in result["runs"].items():
         print(f"{name:<15} {r['steps']:>8} steps  plain {r['plain_ns_per_step']:>7} "
               f"watched {r['watched_ns_per_step']:>7} traced {r['traced_ns_per_step']:>7} ns/step")
     for n, us in result["bits_us_per_1000"].items():
         print(f"bits({n}): {us} µs per 1,000 bits")
-    line = json.dumps(result)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-    print(line)
+    print(json.dumps(result))
     return 0
 
 
