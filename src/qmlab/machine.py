@@ -30,7 +30,6 @@ import re
 import textwrap
 from array import array
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
@@ -329,12 +328,6 @@ class Configuration:
     output: list[str]
     steps: int
 
-    def storage_contents(self, index: int):
-        s = self.stores[index]
-        if isinstance(s, _Tape):
-            return tuple(s.cells), s.head
-        return tuple(s)
-
     def storage_lengths(self) -> tuple[int, ...]:
         """Per storage, its number of symbols; a tape's non-blank cells."""
         return tuple(map(len, self.stores))
@@ -354,7 +347,8 @@ class Trace:
     """Per-step columns of a run: after step ``i + 1``, the state
     ``states[i]``, whether the step consumed an input symbol
     (``consumed[i]``, 0 or 1), the emitted symbol ``emits[i]`` (or ``None``)
-    and the storage lengths ``lengths[i * k:(i + 1) * k]`` for ``k`` storages."""
+    and the storage lengths ``lengths[i * k:(i + 1) * k]`` for ``k`` storages.
+    ``records`` is the trace itself; ``perfbench/tracer.py`` still reads it."""
     storage_ids: tuple[str, ...]
     states: list[str] = field(default_factory=list)
     consumed: bytearray = field(default_factory=bytearray)
@@ -365,9 +359,8 @@ class Trace:
         return len(self.states)
 
     @property
-    def records(self) -> TraceRecords:
-        """The steps as :class:`StepRecord` objects, built on access."""
-        return TraceRecords(self)
+    def records(self) -> Trace:
+        return self
 
     def lengths_of(self, storage: str) -> array:
         """The length of ``storage`` after each step."""
@@ -388,31 +381,6 @@ class Trace:
         return [header] + [f"{i},{state},{'y' if consumed else 'n'},{ls},{emit or ''}"
                            for i, (state, consumed, ls, emit) in enumerate(
                                zip(self.states, self.consumed, lens, self.emits), 1)]
-
-
-class TraceRecords(Sequence):
-    """Read-only view of a :class:`Trace` as a sequence of :class:`StepRecord`."""
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: Trace):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace.states)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        t = self._trace
-        i = range(len(t.states))[i]   # IndexError outside the trace
-        k = len(t.storage_ids)
-        return StepRecord(i + 1, t.states[i], bool(t.consumed[i]),
-                          tuple(t.lengths[i * k:i * k + k]), t.emits[i])
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
 
 
 @dataclass(slots=True)

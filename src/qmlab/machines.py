@@ -94,14 +94,6 @@ def predicted_tail_steps(k: int) -> int:
     return 2 + 2 ** (k + 1) - 1 + k * k + 2 * k + 1
 
 
-def predicted_tail_steps_sum(k: int) -> int:
-    """The same quantity as the explicit sum 2 + sum of per-cycle queue
-    lengths, for cross-checking the closed form."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return 2 + sum(predicted_cycle_length(k, i) for i in range(1, k + 2))
-
-
 # --------------------------------------------------------------------------
 # mk: the k-queue interleaver
 

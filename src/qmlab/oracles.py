@@ -49,9 +49,6 @@ class SplitMix64:
     def below(self, n: int) -> int:
         return self.next() % n
 
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
     def _draw(self, n: int, symbols: bytes) -> str:
         """n values of ``below(2)``, each as ``symbols[value]``.  ``next``
         runs on up to ``_LANES`` states at once, state i in the low half of
@@ -86,19 +83,6 @@ class SplitMix64:
 # Language membership
 
 _SHAPE = re.compile(r"([ab]*)([01]*)c([01]*)([ab]*)")
-
-
-def in_copy_language(word: str) -> bool:
-    """Membership in { w v c v w : v over {0,1} nonempty, w over {a,b} nonempty }.
-
-    The decomposition is unique: maximal a/b prefix, then a 0/1 run, the
-    marker c, a second 0/1 run, and an a/b suffix.
-    """
-    m = _SHAPE.fullmatch(word)
-    if not m:
-        return False
-    w, v, v2, w2 = m.groups()
-    return bool(w) and bool(v) and v == v2 and w == w2
 
 
 def in_lprime(word: str) -> bool:
@@ -308,7 +292,7 @@ def mutate_negative(instance, clause: str, seed: int) -> str:
             p = pi(w)
             word = w + v + "c" + v + _flip_letter(p, rng.below(len(p)))
         elif clause == "bad-length":
-            word = rng.choice("ab") + w + v + "c" + v + pi(w)
+            word = "ab"[rng.below(2)] + w + v + "c" + v + pi(w)
         elif clause == "bad-format":
             word = w + v + v + pi(w)
         else:
@@ -326,7 +310,7 @@ def mutate_negative(instance, clause: str, seed: int) -> str:
             word = FkInstance(prefixes, instance.blocks).render()
         elif clause == "block-length":
             j = rng.below(instance.m)
-            blocks = (instance.blocks[:j] + (instance.blocks[j] + rng.bits(1),)
+            blocks = (instance.blocks[:j] + (instance.blocks[j] + "01"[rng.below(2)],)
                       + instance.blocks[j + 1:])
             word = FkInstance(instance.prefixes, blocks).render()
         elif clause == "missing-terminator":

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report determinism, file formats."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -215,6 +216,55 @@ class TestRun:
         assert lines[0] == "step,state,consumed,len(q),emit"
         assert len(lines) == 7   # header + 6 steps
         assert lines[1].startswith("1,store_w,y,1,")
+
+    # A queue, a pushdown and a tape; the fourth step moves the tape head
+    # left, and the seventh moves it off the left end.
+    THREE_STORAGES = """\
+name: three
+states: s t
+start: s
+input_alphabet: ab
+output_alphabet: x
+storage: q queue a
+storage: p pushdown a
+storage: t tape a
+acceptance: empty_all_storages
+s | a | *,*,* -> s | y | push=a,push=a,write=a/move=R | x
+s | b | *,*,* -> t | y | pop,-,move=L | -
+t | - | *,*,* -> t | n | -,pop,move=L | -
+"""
+
+    # The --trace file format does not depend on how a Trace is held in
+    # memory: these digests must survive any change to its layout.
+    @pytest.mark.parametrize("machine, word, max_steps, code, sha256", [
+        ("lprime", "lprime", None, 0,
+         "4131cdccf8310ba50f5759a40b8cae304c41e46e3c6c112d6607a9371ab7b935"),
+        ("lprime", "lprime", 10, 4,
+         "e54b07c936d1e8f2e659038a21bebd497c2dec07988b27a4c108fda602936731"),
+        ("tk:3", "fk", None, 0,
+         "7ad0abcc9a2d30b14c775b37869d47dd858877e857ad3bca05327ecfc3d096d9"),
+        ("tk:3", "fk", 10, 4,
+         "9c21578ead12b5455167595c78865e5703a3b9937d3903215bb277fa6622d938"),
+        ("mk:3", "fk", None, 0,
+         "02c6d21c8d81650a74f88c7814f9d8a93e1f35438e0bb7eba73233a12e9b5d02"),
+        ("mk:3", "fk", 10, 4,
+         "510bb37c2f6fa7ad32506b82f27bd1e66c07a586a6432837395ffe437da56438"),
+        ("three", "aaab", None, 5,
+         "fb86a346f4b1294203837f94af5c08f4e263a3285790974bdce69639c545a9d1"),
+    ])
+    def test_trace_files_are_pinned(self, capsys, tmp_path, machine, word, max_steps,
+                                    code, sha256):
+        if machine == "three":
+            machine = tmp_path / "three.qm"
+            machine.write_text(self.THREE_STORAGES)
+        word = {"lprime": oracles.gen_lprime(3, 1).render(),
+                "fk": analysis.sized_fk_instance(3, 256, 1).render()}.get(word, word)
+        path = tmp_path / "t.csv"
+        argv = ["run", "--machine", str(machine), "--input", word, "--trace", str(path)]
+        if max_steps is not None:
+            argv += ["--max-steps", str(max_steps)]
+        assert invoke(capsys, *argv)[0] == code
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_dump_spec_round_trip(self, capsys, tmp_path):
         path = tmp_path / "mk2.qm"

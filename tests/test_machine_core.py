@@ -35,9 +35,27 @@ from qmlab.machine import (
     step,
     storage_length_series,
     validate_spec,
+    _Tape,
 )
 
 words_ab = st.text(alphabet="ab", min_size=1, max_size=40)
+
+
+def contents(cfg, j):
+    """Storage ``j`` of a configuration: a queue front to back, a pushdown
+    bottom to top, a tape as (cells, head)."""
+    s = cfg.stores[j]
+    if isinstance(s, _Tape):
+        return tuple(s.cells), s.head
+    return tuple(s)
+
+
+def steps_of(trace):
+    """The trace's steps as :class:`StepRecord` objects, built from its columns."""
+    k = len(trace.storage_ids)
+    return [StepRecord(i, state, bool(consumed), tuple(trace.lengths[(i - 1) * k:i * k]), emit)
+            for i, (state, consumed, emit) in enumerate(
+                zip(trace.states, trace.consumed, trace.emits), 1)]
 
 
 def simple_machine(kind: Kind, *rules, acceptance=Acceptance.EMPTY_STORAGES,
@@ -89,7 +107,7 @@ class TestStorageLaws:
         cfg = executor_for(spec).initial("ab")
         while step(spec, cfg):
             pass
-        assert cfg.storage_contents(0) == ("b", "c")
+        assert contents(cfg, 0) == ("b", "c")
 
     def test_pushdown_pop_and_push_in_one_step(self):
         # bottom-to-top [a, b], action pop + push c  ->  [a, c]
@@ -102,7 +120,7 @@ class TestStorageLaws:
         cfg = executor_for(spec).initial("ab")
         while step(spec, cfg):
             pass
-        assert cfg.storage_contents(0) == ("a", "c")
+        assert contents(cfg, 0) == ("a", "c")
 
 
 class TestTape:
@@ -121,7 +139,7 @@ class TestTape:
         cfg = executor_for(spec).initial("101")
         while step(spec, cfg):
             pass
-        cells, head = cfg.storage_contents(0)
+        cells, head = contents(cfg, 0)
         assert cells[:3] == ("1", "0", "1")
         assert head == 3
         assert cfg.storage_lengths() == (3,)   # tape length counts nonblank cells
@@ -142,7 +160,7 @@ class TestTape:
             Rule("x", "0", ("0",), "w", consume=True, ops=(TapeOp(write="_", move="S"),)),
             alphabet="01", storage_alphabet="01", output="01", states=("w", "x"))
         res = run(spec, "00", trace=True)
-        assert [r.lengths[0] for r in res.trace.records] == [1, 0]
+        assert [r.lengths[0] for r in steps_of(res.trace)] == [1, 0]
 
 
 class TestFaultPeaks:
@@ -284,14 +302,14 @@ class TestInitialConfiguration:
         spec = echo_machine(Kind.QUEUE)
         cfg = executor_for(spec).initial("aca".replace("c", "b"))
         assert cfg.input_pos == 0 and cfg.steps == 0
-        assert cfg.storage_contents(0) == ()
+        assert contents(cfg, 0) == ()
 
     def test_post_mode_preloads_queue(self):
         spec = simple_machine(
             Kind.QUEUE, Rule("s", NO_SYMBOL, ("a",), "s", ops=(NO_OP,)),
             mode=Mode.POST, states=("s",))
         cfg = executor_for(spec).initial("aabb")
-        assert cfg.storage_contents(0) == ("a", "a", "b", "b")
+        assert contents(cfg, 0) == ("a", "a", "b", "b")
 
     def test_bad_symbol_rejected_with_position(self):
         spec = echo_machine(Kind.QUEUE)
@@ -338,19 +356,19 @@ class TestRun:
         spec = echo_machine(Kind.QUEUE)
         a = run(spec, word, trace=True)
         b = run(spec, word, trace=True)
-        assert a.trace.records == b.trace.records
+        assert steps_of(a.trace) == steps_of(b.trace)
         assert a.trace.to_lines() == b.trace.to_lines()
 
     @given(words_ab)
     @settings(max_examples=40)
     def test_step_accounting(self, word):
         res = run(echo_machine(Kind.QUEUE), word, trace=True)
-        tr = res.trace
-        assert len(tr.records) == res.steps
-        assert sum(r.consumed for r in tr.records) == res.input_consumed == len(word)
+        records = steps_of(res.trace)
+        assert len(res.trace) == len(records) == res.steps
+        assert sum(r.consumed for r in records) == res.input_consumed == len(word)
         assert res.input_consumed <= res.steps
-        assert sum(r.emit is not None for r in tr.records) == len(res.output) <= res.steps
-        assert [r.step for r in tr.records] == list(range(1, res.steps + 1))
+        assert sum(r.emit is not None for r in records) == len(res.output) <= res.steps
+        assert [r.step for r in records] == list(range(1, res.steps + 1))
 
     def test_post_mode_conservation(self):
         # No storage actions at all: the queue holds the input at every step.
@@ -360,9 +378,9 @@ class TestRun:
             Rule("t", NO_SYMBOL, ("a",), "u", ops=(NO_OP,)),
             mode=Mode.POST, states=("s", "t", "u"))
         cfg = executor_for(spec).initial("ab")
-        seen = [cfg.storage_contents(0)]
+        seen = [contents(cfg, 0)]
         while step(spec, cfg):
-            seen.append(cfg.storage_contents(0))
+            seen.append(contents(cfg, 0))
         assert all(s == ("a", "b") for s in seen)
 
     def test_acceptance_soundness_empty_storages(self):
@@ -395,7 +413,7 @@ class TestTraceChecks:
 
     def test_bounded_delay_zero_equals_realtime(self):
         tr = self.trace_of("ab")
-        n = len(tr.records)
+        n = len(tr)
         assert check_bounded_delay(tr, (1, n), 0) == check_realtime(tr)
         assert check_bounded_delay(tr, (1, 2), 0)       # the consuming prefix
         assert not check_bounded_delay(tr, (1, n), 1)   # two silent pops at the end
@@ -418,15 +436,11 @@ class TestTraceChecks:
         with pytest.raises(ValueError):
             storage_length_series(tr, "nope")
 
-    def test_records_view(self):
+    def test_records_is_the_trace(self):
         tr = self.trace_of("ab")
-        records = tr.records
-        assert len(records) == len(tr) == 4
-        assert records[-1] == records[3] == StepRecord(4, "go", False, (0,), "b")
-        assert records[1:3] == list(records)[1:3]
-        assert records == list(records) and records != list(records)[:-1]
-        with pytest.raises(IndexError):
-            records[4]
+        assert tr.records is tr
+        assert len(tr) == len(steps_of(tr)) == 4
+        assert steps_of(tr)[-1] == StepRecord(4, "go", False, (0,), "b")
 
     def test_trace_file_format(self):
         tr = self.trace_of("ab")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_machine_core import steps_of
 from qmlab import analysis
 from qmlab.analysis import lprime_cycle_starts, lprime_timing
 from qmlab.machine import (
@@ -28,7 +29,6 @@ from qmlab.machines import (
     builtin,
     predicted_cycle_length,
     predicted_tail_steps,
-    predicted_tail_steps_sum,
 )
 from qmlab.oracles import (
     LPRIME_CLAUSES,
@@ -94,7 +94,8 @@ class TestPredictions:
 
     def test_closed_form_equals_sum(self):
         for k in range(21):
-            assert predicted_tail_steps(k) == predicted_tail_steps_sum(k)
+            assert predicted_tail_steps(k) == 2 + sum(predicted_cycle_length(k, i)
+                                                      for i in range(1, k + 2))
 
 
 class TestLprimeAcceptor:
@@ -165,7 +166,7 @@ class TestLprimeAcceptor:
         word = gen_lprime(3, 12).render()
         a = run(self.spec, word, trace=True)
         b = run(self.spec, word, trace=True)
-        assert a.trace.records == b.trace.records
+        assert steps_of(a.trace) == steps_of(b.trace)
         assert a.trace.to_lines() == b.trace.to_lines()
 
 
@@ -355,7 +356,7 @@ class TestCycleStartExtraction:
                 trace = run(spec, word, trace=True).trace
                 for prefix in (0, inst.prefix_length, len(trace) + 1):
                     want, silent = [], 0
-                    for rec in trace.records[prefix:]:
+                    for rec in steps_of(trace)[prefix:]:
                         if rec.consumed:
                             if not want or silent >= 2:
                                 want.append(rec.step)

@@ -16,7 +16,6 @@ from qmlab.oracles import (
     SplitMix64,
     gen_lk,
     gen_lprime,
-    in_copy_language,
     in_lprime,
     is_anbn,
     mutate_negative,
@@ -26,24 +25,6 @@ from qmlab.oracles import (
     reference_fk,
     write_batch,
 )
-
-
-class TestCopyLanguage:
-    def test_smallest_member(self):
-        assert in_copy_language("a0c0a")
-
-    def test_tag_mismatch(self):
-        assert not in_copy_language("a0c1a")
-
-    def test_needs_nonempty_letter_part(self):
-        assert not in_copy_language("0c0")
-
-    def test_needs_nonempty_tag(self):
-        assert not in_copy_language("aca")
-
-    def test_longer_member(self):
-        assert in_copy_language("ab01c01ab")
-        assert not in_copy_language("ab01c01ba")
 
 
 class TestLprimeMembership:

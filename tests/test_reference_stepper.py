@@ -58,7 +58,7 @@ class Reference:
     steps: int
     input_consumed: int
     fault: str | None
-    records: list      # (step, state, consumed, lengths, emit) per step
+    rows: list         # (step, state, consumed, lengths, emit) per step
     peaks: tuple
     config: tuple      # (state, input position, steps, output, storage contents)
 
@@ -242,7 +242,7 @@ def test_machines_are_valid(name):
 
 def _config(cfg):
     return (cfg.state, cfg.input_pos, cfg.steps, "".join(cfg.output),
-            tuple(cfg.storage_contents(j) for j in range(len(cfg.stores))))
+            tuple(core.contents(cfg, j) for j in range(len(cfg.stores))))
 
 
 def check_runs(spec, word, max_steps):
@@ -263,8 +263,8 @@ def check_runs(spec, word, max_steps):
     assert watched.trace is None and watched.max_lengths == ref.peaks
     assert traced.max_lengths is None
     assert [(r.step, r.state, r.consumed, r.lengths, r.emit)
-            for r in traced.trace.records] == ref.records
-    check_trace(spec, traced.trace, ref.records)
+            for r in core.steps_of(traced.trace)] == ref.rows
+    check_trace(spec, traced.trace, ref.rows)
     assert both.max_lengths == watched.max_lengths
     assert both.trace.to_lines() == traced.trace.to_lines()
 
@@ -304,7 +304,7 @@ def check_steps(spec, word, limit):
             records.append((rec.step, rec.state, rec.consumed, rec.lengths, rec.emit))
     except ExecutionFault as exc:
         fault = str(exc)
-    assert records == ref.records
+    assert records == ref.rows
     assert fault == ref.fault
     assert _config(cfg) == ref.config
 
