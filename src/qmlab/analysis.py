@@ -139,8 +139,7 @@ def lprime_timing(inst: LprimeInstance) -> LprimeTiming:
     if starts and starts[0] < 2:
         raise ValueError("a cycle starts at step 1, before any queue length is traced")
     # A cycle's length is the queue length after the step before its start.
-    q = trace.lengths_of("q")
-    cycle_lengths = tuple(q[s - 2] for s in starts)
+    cycle_lengths = tuple(trace.length_after("q", s - 1) for s in starts)
     prefix_min_delay = minimal_delay(trace, (1, p))
     return LprimeTiming(
         k=k, verdict=res.verdict, prefix_length=p,

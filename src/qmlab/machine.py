@@ -26,13 +26,17 @@ validator rejects rule tables where two distinct rules could tie.
 
 from __future__ import annotations
 
+import io
 import re
+import struct
 import textwrap
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
+from itertools import accumulate, compress
+from operator import itemgetter
 
 WILDCARD = "*"
 # Pattern token and observation value for "no input symbol": end of input in
@@ -342,34 +346,99 @@ class StepRecord:
     emit: str | None
 
 
-@dataclass
 class Trace:
-    """Per-step columns of a run: after step ``i + 1``, the state
-    ``states[i]``, whether the step consumed an input symbol
-    (``consumed[i]``, 0 or 1), the emitted symbol ``emits[i]`` (or ``None``)
-    and the storage lengths ``lengths[i * k:(i + 1) * k]`` for ``k`` storages.
-    ``records`` is the trace itself; ``perfbench/tracer.py`` still reads it."""
-    storage_ids: tuple[str, ...]
-    states: list[str] = field(default_factory=list)
-    consumed: bytearray = field(default_factory=bytearray)
-    emits: list[str | None] = field(default_factory=list)
-    lengths: array = field(default_factory=lambda: array("q"))
+    """A run's completed steps as the compiled actions they applied:
+    ``actions[i]`` is step ``i + 1``'s (see :class:`Executor`; a step that
+    faults adds none), and ``initial`` holds the storage lengths before step
+    1.  The columns are built from them on first read and kept: after step
+    ``i + 1``, the state ``states[i]``, whether the step consumed an input
+    symbol (``consumed[i]``, 0 or 1), the emitted symbol ``emits[i]`` (or
+    ``None``) and the storage lengths ``lengths[i * k:(i + 1) * k]`` for
+    ``k`` storages.  ``records`` is the trace itself;
+    ``perfbench/tracer.py`` still reads it."""
+
+    def __init__(self, storage_ids: tuple[str, ...], initial: tuple[int, ...]):
+        self.storage_ids = storage_ids
+        self.initial = initial
+        self.actions: list[tuple] = []
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.actions)
 
     @property
     def records(self) -> Trace:
         return self
 
-    def lengths_of(self, storage: str) -> array:
-        """The length of ``storage`` after each step."""
+    @cached_property
+    def _rows(self) -> bytes:
+        """Each step's row of its action (``k + 2`` bytes): whether it
+        consumed, whether it changed a length, then each storage's change of
+        length (1, 255 for -1, or 0)."""
+        buf = io.BytesIO()
+        buf.writelines(map(itemgetter(-1), self.actions))
+        return buf.getvalue()
+
+    @cached_property
+    def states(self) -> list[str]:
+        return list(map(itemgetter(0), self.actions))
+
+    @cached_property
+    def consumed(self) -> bytearray:
+        return bytearray(self._rows[::len(self.storage_ids) + 2])
+
+    @cached_property
+    def emits(self) -> list[str | None]:
+        return list(map(itemgetter(2), self.actions))
+
+    @cached_property
+    def lengths(self) -> array:
+        k, n, rows = len(self.storage_ids), len(self), self._rows
+        changed = rows[1::k + 2]
+        # Built by row, a changing step costs about as much as 32 entries by column.
+        if 32 * changed.count(1) < k * n:
+            return self._lengths_by_row(changed)
+        lengths = array("q", self.initial) * n
+        for j, first in enumerate(self.initial):   # a running sum per storage
+            column = accumulate(array("b", rows[j + 2::k + 2]), initial=first)
+            lengths[j::k] = array("q", struct.pack(f"{n + 1}q", *column))[1:]
+        return lengths
+
+    def _lengths_by_row(self, changed: bytes) -> array:
+        """``lengths`` as one row of lengths repeated until a step changes
+        it (``changed[i]`` is 1): the cheaper way where few steps do."""
+        k, n, patches = len(self.storage_ids), len(self), {}
+        row, last = array("q", self.initial), 0
+        lengths = row * n
+        for i, action in compress(enumerate(self.actions), changed):
+            lengths[last * k:i * k] = row * (i - last)
+            changes = action[-1]
+            if changes not in patches:   # its changed storages and by how much
+                patches[changes] = [(j, d) for j, d in enumerate(array("b", changes)[2:]) if d]
+            for j, d in patches[changes]:
+                row[j] += d
+            last = i
+        lengths[last * k:] = row * (n - last)
+        return lengths
+
+    def _index(self, storage: str) -> int:
         try:
-            j = self.storage_ids.index(storage)
+            return self.storage_ids.index(storage)
         except ValueError:
             raise ValueError(f"unknown storage {storage!r}; trace covers "
                              f"{self.storage_ids}") from None
-        return self.lengths[j::len(self.storage_ids)]
+
+    def lengths_of(self, storage: str) -> array:
+        """The length of ``storage`` after each step."""
+        return self.lengths[self._index(storage)::len(self.storage_ids)]
+
+    def length_after(self, storage: str, step: int) -> int:
+        """The length of ``storage`` after step ``step`` (0: before step 1),
+        counted from its changes without building ``lengths``."""
+        j = self._index(storage)
+        if not 0 <= step <= len(self):
+            raise ValueError(f"step {step} outside trace of {len(self)} steps")
+        changes = self._rows[j + 2::len(self.storage_ids) + 2]
+        return self.initial[j] + changes.count(1, 0, step) - changes.count(255, 0, step)
 
     def to_lines(self) -> list[str]:
         """Render the trace in its file format, one step per line."""
@@ -377,7 +446,7 @@ class Trace:
             f"len({i})" for i in self.storage_ids) + ",emit"
         # Each step's lengths as one string, built a storage column at a time.
         lens = (map(",".join, zip(*(map(str, self.lengths_of(i)) for i in self.storage_ids)))
-                if self.storage_ids else [""] * len(self.states))
+                if self.storage_ids else [""] * len(self))
         return [header] + [f"{i},{state},{'y' if consumed else 'n'},{ls},{emit or ''}"
                            for i, (state, consumed, ls, emit) in enumerate(
                                zip(self.states, self.consumed, lens, self.emits), 1)]
@@ -448,6 +517,18 @@ def _effect(storage: StorageSpec, view: str, op: QueueOp | TapeOp) -> tuple[int,
     return _APPEND if queue and view != EMPTY else _APPEND_SET, op.push
 
 
+_GROW, _SHRINK = {_APPEND, _APPEND_SET}, {_POPLEFT, _POP}
+
+
+def _change(storage: StorageSpec, view: str, code: int, arg: str | None) -> int:
+    """What the effect ``(code, arg)`` on a storage whose view is ``view``
+    adds to its length: -1, 0 or 1 (a tape's length is its non-blank cells)."""
+    if storage.kind is Kind.TAPE:
+        blank = storage.blank_cell
+        return 0 if arg is None else (arg != blank) - (view != blank)
+    return (code in _GROW) - (code in _SHRINK)
+
+
 def _fault(storage: StorageSpec) -> str:
     """The fault of an action on ``storage``: its one impossible effect."""
     if storage.kind is Kind.TAPE:
@@ -462,8 +543,10 @@ def _fault(storage: StorageSpec) -> str:
 # ``aj``.  Per storage kind, its lines at the start of a run, its branch in a
 # step and its lines in the ``finally``.  A marker line ``@name`` becomes the
 # lines ``_WATCH`` and ``_TRACE`` give ``name`` in watched and traced loops,
-# and nothing in a plain one.  The dead ``if False`` block numbers a step's
-# locals first (CPython numbers them as met; past 256, each use costs more).
+# and nothing in a plain one.  A traced loop reads the traced cache, whose
+# actions end in their row for the trace.  The dead ``if False`` block
+# numbers a step's locals first (CPython numbers them as met; past 256, each
+# use costs more).
 _LOOP_SETUP = {
     Kind.QUEUE: "v{j} = s{j}[0] if s{j} else EMPTY\n@setup",
     Kind.PUSHDOWN: "v{j} = s{j}[-1] if s{j} else EMPTY\n@setup",
@@ -530,8 +613,8 @@ _LOOP_FINAL = {**dict.fromkeys(Kind, "@final"), Kind.TAPE: "s{j}.head = head{j}\
 _LOOP = """\
 def run_loop(ex, cfg, limit, trace, maxes):
     if False:   # never runs: the compiler meets a step's locals here first
-        state = pos = steps = view = action = next_state = consume = emit = add_state = None
-        add_consumed = add_emit = add_lengths{hot} = None
+        state = pos = steps = view = action = next_state = consume = emit = None
+        add_action = change{hot} = None
     cache, compile_ = ex._cache, ex._compile
     word = cfg.input
     n = len(word)
@@ -551,7 +634,7 @@ def run_loop(ex, cfg, limit, trace, maxes):
                 action = compile_((state, view{views}))
             if action is None:
                 return True
-            next_state, consume, emit{slots} = action
+            next_state, consume, emit{slots}{change} = action
             if consume:
                 if pos >= n:
                     raise ExecutionFault("input consumed past end of word")
@@ -576,13 +659,10 @@ _WATCH = {"setup": "l{j}, m{j}, p{j} = len(s{j}), maxes[{j}], -1\n",
           "grow": "l{j} += 1\n" + _PEAK, "shrink": "l{j} -= 1\n",
           "write": f"l{{j}} += {_TAPE_DELTA}\n" + _PEAK,
           "final": "maxes[{j}] = m{j} - (p{j} == steps)\n"}
-# A traced run keeps the lengths in one row, appended after each step.
-_TRACE = {"begin": 'lengths = array("q", cfg.storage_lengths())\n'
-                   "add_state, add_consumed = trace.states.append, trace.consumed.append\n"
-                   "add_emit, add_lengths = trace.emits.append, trace.lengths.extend\n",
-          "grow": "lengths[{j}] += 1\n", "shrink": "lengths[{j}] -= 1\n",
-          "write": f"lengths[{{j}}] += {_TAPE_DELTA}\n",
-          "step": "add_state(state)\nadd_consumed(consume)\nadd_emit(emit)\nadd_lengths(lengths)\n"}
+# A traced run appends each step's action to the trace and tracks no lengths.
+_TRACE = {"begin": "cache, compile_ = ex._traced, partial(ex._compile, traced=True)\n"
+                   "add_action = trace.actions.append\n",
+          "step": "add_action(action)\n"}
 _MARKER = re.compile(r"^( *)@(\w+)\n?", re.M)
 
 
@@ -610,7 +690,7 @@ def _run_loop(layout: tuple[Kind, ...], watch: bool, traced: bool):
     source = expand(_LOOP).format(
         stores=", ".join(f"s{j}" for j in js) + "," if js else "_",
         views="".join(f", v{j}" for j in js),
-        slots="".join(f", c{j}, a{j}" for j in js),
+        slots="".join(f", c{j}, a{j}" for j in js), change=", change" if traced else "",
         hot="".join(f" = v{j} = c{j} = a{j}" for j in js),
         setup=lines(_LOOP_SETUP, "    "), apply=lines(_LOOP_APPLY, " " * 12),
         final=lines(_LOOP_FINAL, " " * 8))
@@ -640,8 +720,12 @@ class Executor:
     first time a key is looked up it is compiled to ``None`` (no rule
     applies) or to ``(next_state, consume, emit, code 0, arg 0, code 1,
     arg 1, ...)``: per storage, in its fixed slots, what the action does to
-    it (see :func:`_effect`).  The plain run loop is built with the
-    executor; the loops of watched and traced runs on first use.  A
+    it (see :func:`_effect`).  Traced runs use a cache of their own, whose
+    actions end in one more slot, their row for the trace: a byte for
+    ``consume``, one for whether any storage's length changes, then per
+    storage one for its change of length (1, 255 for -1, or 0).  The plain
+    run loop is built with the executor; the loops of watched and traced
+    runs on first use.  A
     :class:`MachineSpec` is immutable, so one executor can serve any number
     of runs; each run's state lives in its own :class:`Configuration`.
     """
@@ -654,6 +738,7 @@ class Executor:
         for rules in self.rules_by_state.values():
             rules.sort(key=Rule.specificity, reverse=True)
         self._cache: dict[tuple, tuple | None] = {}
+        self._traced: dict[tuple, tuple | None] = {}
         self._post = spec.mode is Mode.POST
         self._layout = tuple(s.kind for s in spec.storages)
         self._loop = _run_loop(self._layout, False, False)
@@ -679,7 +764,7 @@ class Executor:
 
     # -- stepping ----------------------------------------------------------
 
-    def _compile(self, key: tuple) -> tuple | None:
+    def _compile(self, key: tuple, traced: bool = False) -> tuple | None:
         state, input_view, *views = key
         action = None
         for rule in self.rules_by_state.get(state, ()):
@@ -687,8 +772,12 @@ class Executor:
                 action = (rule.next_state, rule.consume, rule.emit,
                           *(x for st, view, op in zip(self.spec.storages, views, rule.ops)
                             for x in _effect(st, view, op)))
+                if traced:   # its row for the trace (see Trace._rows)
+                    changes = [_change(*effect) & 255 for effect in zip(
+                        self.spec.storages, views, action[3::2], action[4::2])]
+                    action += (bytes((rule.consume, any(changes), *changes)),)
                 break
-        self._cache[key] = action
+        (self._traced if traced else self._cache)[key] = action
         return action
 
     # -- running -----------------------------------------------------------
@@ -697,7 +786,7 @@ class Executor:
             trace: bool = False, watch_lengths: bool = False) -> RunResult:
         cfg = self.initial(word)
         limit = default_step_limit(len(word)) if max_steps is None else max_steps
-        tr = Trace(self._storage_ids) if trace else None
+        tr = Trace(self._storage_ids, cfg.storage_lengths()) if trace else None
         maxes = list(cfg.storage_lengths()) if watch_lengths else None
         loop = (_run_loop(self._layout, bool(watch_lengths), bool(trace))
                 if trace or watch_lengths else self._loop)

@@ -5,12 +5,14 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmlab.analysis import lprime_timing
 from qmlab.machine import (
     EMPTY,
     NO_SYMBOL,
@@ -37,6 +39,7 @@ from qmlab.machine import (
     validate_spec,
     _Tape,
 )
+from qmlab.oracles import gen_lprime
 
 words_ab = st.text(alphabet="ab", min_size=1, max_size=40)
 
@@ -441,6 +444,26 @@ class TestTraceChecks:
         assert tr.records is tr
         assert len(tr) == len(steps_of(tr)) == 4
         assert steps_of(tr)[-1] == StepRecord(4, "go", False, (0,), "b")
+
+    def test_length_after(self):
+        tr = self.trace_of("ab")
+        assert [tr.length_after("s", i) for i in range(len(tr) + 1)] == [0, 1, 2, 1, 0]
+        for storage, step in (("nope", 0), ("s", -1), ("s", len(tr) + 1)):
+            with pytest.raises(ValueError):
+                tr.length_after(storage, step)
+
+    def test_lprime_timing_memory_per_step(self):
+        """``lprime_timing`` reads ``consumed`` and a few queue lengths, so a
+        trace keeps its actions and builds no length column."""
+        inst = gen_lprime(12, 1)
+        lprime_timing(inst)   # the executor and its caches exist before measuring
+        tracemalloc.start()
+        try:
+            timing = lprime_timing(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * (timing.prefix_length + timing.tail_steps)
 
     def test_trace_file_format(self):
         tr = self.trace_of("ab")

@@ -7,10 +7,10 @@ Plain, watched and traced ``Executor.run`` and the public ``step`` API must
 each agree with it on verdict, output, steps, input consumed, fault text,
 halt reason, per-step records and peak storage lengths, and ``step`` must
 leave the same configuration behind, after a fault too.  A traced run's
-trace file lines, ``check_realtime``, ``minimal_delay`` and
-``storage_length_series`` must equal values computed from the reference's
-records.  The machines are the builtins, a few hand-written ones and
-randomly generated valid specs.
+trace file lines, ``check_realtime``, ``minimal_delay``,
+``storage_length_series`` and ``Trace.length_after`` must equal values
+computed from the reference's records.  The machines are the builtins, a
+few hand-written ones and randomly generated valid specs.
 """
 
 from dataclasses import dataclass
@@ -219,7 +219,7 @@ _ANBN_WORDS = st.one_of(st.text("ab", max_size=10),
 
 MACHINES = {
     "lprime": (lambda: builtin("lprime"), _lprime_words()),
-    **{f"mk:{k}": (lambda k=k: builtin(f"mk:{k}"), _fk_words(k)) for k in (1, 2, 3, 5)},
+    **{f"mk:{k}": (lambda k=k: builtin(f"mk:{k}"), _fk_words(k)) for k in (1, 2, 3, 5, 9)},
     **{f"tk:{k}": (lambda k=k: builtin(f"tk:{k}"), _fk_words(k)) for k in (1, 2)},
     "anbn:linear": (lambda: builtin("anbn:linear"), _ANBN_WORDS),
     "anbn:quadratic": (lambda: builtin("anbn:quadratic"), _ANBN_WORDS),
@@ -265,6 +265,11 @@ def check_runs(spec, word, max_steps):
     assert [(r.step, r.state, r.consumed, r.lengths, r.emit)
             for r in core.steps_of(traced.trace)] == ref.rows
     check_trace(spec, traced.trace, ref.rows)
+    initial = ex.initial(word).storage_lengths()
+    for j, ident in enumerate(traced.trace.storage_ids):
+        after = traced.trace.lengths_of(ident)
+        assert [traced.trace.length_after(ident, i) for i in range(len(after) + 1)] == [
+            initial[j], *after]
     assert both.max_lengths == watched.max_lengths
     assert both.trace.to_lines() == traced.trace.to_lines()
 

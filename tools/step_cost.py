@@ -6,9 +6,12 @@ seeded bits.
 
 For each machine, one seeded word (the kind ``analysis.growth_point`` runs)
 is run on one executor in three ways: plain, with ``watch_lengths=True`` and
-with ``trace=True``.  After one untimed warm-up run of each, the three are
-timed in that order, ``REPEAT`` times over; a mode's figure is its fastest
-repeat divided by the run's steps, in ns/step.  ``bits`` is the fastest
+with ``trace=True``.  A traced run is timed together with reading its
+``consumed`` and ``lengths`` columns, as ``Trace.to_lines`` and the trace
+checks do, since a trace builds its columns when they are first read.
+After one untimed warm-up run of each, the three are timed in that order,
+``REPEAT`` times over; a mode's figure is its fastest repeat divided by the
+run's steps, in ns/step.  ``bits`` is the fastest
 ``SplitMix64(seed).bits(n)`` call, in µs per 1,000 bits, for each ``n``.
 The program is imported from ``src/`` next to this directory.  The last line
 printed is one JSON object.  Standard library only.
@@ -55,19 +58,26 @@ def best(fn, repeat: int) -> float:
     return min(times)
 
 
+def read_trace(res) -> None:
+    """Read the columns that ``Trace.to_lines`` and the trace checks read."""
+    res.trace.consumed, res.trace.lengths
+
+
 def run_costs(repeat: int) -> dict:
-    modes = {"plain": {}, "watched": {"watch_lengths": True}, "traced": {"trace": True}}
     out = {}
     for name, word in words().items():
         ex = Executor(builtin(name))
+        modes = {"plain": lambda: ex.run(word),
+                 "watched": lambda: ex.run(word, watch_lengths=True),
+                 "traced": lambda: read_trace(ex.run(word, trace=True))}
         steps = ex.run(word).steps
-        for kwargs in modes.values():
-            ex.run(word, **kwargs)
+        for run in modes.values():
+            run()
         times = {mode: [] for mode in modes}
         for _ in range(repeat):   # the modes interleaved, so drift hits each alike
-            for mode, kwargs in modes.items():
+            for mode, run in modes.items():
                 t = time.perf_counter()
-                ex.run(word, **kwargs)
+                run()
                 times[mode].append(time.perf_counter() - t)
         ns = {mode: 1e9 * min(t) / steps for mode, t in times.items()}
         out[name] = {"symbols": len(word), "steps": steps,
