@@ -50,8 +50,9 @@ MAX_WORKERS = 64
 
 
 def effective_workers(workers: int | None = None) -> int:
-    """``workers`` if given, else ``QMLAB_WORKERS`` if set, else the CPU count
-    up to 8; 0 means 1.  A count outside 0..MAX_WORKERS is a ValueError."""
+    """``workers`` if given, else ``QMLAB_WORKERS`` if set, else the number of
+    CPUs this process may run on, up to 8; 0 means 1.  A count outside
+    0..MAX_WORKERS is a ValueError."""
     source = "--workers"
     if workers is None and (env := os.environ.get("QMLAB_WORKERS")):
         try:
@@ -59,7 +60,9 @@ def effective_workers(workers: int | None = None) -> int:
         except ValueError:
             raise ValueError(f"QMLAB_WORKERS must be an integer, got {env!r}") from None
     if workers is None:
-        return max(1, min(8, os.cpu_count() or 1))
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count())
+        return max(1, min(8, usable or 1))
     if not 0 <= workers <= MAX_WORKERS:
         raise ValueError(f"{source} must be in 0..{MAX_WORKERS}, not {workers}")
     return max(1, workers)
@@ -217,7 +220,7 @@ def _scan_task(comp: tuple[int, int, int, int]) -> tuple[int, list[str]]:
     for tup in itertools.product(*slots):
         word = "".join(tup)
         checked += 1
-        got = run_word(word).verdict is Verdict.ACCEPT
+        got = run_word(word).accepted
         want = in_lprime(word)
         if got != want:
             if len(bad) < 5:
@@ -258,7 +261,7 @@ def _structured_task(task: tuple[str, int, int, int]) -> tuple[str, int, list[st
             word, want = inst.render(), True
         else:
             word, want = mutate_negative(inst, kind, seed + j), False
-        got = ex.run(word).verdict is Verdict.ACCEPT
+        got = ex.run(word).accepted
         if got != want or in_lprime(word) != want:
             if len(bad) < 5:
                 bad.append(f"seed={seed + j} word-length={len(word)} "
@@ -357,7 +360,7 @@ def anbn_suite(len_max: int = 14) -> list[Check]:
         count = 0
         for word in _anbn_words(len_max):
             count += 1
-            got = ex.run(word).verdict is Verdict.ACCEPT
+            got = ex.run(word).accepted
             if got != is_anbn(word) and len(bad) < 5:
                 bad.append(word)
         checks.append(Check(f"anbn:{variant}.exhaustive", not bad,

@@ -465,7 +465,7 @@ class RunResult:
 
     @property
     def accepted(self) -> bool:
-        return self.verdict is Verdict.ACCEPT
+        return self.verdict is _ACCEPT
 
 
 def default_step_limit(input_len: int) -> int:
@@ -537,16 +537,16 @@ def _fault(storage: StorageSpec) -> str:
 
 
 # The run loop, as a template specialised by :func:`_run_loop` to a storage
-# layout and to what a run observes.  Storage j lives in locals: its object
-# ``sj``, its view ``vj`` and, for a tape, its ``cellsj``, ``headj`` and
-# ``blankj``; its effect code and argument in an action are ``cj`` and
-# ``aj``.  Per storage kind, its lines at the start of a run, its branch in a
-# step and its lines in the ``finally``.  A marker line ``@name`` becomes the
-# lines ``_WATCH`` and ``_TRACE`` give ``name`` in watched and traced loops,
-# and nothing in a plain one.  A traced loop reads the traced cache, whose
-# actions end in their row for the trace.  The dead ``if False`` block
-# numbers a step's locals first (CPython numbers them as met; past 256, each
-# use costs more).
+# layout, to where a run starts and to what it observes.  Storage j lives in
+# locals: its object ``sj``, its view ``vj`` and, for a tape, its ``cellsj``,
+# ``headj`` and ``blankj``; its effect code and argument in an action are
+# ``cj`` and ``aj``.  Per storage kind, its new object, its lines at the start
+# of a run, its branch in a step and its lines in the ``finally`` of a step.
+# A marker line ``@name`` becomes the lines ``_WORD`` or ``_CONFIG`` (where a
+# loop starts and ends), ``_WATCH`` and ``_TRACE`` give ``name``, or nothing.
+# A traced loop reads the traced cache, whose actions end in their row for
+# the trace.  The dead ``if False`` block numbers a step's locals first
+# (CPython numbers them as met; past 256, each use costs more).
 _LOOP_SETUP = {
     Kind.QUEUE: "v{j} = s{j}[0] if s{j} else EMPTY\n@setup",
     Kind.PUSHDOWN: "v{j} = s{j}[-1] if s{j} else EMPTY\n@setup",
@@ -609,22 +609,20 @@ if c{j}:
         @write
         cells{j}[head{j}] = v{j} = a{j}""",
 }
-_LOOP_FINAL = {**dict.fromkeys(Kind, "@final"), Kind.TAPE: "s{j}.head = head{j}\n@final"}
+_LOOP_NEW = {Kind.QUEUE: "deque()", Kind.PUSHDOWN: "[]", Kind.TAPE: "ex._factories[{j}]()"}
+_LOOP_FINAL = {**dict.fromkeys(Kind, ""), Kind.TAPE: "s{j}.head = head{j}"}
 _LOOP = """\
-def run_loop(ex, cfg, limit, trace, maxes):
+def run_loop(ex, {params}):
     if False:   # never runs: the compiler meets a step's locals here first
         state = pos = steps = view = action = next_state = consume = emit = None
         add_action = change{hot} = None
     cache, compile_ = ex._cache, ex._compile
-    word = cfg.input
+    @enter
     n = len(word)
-    # The input view at position pos; pos never passes n.
-    padded = NO_SYMBOL * (n + 1) if ex._post else word + NO_SYMBOL
-    {stores} = cfg.stores
+    padded = NO_SYMBOL * (n + 1) if ex._post else word + NO_SYMBOL   # padded[pos]: input view
 {setup}
     @begin
-    emit_ = cfg.output.append
-    state, pos, steps = cfg.state, cfg.input_pos, cfg.steps
+    emit_ = output.append
     view = padded[pos]
     try:
         while steps < limit:
@@ -633,7 +631,7 @@ def run_loop(ex, cfg, limit, trace, maxes):
             except KeyError:
                 action = compile_((state, view{views}))
             if action is None:
-                return True
+                @halt
             next_state, consume, emit{slots}{change} = action
             if consume:
                 if pos >= n:
@@ -646,37 +644,72 @@ def run_loop(ex, cfg, limit, trace, maxes):
             state = next_state
             steps += 1
             @step
-        return False
-    finally:
-        cfg.state, cfg.input_pos, cfg.steps = state, pos, steps
+        @limit
+    @exit
 {final}
 """
+# A run from a word: fresh storages (a post-mode machine's storage 0 holds the
+# word), the verdict at the halt by the acceptance kind, and the RunResult.
+_WORD = {"enter": """\
+alphabet = ex.spec.input_alphabet
+if not alphabet.issuperset(word):
+    for i, symbol in enumerate(word):
+        if symbol not in alphabet:
+            raise InputSymbolError(symbol, i)
+limit = 64 * (len(word) + 1) ** 2 if max_steps is None else max_steps   # default_step_limit
+{stores} = {new}
+if ex._post:
+    s0.extend(word)
+state, pos, steps, output = ex.spec.start, 0, 0, []
+""",
+         "halt": "accept = (word or ex.spec.epsilon_accept) and {accepts}\n"
+                 "verdict = _ACCEPT if accept else _REJECT\n"
+                 'reason, fault = "no_rule", None\nbreak\n',
+         "limit": 'else:\n    verdict, reason, fault = _STEP_LIMIT, "step_limit", None\n',
+         "exit": "except ExecutionFault as exc:\n"
+                 '    verdict, reason, fault = _FAULT, "fault", str(exc)\n'
+                 'return RunResult(verdict, "".join(output), steps, pos, reason, {trace}, fault, '
+                 '{peaks})\n'}
+_ACCEPTS = {Acceptance.OUTPUT_BIT: 'output[-1:] == ["1"]',
+            Acceptance.FINAL_STATES: "(ex._post or pos == n) and state in ex.spec.finals",
+            Acceptance.EMPTY_STORAGES: "(ex._post or pos == n) and not ({empty})"}
+# Steps of a Configuration, in place, for step().
+_CONFIG = {"enter": """\
+{stores} = cfg.stores
+word, output, state, pos, steps = cfg.input, cfg.output, cfg.state, cfg.input_pos, cfg.steps
+""",
+           "halt": "return True\n", "limit": "return False\n",
+           "exit": "finally:\n    cfg.state, cfg.input_pos, cfg.steps = state, pos, steps\n"}
 _TAPE_DELTA = "(a{j} != blank{j}) - (v{j} != blank{j})"   # a write's change of the length
 _PEAK = "if l{j} > m{j}:\n    m{j}, p{j} = l{j}, steps\n"       # raised in step pj
-# A watched run keeps storage j's length in lj and its peak in mj; the
-# ``finally`` undoes a peak raised by a faulting step (by one, a step's most).
-_WATCH = {"setup": "l{j}, m{j}, p{j} = len(s{j}), maxes[{j}], -1\n",
+# A watched run keeps storage j's length in lj and its peak in mj; its
+# result undoes a peak raised by a faulting step (by one, a step's most).
+_WATCH = {"setup": "l{j} = m{j} = len(s{j})\np{j} = -1\n",
           "grow": "l{j} += 1\n" + _PEAK, "shrink": "l{j} -= 1\n",
-          "write": f"l{{j}} += {_TAPE_DELTA}\n" + _PEAK,
-          "final": "maxes[{j}] = m{j} - (p{j} == steps)\n"}
+          "write": f"l{{j}} += {_TAPE_DELTA}\n" + _PEAK}
 # A traced run appends each step's action to the trace and tracks no lengths.
-_TRACE = {"begin": "cache, compile_ = ex._traced, partial(ex._compile, traced=True)\n"
+_TRACE = {"begin": "trace = Trace(ex._storage_ids, tuple(map(len, ({stores}))))\n"
+                   "cache, compile_ = ex._traced, partial(ex._compile, traced=True)\n"
                    "add_action = trace.actions.append\n",
           "step": "add_action(action)\n"}
 _MARKER = re.compile(r"^( *)@(\w+)\n?", re.M)
 
 
 @lru_cache(maxsize=256)
-def _run_loop(layout: tuple[Kind, ...], watch: bool, traced: bool):
-    """The run loop for storages of the kinds ``layout``:
-    ``run_loop(ex, cfg, limit, trace, maxes)`` steps ``cfg`` in place until no
-    rule applies (returns True) or ``cfg.steps`` reaches ``limit`` (False),
-    appending each completed step to ``trace`` if ``traced`` and raising the
-    peaks in ``maxes`` to the lengths after it if ``watch``.  On
-    :class:`ExecutionFault` ``cfg`` keeps what the faulting step did before
-    the fault (input consumed, earlier storages changed) but not its new
-    state or its step, and neither ``trace`` nor ``maxes`` counts that step."""
-    extras = [extra for on, extra in ((watch, _WATCH), (traced, _TRACE)) if on]
+def _run_loop(layout: tuple[Kind, ...], acceptance: Acceptance | None,
+              watch: bool = False, traced: bool = False):
+    """The run loop for storages of the kinds ``layout``.  With an
+    ``acceptance`` kind, ``run_loop(ex, word, max_steps)`` is all of
+    :meth:`Executor.run` for specs of that kind, from the word to the
+    :class:`RunResult`, tracing the completed steps if ``traced`` and
+    keeping the peaks after them if ``watch``.  With None,
+    ``run_loop(ex, cfg, limit)`` steps ``cfg`` in place until no rule applies
+    (returns True) or ``cfg.steps`` reaches ``limit`` (False).  A faulting
+    step keeps what it did before the fault (input consumed, earlier
+    storages changed) but not its new state or its step: neither ``cfg``
+    nor a run's result counts it."""
+    extras = [extra for on, extra in ((True, _CONFIG if acceptance is None else _WORD),
+                                      (watch, _WATCH), (traced, _TRACE)) if on]
 
     def expand(template: str) -> str:   # each marker line, as its extra lines
         return _MARKER.sub(lambda m: textwrap.indent(
@@ -688,27 +721,22 @@ def _run_loop(layout: tuple[Kind, ...], watch: bool, traced: bool):
 
     js = range(len(layout))
     source = expand(_LOOP).format(
+        params="word, max_steps" if acceptance else "cfg, limit",
         stores=", ".join(f"s{j}" for j in js) + "," if js else "_",
+        new="".join(f"{_LOOP_NEW[kind].format(j=j)}, " for j, kind in enumerate(layout)) or "()",
+        accepts=_ACCEPTS.get(acceptance, "").format(
+            empty=" or ".join(f"s{j}" for j in js) or "()"),
         views="".join(f", v{j}" for j in js),
         slots="".join(f", c{j}, a{j}" for j in js), change=", change" if traced else "",
         hot="".join(f" = v{j} = c{j} = a{j}" for j in js),
+        trace="trace" if traced else "None",
+        peaks="(" + "".join(f"m{j} - (p{j} == steps), " for j in js) + ")" if watch else "None",
         setup=lines(_LOOP_SETUP, "    "), apply=lines(_LOOP_APPLY, " " * 12),
-        final=lines(_LOOP_FINAL, " " * 8))
+        final=lines(_LOOP_FINAL, " " * 8) if acceptance is None else "")
     namespace: dict = {}
     exec(compile(source, f"<run loop {','.join(k.value for k in layout)}>", "exec"),
          globals(), namespace)
     return namespace["run_loop"]
-
-
-def _acceptance_test(spec: MachineSpec):
-    """Whether a run of ``spec`` that halted in ``cfg`` accepts a non-empty
-    word: one test, chosen by the acceptance kind."""
-    if spec.acceptance is Acceptance.OUTPUT_BIT:   # the last emitted symbol
-        return lambda cfg: cfg.output[-1:] == ["1"]
-    post, finals = spec.mode is Mode.POST, spec.finals
-    if spec.acceptance is Acceptance.FINAL_STATES:
-        return lambda cfg: (post or cfg.input_pos == len(cfg.input)) and cfg.state in finals
-    return lambda cfg: (post or cfg.input_pos == len(cfg.input)) and not any(cfg.stores)
 
 
 class Executor:
@@ -723,11 +751,12 @@ class Executor:
     it (see :func:`_effect`).  Traced runs use a cache of their own, whose
     actions end in one more slot, their row for the trace: a byte for
     ``consume``, one for whether any storage's length changes, then per
-    storage one for its change of length (1, 255 for -1, or 0).  The plain
-    run loop is built with the executor; the loops of watched and traced
-    runs on first use.  A
-    :class:`MachineSpec` is immutable, so one executor can serve any number
-    of runs; each run's state lives in its own :class:`Configuration`.
+    storage one for its change of length (1, 255 for -1, or 0).  A run is
+    one call of a loop generated for the layout and the acceptance kind, with
+    the run's state in its locals and no :class:`Configuration`: the plain
+    loop is built with the executor, those of watched and traced runs on
+    first use.  A :class:`MachineSpec` is immutable, so one executor can
+    serve any number of runs.
     """
 
     def __init__(self, spec: MachineSpec):
@@ -741,12 +770,11 @@ class Executor:
         self._traced: dict[tuple, tuple | None] = {}
         self._post = spec.mode is Mode.POST
         self._layout = tuple(s.kind for s in spec.storages)
-        self._loop = _run_loop(self._layout, False, False)
+        self._run = _run_loop(self._layout, spec.acceptance)
         self._factories = tuple(partial(_Tape, s.blank_cell) if s.kind is Kind.TAPE
                                 else deque if s.kind is Kind.QUEUE else list
                                 for s in spec.storages)
         self._storage_ids = tuple(s.ident for s in spec.storages)
-        self._accepts = _acceptance_test(spec)
 
     # -- configuration -----------------------------------------------------
 
@@ -784,23 +812,10 @@ class Executor:
 
     def run(self, word: str, max_steps: int | None = None,
             trace: bool = False, watch_lengths: bool = False) -> RunResult:
-        cfg = self.initial(word)
-        limit = default_step_limit(len(word)) if max_steps is None else max_steps
-        tr = Trace(self._storage_ids, cfg.storage_lengths()) if trace else None
-        maxes = list(cfg.storage_lengths()) if watch_lengths else None
-        loop = (_run_loop(self._layout, bool(watch_lengths), bool(trace))
-                if trace or watch_lengths else self._loop)
-        reason, fault = "no_rule", None
-        try:
-            if loop(self, cfg, limit, tr, maxes):
-                accept = (word or self.spec.epsilon_accept) and self._accepts(cfg)
-                verdict = _ACCEPT if accept else _REJECT
-            else:
-                verdict, reason = _STEP_LIMIT, "step_limit"
-        except ExecutionFault as exc:
-            verdict, reason, fault = _FAULT, "fault", str(exc)
-        return RunResult(verdict, "".join(cfg.output), cfg.steps, cfg.input_pos, reason,
-                         tr, fault, None if maxes is None else tuple(maxes))
+        if trace or watch_lengths:
+            return _run_loop(self._layout, self.spec.acceptance, bool(watch_lengths),
+                             bool(trace))(self, word, max_steps)
+        return self._run(self, word, max_steps)
 
 
 @lru_cache(maxsize=128)
@@ -812,7 +827,7 @@ def step(spec: MachineSpec, cfg: Configuration) -> StepRecord | None:
     """Apply one step in place; returns ``None`` when the machine halts."""
     ex = executor_for(spec)
     pos, emitted = cfg.input_pos, len(cfg.output)
-    if ex._loop(ex, cfg, cfg.steps + 1, None, None):
+    if _run_loop(ex._layout, None)(ex, cfg, cfg.steps + 1):
         return None
     return StepRecord(cfg.steps, cfg.state, cfg.input_pos > pos, cfg.storage_lengths(),
                       cfg.output[-1] if len(cfg.output) > emitted else None)

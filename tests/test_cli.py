@@ -544,6 +544,17 @@ class TestBench:
                      "--max-exp", "9"]) == 2
 
 
+def test_default_workers_are_the_usable_cpus(monkeypatch):
+    # A process pinned to one CPU starts one worker, however many the host has.
+    from qmlab.analysis import effective_workers
+    monkeypatch.delenv("QMLAB_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert effective_workers() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(12)))
+    assert effective_workers() == 8
+
+
 def test_workers_env_override(monkeypatch):
     from qmlab.analysis import effective_workers
     monkeypatch.setenv("QMLAB_WORKERS", "3")

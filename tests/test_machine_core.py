@@ -314,11 +314,21 @@ class TestInitialConfiguration:
         cfg = executor_for(spec).initial("aabb")
         assert contents(cfg, 0) == ("a", "a", "b", "b")
 
-    def test_bad_symbol_rejected_with_position(self):
-        spec = echo_machine(Kind.QUEUE)
+    @pytest.mark.parametrize("mode", [Mode.ONLINE, Mode.POST], ids=["online", "post"])
+    @pytest.mark.parametrize("start", [
+        lambda ex, word: ex.initial(word), lambda ex, word: ex.run(word),
+        lambda ex, word: ex.run(word, trace=True),
+        lambda ex, word: ex.run(word, watch_lengths=True)],
+        ids=["initial", "run", "traced-run", "watched-run"])
+    def test_bad_symbol_rejected_with_position(self, start, mode):
+        # A run checks the word itself, before any step, as initial() does.
+        spec = (echo_machine(Kind.QUEUE) if mode is Mode.ONLINE else simple_machine(
+            Kind.QUEUE, Rule("s", NO_SYMBOL, ("a",), "s", ops=(QueueOp(pop=True),)),
+            mode=Mode.POST, states=("s",)))
+        assert validate_spec(spec).ok
         with pytest.raises(InputSymbolError) as exc:
-            executor_for(spec).initial("a7b")
-        assert exc.value.position == 1
+            start(executor_for(spec), "a7b")
+        assert (exc.value.symbol, exc.value.position) == ("7", 1)
 
 
 class TestRun:

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Per-step cost of plain, watched and traced runs, and the cost of drawing
-seeded bits.
+"""Per-step cost of plain, watched and traced runs, the cost of a short run,
+and the cost of drawing seeded bits.
 
     python3 tools/step_cost.py > costs.txt
 
@@ -11,7 +11,11 @@ with ``trace=True``.  A traced run is timed together with reading its
 checks do, since a trace builds its columns when they are first read.
 After one untimed warm-up run of each, the three are timed in that order,
 ``REPEAT`` times over; a mode's figure is its fastest repeat divided by the
-run's steps, in ns/step.  ``bits`` is the fastest
+run's steps, in ns/step.  ``short_run_us`` is the fastest of ``REPEAT``
+batches of ``SHORT_BATCH`` plain lprime runs on each of ``SHORT_WORDS``, in
+µs per run; ``short_run_over_plain_step`` divides the ``ab0c0`` figure by
+lprime's plain ns/step, both taken in this process, so that most of a
+drift of the host's speed between processes cancels.  ``bits`` is the fastest
 ``SplitMix64(seed).bits(n)`` call, in µs per 1,000 bits, for each ``n``.
 The program is imported from ``src/`` next to this directory.  The last line
 printed is one JSON object.  Standard library only.
@@ -25,6 +29,7 @@ import os
 import platform
 import sys
 import time
+import timeit
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -37,6 +42,8 @@ from qmlab.oracles import SplitMix64, gen_lprime  # noqa: E402
 SEED = 1
 BIT_COUNTS = (64, 1024, 8192)
 REPEAT = 7
+SHORT_WORDS = ("a", "ab0c0", "ab0c0ab")   # 1, 5 and 14 steps
+SHORT_BATCH = 2000
 
 
 def words() -> dict[str, str]:
@@ -87,6 +94,17 @@ def run_costs(repeat: int) -> dict:
     return out
 
 
+def short_run_costs(repeat: int) -> dict:
+    """µs per plain lprime run on each short word: a run's fixed cost."""
+    run_word = Executor(builtin("lprime")).run
+    out = {}
+    for word in SHORT_WORDS:
+        run_word(word)
+        batch = timeit.Timer("run_word(word)", globals={"run_word": run_word, "word": word})
+        out[word] = round(1e6 * min(batch.repeat(repeat, SHORT_BATCH)) / SHORT_BATCH, 3)
+    return out
+
+
 def bit_costs(repeat: int) -> dict:
     return {str(n): round(1e9 * best(lambda: SplitMix64(SEED).bits(n), repeat) / n, 3)
             for n in BIT_COUNTS}
@@ -94,12 +112,19 @@ def bit_costs(repeat: int) -> dict:
 
 def main() -> int:
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
+    runs = run_costs(REPEAT)
+    short = short_run_costs(REPEAT)
     result = {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
-              "repeat": REPEAT, "runs": run_costs(REPEAT),
+              "repeat": REPEAT, "runs": runs, "short_run_us": short,
+              "short_run_over_plain_step": round(
+                  1e3 * short["ab0c0"] / runs["lprime"]["plain_ns_per_step"], 2),
               "bits_us_per_1000": bit_costs(REPEAT)}
     for name, r in result["runs"].items():
         print(f"{name:<15} {r['steps']:>8} steps  plain {r['plain_ns_per_step']:>7} "
               f"watched {r['watched_ns_per_step']:>7} traced {r['traced_ns_per_step']:>7} ns/step")
+    for word, us in short.items():
+        print(f"lprime short run {word!r}: {us} µs")
+    print(f"an 'ab0c0' run costs {result['short_run_over_plain_step']} plain lprime steps")
     for n, us in result["bits_us_per_1000"].items():
         print(f"bits({n}): {us} µs per 1,000 bits")
     print(json.dumps(result))
