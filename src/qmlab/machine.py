@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice, takewhile
 from operator import itemgetter
 
 WILDCARD = "*"
@@ -122,14 +122,6 @@ class Rule:
     def specificity(self) -> tuple[int, ...]:
         pats = (self.input_pat,) + self.storage_pats
         return tuple(0 if p == WILDCARD else 1 for p in pats)
-
-    def matches(self, input_view: str, views: tuple[str, ...]) -> bool:
-        if self.input_pat != WILDCARD and self.input_pat != input_view:
-            return False
-        for pat, view in zip(self.storage_pats, views):
-            if pat != WILDCARD and pat != view:
-                return False
-        return True
 
     def pattern_key(self) -> tuple:
         return (self.state, self.input_pat) + self.storage_pats
@@ -492,6 +484,29 @@ _POP_EMPTY = 7        # pop on an empty queue or pushdown: faults
 _WRITE = 8            # tape write, head stays; view := arg
 _RIGHT = 9            # tape: write arg unless None, then move right
 _LEFT = 10            # tape: write arg unless None, then move left (faults at cell 0)
+# The sweep codes tag a pure self-loop of a plain action: the state stays, no
+# input is read, nothing is emitted and only this storage moves, by one of the
+# steps below.  Their arg is the set of this storage's views that compile to
+# the same step with the rest of the key the same; a run stays in the sweep
+# while the new view is in it (see _rotate and _sweep).
+_ROTATE = 11          # queue: pop the front and push it back
+_SWEEP_R = 12         # tape: move right without a write
+_SWEEP_L = 13         # tape: move left without a write (faults at cell 0)
+_SWEEPS = {_POPLEFT_APPEND: _ROTATE, _RIGHT: _SWEEP_R, _LEFT: _SWEEP_L}
+
+
+def _swept(action: tuple, views: list[str]) -> int | None:
+    """For an action that keeps its state, reads no input and emits
+    nothing: the one storage it changes, if it only rotates that queue (pops
+    the view and pushes it back) or moves that tape's head without a write;
+    else None."""
+    moved = [j for j, code in enumerate(action[3::2]) if code]
+    if len(moved) == 1:
+        j = moved[0]
+        code, arg = action[3 + 2 * j:5 + 2 * j]
+        if code in _SWEEPS and arg == (views[j] if code == _POPLEFT_APPEND else None):
+            return j
+    return None
 
 
 def _effect(storage: StorageSpec, view: str, op: QueueOp | TapeOp) -> tuple[int, str | None]:
@@ -536,6 +551,39 @@ def _fault(storage: StorageSpec) -> str:
     return f"pop on empty {storage.kind.value} {storage.ident!r}"
 
 
+def _rotate(queue: deque, members: set, steps: int, limit: int) -> int:
+    """The rest of a rotation sweep at once: while ``queue``'s front is in
+    ``members`` and the run is short of ``limit`` after the current step
+    (``steps`` done before it), one more step moves the front to the back.
+    Returns ``steps`` plus the steps it took."""
+    run = len(list(takewhile(members.__contains__, islice(queue, limit - steps - 1))))
+    if run == len(queue):   # every symbol rotates: the sweep runs to the limit
+        run = limit - steps - 1
+    queue.rotate(-run)
+    return steps + run
+
+
+def _sweep(cells: list, head: int, by: int, members: set, blank: str,
+           steps: int, limit: int) -> tuple[int, int]:
+    """The rest of a tape sweep by ``by`` (1 or -1) at once: while the cell
+    under the head is in ``members`` and the run is short of ``limit`` after
+    the current step, one more step moves the head.  It stops at cell 0,
+    where the next step faults on the normal path; past the end of
+    ``cells`` it appends a blank per step.  Returns ``steps`` plus the steps
+    it took, and the head."""
+    stop = head + by * (limit - steps - 1)
+    end = max(stop, 0) if by < 0 else min(stop, len(cells))
+    h = head
+    while h != end and cells[h] in members:
+        h += by
+    if h == len(cells):   # the head left the cells: each step appends a blank
+        cells.append(blank)
+        if blank in members:
+            cells.extend([blank] * (stop - h))
+            h = stop
+    return steps + by * (h - head), h
+
+
 # The run loop, as a template specialised by :func:`_run_loop` to a storage
 # layout, to where a run starts and to what it observes.  Storage j lives in
 # locals: its object ``sj``, its view ``vj`` and, for a tape, its ``cellsj``,
@@ -566,6 +614,11 @@ if c{j}:
     elif c{j} == {_POPLEFT_APPEND}:
         s{j}.popleft()
         s{j}.append(a{j})
+        v{j} = s{j}[0]
+    elif c{j} == {_ROTATE}:   # the step, then the rest of the sweep at once
+        s{j}.rotate(-1)
+        if s{j}[0] in a{j}:
+            steps = _rotate(s{j}, a{j}, steps, limit)
         v{j} = s{j}[0]
     elif c{j} == {_APPEND_SET}:
         s{j}.append(a{j})
@@ -605,9 +658,19 @@ if c{j}:
             raise ExecutionFault(_fault(ex.spec.storages[{j}]))
         head{j} -= 1
         v{j} = cells{j}[head{j}]
-    else:
+    elif c{j} == {_WRITE}:
         @write
-        cells{j}[head{j}] = v{j} = a{j}""",
+        cells{j}[head{j}] = v{j} = a{j}
+    else:   # a sweep: the move, then the rest of the sweep at once
+        by = 1 if c{j} == {_SWEEP_R} else -1
+        if head{j} + by < 0:
+            raise ExecutionFault(_fault(ex.spec.storages[{j}]))
+        head{j} += by
+        if head{j} == len(cells{j}):
+            cells{j}.append(blank{j})
+        if cells{j}[head{j}] in a{j}:
+            steps, head{j} = _sweep(cells{j}, head{j}, by, a{j}, blank{j}, steps, limit)
+        v{j} = cells{j}[head{j}]""",
 }
 _LOOP_NEW = {Kind.QUEUE: "deque()", Kind.PUSHDOWN: "[]", Kind.TAPE: "ex._factories[{j}]()"}
 _LOOP_FINAL = {**dict.fromkeys(Kind, ""), Kind.TAPE: "s{j}.head = head{j}"}
@@ -740,23 +803,33 @@ def _run_loop(layout: tuple[Kind, ...], acceptance: Acceptance | None,
 
 
 class Executor:
-    """Compiled form of a machine: per-state rule lists ordered by
-    specificity, a cache from concrete observations to compiled actions and
-    the run loops of its storage layout.
+    """Compiled form of a machine: per-state rule lists and, built on a
+    state's first compile, its rules indexed by pattern, a cache from
+    concrete observations to compiled actions and the run loops of its
+    storage layout.
 
     The cache key is ``(state, input view, view of storage 0, ...)``.  The
     first time a key is looked up it is compiled to ``None`` (no rule
     applies) or to ``(next_state, consume, emit, code 0, arg 0, code 1,
     arg 1, ...)``: per storage, in its fixed slots, what the action does to
-    it (see :func:`_effect`).  Traced runs use a cache of their own, whose
-    actions end in one more slot, their row for the trace: a byte for
-    ``consume``, one for whether any storage's length changes, then per
-    storage one for its change of length (1, 255 for -1, or 0).  A run is
-    one call of a loop generated for the layout and the acceptance kind, with
-    the run's state in its locals and no :class:`Configuration`: the plain
-    loop is built with the executor, those of watched and traced runs on
-    first use.  A :class:`MachineSpec` is immutable, so one executor can
-    serve any number of runs.
+    it (see :func:`_effect`).  The rule is found by one dict lookup per
+    wildcard mask of the state's patterns, the most specific mask first.
+    Equal actions are one object.  A pure self-loop (same state, no input
+    read, nothing emitted, one storage rotated or moved without a write,
+    the others kept) gets a sweep code in that storage's slot, and as its
+    argument the set of the views compiled to the same step in its context:
+    the key without that view, with the storage and the code.  All keys of
+    a context share that action, and its set grows as they are compiled, so
+    it holds only views proven pure; a run takes the rest of a sweep at once
+    while the new view is in it.  Traced runs use a cache of their own, with
+    no sweep codes, whose actions end in one more slot, their row for the
+    trace: a byte for ``consume``, one for whether any storage's length
+    changes, then per storage one for its change of length (1, 255 for -1,
+    or 0).  A run is one call of a loop generated for the layout and the
+    acceptance kind, with the run's state in its locals and no
+    :class:`Configuration`: the plain loop is built with the executor, those
+    of watched and traced runs on first use.  A :class:`MachineSpec` is
+    immutable, so one executor can serve any number of runs.
     """
 
     def __init__(self, spec: MachineSpec):
@@ -764,10 +837,11 @@ class Executor:
         self.rules_by_state: dict[str, list[Rule]] = {}
         for rule in spec.rules:
             self.rules_by_state.setdefault(rule.state, []).append(rule)
-        for rules in self.rules_by_state.values():
-            rules.sort(key=Rule.specificity, reverse=True)
         self._cache: dict[tuple, tuple | None] = {}
         self._traced: dict[tuple, tuple | None] = {}
+        self._by_pattern: dict[str, list[tuple[tuple[int, ...], dict]]] = {}
+        self._actions: dict[tuple, tuple] = {}
+        self._sweeps: dict[tuple, tuple] = {}   # a sweep's context: its action
         self._post = spec.mode is Mode.POST
         self._layout = tuple(s.kind for s in spec.storages)
         self._run = _run_loop(self._layout, spec.acceptance)
@@ -793,19 +867,45 @@ class Executor:
     # -- stepping ----------------------------------------------------------
 
     def _compile(self, key: tuple, traced: bool = False) -> tuple | None:
-        state, input_view, *views = key
-        action = None
-        for rule in self.rules_by_state.get(state, ()):
-            if rule.matches(input_view, views):   # presorted: first match wins
-                action = (rule.next_state, rule.consume, rule.emit,
-                          *(x for st, view, op in zip(self.spec.storages, views, rule.ops)
-                            for x in _effect(st, view, op)))
-                if traced:   # its row for the trace (see Trace._rows)
-                    changes = [_change(*effect) & 255 for effect in zip(
-                        self.spec.storages, views, action[3::2], action[4::2])]
-                    action += (bytes((rule.consume, any(changes), *changes)),)
+        state, _, *views = key
+        cache = self._traced if traced else self._cache
+        if state not in self._by_pattern:
+            # The state's rules by pattern: per wildcard mask (as
+            # Rule.specificity gives it), a dict from a pattern's concrete
+            # components to its rule, the first of equal patterns.
+            index: dict[tuple[int, ...], dict] = {}
+            for rule in self.rules_by_state.get(state, ()):
+                mask = rule.specificity()
+                index.setdefault(mask, {}).setdefault(
+                    tuple(compress((rule.input_pat, *rule.storage_pats), mask)), rule)
+            self._by_pattern[state] = sorted(index.items(), reverse=True)
+        for mask, rules in self._by_pattern[state]:   # the most specific mask first
+            rule = rules.get(tuple(compress(key[1:], mask)))
+            if rule is not None:
                 break
-        (self._traced if traced else self._cache)[key] = action
+        else:
+            cache[key] = None
+            return None
+        action = (rule.next_state, rule.consume, rule.emit,
+                  *(x for st, view, op in zip(self.spec.storages, views, rule.ops)
+                    for x in _effect(st, view, op)))
+        if traced:   # its row for the trace (see Trace._rows)
+            changes = [_change(*effect) & 255 for effect in zip(
+                self.spec.storages, views, action[3::2], action[4::2])]
+            action += (bytes((rule.consume, any(changes), *changes)),)
+        elif rule.next_state == state and not rule.consume and rule.emit is None:
+            j = _swept(action, views)
+            if j is not None:   # a pure self-loop: one action per context, with its views
+                sweep = _SWEEPS[action[3 + 2 * j]]
+                context = (*key[:2 + j], *key[3 + j:], j, sweep)
+                if context not in self._sweeps:
+                    self._sweeps[context] = (*action[:3 + 2 * j], sweep, set(),
+                                             *action[5 + 2 * j:])
+                action = cache[key] = self._sweeps[context]
+                action[4 + 2 * j].add(views[j])
+                return action
+        # Equal actions are one object: many keys share a few actions.
+        action = cache[key] = self._actions.setdefault(action, action)
         return action
 
     # -- running -----------------------------------------------------------

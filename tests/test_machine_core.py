@@ -37,8 +37,10 @@ from qmlab.machine import (
     step,
     storage_length_series,
     validate_spec,
+    _SWEEPS,
     _Tape,
 )
+from qmlab.machines import builtin
 from qmlab.oracles import gen_lprime
 
 words_ab = st.text(alphabet="ab", min_size=1, max_size=40)
@@ -339,6 +341,18 @@ class TestRun:
         res = run(spec, "a", max_steps=10)
         assert res.verdict is Verdict.STEP_LIMIT and res.steps == 10
 
+    @pytest.mark.parametrize("name, word", [("anbn:quadratic", "a" * 20 + "b" * 20),
+                                            ("tk:1", "10$0$1$1$0$1$1$")])
+    def test_sweeps_stay_out_of_traced_runs(self, name, word):
+        # Plain runs take rotations and tape moves in bulk; a traced run
+        # still records one action per step and its cache has no sweep code.
+        ex = executor_for(builtin(name))
+        plain, traced = ex.run(word), ex.run(word, trace=True)
+        assert len(traced.trace.actions) == traced.steps == plain.steps
+        sweeps = set(_SWEEPS.values())
+        assert any(sweeps & set(a[3::2]) for a in ex._cache.values() if a)
+        assert not any(sweeps & set(a[3:-1:2]) for a in ex._traced.values() if a)
+
     def test_empty_input_needs_epsilon_flag(self):
         from dataclasses import replace
         spec = echo_machine(Kind.QUEUE)
@@ -509,7 +523,6 @@ def test_unpickled_spec_hashes_like_a_fresh_one_in_another_process():
 def test_reloaded_spec_hashes_equal_and_shares_the_executor(name):
     # A dumped machine file replays on the executor of the builtin it came from.
     from qmlab import specfile
-    from qmlab.machines import builtin
     spec = builtin(name)
     reloaded = specfile.loads(specfile.dumps(spec))
     assert reloaded is not spec and reloaded == spec

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_machine_core import steps_of
+from test_reference_stepper import reference_run
 from qmlab import analysis
 from qmlab.analysis import lprime_cycle_starts, lprime_timing
 from qmlab.machine import (
@@ -312,11 +313,15 @@ class TestAnbn:
             assert not accepts(spec, "aab")
 
     def test_quadratic_step_curve(self):
-        spec = build_anbn("quadratic")
-        for t in (2, 5, 9):
-            res = run(spec, "a" * t + "b" * t)
-            assert res.accepted
-            assert res.steps == t * t + 2 * t   # one pass per pair, full rotations
+        # One pass per pair, full rotations: cli.QUADRATIC_MAX_EXP rests on
+        # the count, and most of these steps run as rotation sweeps.
+        ex = executor_for(build_anbn("quadratic"))
+        for t in range(65):
+            word = "a" * t + "b" * t
+            plain, watched = ex.run(word), ex.run(word, watch_lengths=True)
+            assert plain.accepted and watched.accepted
+            assert plain.steps == watched.steps == t * t + 2 * t
+            assert watched.max_lengths == reference_run(ex.spec, word).peaks
 
     def test_linear_variant_is_linear(self):
         spec = build_anbn("linear")

@@ -13,6 +13,7 @@ computed from the reference's records.  The machines are the builtins, a
 few hand-written ones and randomly generated valid specs.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import pytest
@@ -23,6 +24,7 @@ import test_machine_core as core
 from qmlab.machine import (
     BLANK,
     EMPTY,
+    NO_OP,
     NO_SYMBOL,
     WILDCARD,
     Acceptance,
@@ -195,6 +197,62 @@ def _pushdown_rewrite_machine():
         states=("w",))
 
 
+def _rotate_all_machine():
+    # Queues the input, then rotates it for ever: every symbol is in the
+    # rotation sweep, so a run on a non-empty word reaches the step limit.
+    rules = [Rule("w", ch, (WILDCARD,), "w", consume=True, ops=(QueueOp(push=ch),))
+             for ch in "ab"]
+    rules += [Rule("w", NO_SYMBOL, (ch,), "w", ops=(QueueOp(pop=True, push=ch),))
+              for ch in "ab"]
+    return core.simple_machine(Kind.QUEUE, *rules, states=("w",))
+
+
+def _sweep_right_machine():
+    # Marks cell 0, writes the input after it, sweeps left to the mark (which
+    # ends that sweep), then sweeps right over the written cells and on over
+    # blank cells past the tape's end until the step limit.
+    right, left = TapeOp(move="R"), TapeOp(move="L")
+    rules = [Rule("s", WILDCARD, (WILDCARD,), "w", ops=(TapeOp(write="m", move="R"),)),
+             Rule("w", NO_SYMBOL, (WILDCARD,), "l", ops=(left,)),
+             Rule("l", NO_SYMBOL, ("m",), "r", ops=(right,))]
+    rules += [Rule("w", b, (WILDCARD,), "w", consume=True, ops=(TapeOp(write=b, move="R"),))
+              for b in "01"]
+    rules += [Rule("l", NO_SYMBOL, (b,), "l", ops=(left,)) for b in "01"]
+    rules += [Rule("r", NO_SYMBOL, (c,), "r", ops=(right,)) for c in "01_"]
+    return core.simple_machine(Kind.TAPE, *rules, alphabet="01", storage_alphabet="01m",
+                               output="01", states=("s", "w", "l", "r"))
+
+
+def _sweep_left_fault_machine():
+    # Writes the input, then sweeps left over it and off cell 0.
+    rules = [Rule("w", b, (WILDCARD,), "w", consume=True, ops=(TapeOp(write=b, move="R"),))
+             for b in "01"]
+    rules += [Rule(state, NO_SYMBOL, (WILDCARD,), "l", ops=(TapeOp(move="L"),))
+              for state in ("w", "l")]
+    return core.simple_machine(Kind.TAPE, *rules, alphabet="01", storage_alphabet="01",
+                               output="01", states=("w", "l"))
+
+
+def _rotate_context_machine():
+    # Queues the input and stacks it too, then rotates the queue past the
+    # symbols equal to the stack's top; any other front also pops the stack,
+    # which changes the context, and so the sweep, of the next rotations.
+    # It halts when the stack is empty, or rotates for ever once every
+    # queued symbol equals the top.
+    rules = [Rule("w", ch, (WILDCARD, WILDCARD), "w", consume=True,
+                  ops=(QueueOp(push=ch), QueueOp(push=ch))) for ch in "ab"]
+    rules.append(Rule("w", NO_SYMBOL, (WILDCARD, WILDCARD), "r", ops=(NO_OP, NO_OP)))
+    for front, top in itertools.product("ab", repeat=2):
+        rules.append(Rule("r", NO_SYMBOL, (front, top), "r",
+                          ops=(QueueOp(pop=True, push=front), QueueOp(pop=front != top))))
+    return MachineSpec(
+        name="rotate-context", states=("w", "r"), start="w",
+        input_alphabet=frozenset("ab"), output_alphabet=frozenset("01"),
+        storages=(StorageSpec("q", Kind.QUEUE, frozenset("ab")),
+                  StorageSpec("p", Kind.PUSHDOWN, frozenset("ab"))),
+        rules=tuple(rules), acceptance=Acceptance.FINAL_STATES, finals=frozenset({"r"}))
+
+
 def _lprime_words():
     member = st.builds(lambda k, seed: gen_lprime(k, seed).render(),
                        st.integers(0, 3), st.integers(0, 2**32))
@@ -230,6 +288,12 @@ MACHINES = {
                          st.text("01", max_size=12)),
     "tape:left-end": (_tape_left_machine, st.text("01", max_size=12)),
     "tape:blank-rewrite": (_blank_rewrite_machine, st.text("01", max_size=12)),
+    # Machines whose runs sweep (see Executor): their edges are also checked
+    # at every step limit below.
+    "sweep:rotate-all": (_rotate_all_machine, st.text("ab", max_size=4)),
+    "sweep:tape-right": (_sweep_right_machine, st.text("01", max_size=4)),
+    "sweep:tape-left-fault": (_sweep_left_fault_machine, st.text("01", max_size=12)),
+    "sweep:rotate-context": (_rotate_context_machine, st.text("ab", max_size=8)),
 }
 
 _LIMITS = st.one_of(st.none(), st.integers(0, 40))
@@ -328,6 +392,28 @@ def test_run_matches_reference(name, data):
 def test_step_matches_reference(name, data):
     build, words = MACHINES[name]
     check_steps(build(), data.draw(words, label="word"), 200)
+
+
+@pytest.mark.parametrize("name, word", [
+    ("sweep:rotate-all", "ab"),
+    ("sweep:tape-right", ""),
+    ("sweep:tape-right", "0"),
+    ("sweep:tape-left-fault", "0110"),
+    ("sweep:rotate-context", "a"),
+    ("sweep:rotate-context", "aab"),
+    ("sweep:rotate-context", "abbaab"),
+    ("anbn:quadratic", "aaabbb"),
+])
+def test_sweep_edges_match_reference(name, word):
+    """A run that sweeps, cut at every step limit up to its length (the
+    default limit, for one that reaches it), plain, watched and traced, and
+    stepped by ``step``."""
+    spec = MACHINES[name][0]()
+    length = reference_run(spec, word).steps
+    for max_steps in range(length + 1):
+        check_runs(spec, word, max_steps)
+    check_runs(spec, word, None)
+    check_steps(spec, word, length + 1)
 
 
 # --------------------------------------------------------------------------
