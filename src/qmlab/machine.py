@@ -462,7 +462,7 @@ class RunResult:
 
 def default_step_limit(input_len: int) -> int:
     """Generous default: every machine in this package is at most quadratic."""
-    return 64 * (input_len + 1) ** 2
+    return eval(_DEFAULT_LIMIT.format(n=int(input_len)))
 
 
 # The verdicts as module constants: a global is cheaper to read than an
@@ -484,28 +484,33 @@ _POP_EMPTY = 7        # pop on an empty queue or pushdown: faults
 _WRITE = 8            # tape write, head stays; view := arg
 _RIGHT = 9            # tape: write arg unless None, then move right
 _LEFT = 10            # tape: write arg unless None, then move left (faults at cell 0)
-# The sweep codes tag a pure self-loop of a plain action: the state stays, no
-# input is read, nothing is emitted and only this storage moves, by one of the
-# steps below.  Their arg is the set of this storage's views that compile to
-# the same step with the rest of the key the same; a run stays in the sweep
-# while the new view is in it (see _rotate and _sweep).
+# The sweep codes tag a self-loop of a plain action that runs take in bulk:
+# the state stays, nothing is emitted and only this storage changes, as below.
+# Their arg is a dict whose keys are the views (the input's for _COPY, else
+# this storage's) that compile to the same step with the rest of the key the
+# same; a run stays in bulk while the new view is in it (see _rotate, _sweep
+# and the _COPY branch of _LOOP_APPLY, where each maps to a regex's match).
 _ROTATE = 11          # queue: pop the front and push it back
 _SWEEP_R = 12         # tape: move right without a write
 _SWEEP_L = 13         # tape: move left without a write (faults at cell 0)
-_SWEEPS = {_POPLEFT_APPEND: _ROTATE, _RIGHT: _SWEEP_R, _LEFT: _SWEEP_L}
+_COPY = 14            # non-empty queue: consume the input symbol and append it
+_SWEEPS = {_POPLEFT_APPEND: _ROTATE, _RIGHT: _SWEEP_R, _LEFT: _SWEEP_L, _APPEND: _COPY}
 
 
-def _swept(action: tuple, views: list[str]) -> int | None:
-    """For an action that keeps its state, reads no input and emits
-    nothing: the one storage it changes, if it only rotates that queue (pops
-    the view and pushes it back) or moves that tape's head without a write;
-    else None."""
+def _swept(action: tuple, key: tuple) -> tuple[int, int, int] | None:
+    """For an action that keeps its state and emits nothing, if runs take
+    it in bulk: the index in ``key`` of the view they go over, the one
+    storage it changes and its sweep code.  Reading no input, it may only
+    rotate that queue (pop the view, push it back) or move that tape's head
+    without a write; reading input, append it to that non-empty queue."""
     moved = [j for j, code in enumerate(action[3::2]) if code]
     if len(moved) == 1:
         j = moved[0]
         code, arg = action[3 + 2 * j:5 + 2 * j]
-        if code in _SWEEPS and arg == (views[j] if code == _POPLEFT_APPEND else None):
-            return j
+        i = 1 if action[1] else 2 + j
+        if code in _SWEEPS and (code == _APPEND) == action[1] and arg == (
+                None if code in (_RIGHT, _LEFT) else key[i]):
+            return i, j, _SWEEPS[code]
     return None
 
 
@@ -551,7 +556,7 @@ def _fault(storage: StorageSpec) -> str:
     return f"pop on empty {storage.kind.value} {storage.ident!r}"
 
 
-def _rotate(queue: deque, members: set, steps: int, limit: int) -> int:
+def _rotate(queue: deque, members: dict, steps: int, limit: int) -> int:
     """The rest of a rotation sweep at once: while ``queue``'s front is in
     ``members`` and the run is short of ``limit`` after the current step
     (``steps`` done before it), one more step moves the front to the back.
@@ -563,7 +568,7 @@ def _rotate(queue: deque, members: set, steps: int, limit: int) -> int:
     return steps + run
 
 
-def _sweep(cells: list, head: int, by: int, members: set, blank: str,
+def _sweep(cells: list, head: int, by: int, members: dict, blank: str,
            steps: int, limit: int) -> tuple[int, int]:
     """The rest of a tape sweep by ``by`` (1 or -1) at once: while the cell
     under the head is in ``members`` and the run is short of ``limit`` after
@@ -591,7 +596,8 @@ def _sweep(cells: list, head: int, by: int, members: set, blank: str,
 # ``cj`` and ``aj``.  Per storage kind, its new object, its lines at the start
 # of a run, its branch in a step and its lines in the ``finally`` of a step.
 # A marker line ``@name`` becomes the lines ``_WORD`` or ``_CONFIG`` (where a
-# loop starts and ends), ``_WATCH`` and ``_TRACE`` give ``name``, or nothing.
+# loop starts and ends), ``_WATCH`` and ``_TRACE`` give ``name`` (and, in a
+# layout with a queue, ``@read`` keeps the symbol a step read), or nothing.
 # A traced loop reads the traced cache, whose actions end in their row for
 # the trace.  The dead ``if False`` block numbers a step's locals first
 # (CPython numbers them as met; past 256, each use costs more).
@@ -604,7 +610,14 @@ _LOOP_SETUP = {
 _LOOP_APPLY = {
     Kind.QUEUE: """\
 if c{j}:
-    if c{j} == {_APPEND}:
+    if c{j} == {_COPY}:   # the step, then the rest of the input run at once
+        s{j}.append(read)
+        if view in a{j}:   # one match bounded at both ends counts the rest
+            end = a{j}[view](word, pos, pos + limit - steps - 1).end()
+            s{j}.extend(word[pos:end])
+            steps, pos, view = steps + end - pos, end, padded[end]
+        @bulk
+    elif c{j} == {_APPEND}:
         s{j}.append(a{j})
         @grow
     elif c{j} == {_POPLEFT}:
@@ -677,7 +690,7 @@ _LOOP_FINAL = {**dict.fromkeys(Kind, ""), Kind.TAPE: "s{j}.head = head{j}"}
 _LOOP = """\
 def run_loop(ex, {params}):
     if False:   # never runs: the compiler meets a step's locals here first
-        state = pos = steps = view = action = next_state = consume = emit = None
+        state = pos = steps = view = read = action = next_state = consume = emit = None
         add_action = change{hot} = None
     cache, compile_ = ex._cache, ex._compile
     @enter
@@ -699,6 +712,7 @@ def run_loop(ex, {params}):
             if consume:
                 if pos >= n:
                     raise ExecutionFault("input consumed past end of word")
+                @read
                 pos += 1
                 view = padded[pos]
 {apply}
@@ -711,6 +725,7 @@ def run_loop(ex, {params}):
     @exit
 {final}
 """
+_DEFAULT_LIMIT = "64 * ({n} + 1) ** 2"   # default_step_limit(n), which _WORD inlines
 # A run from a word: fresh storages (a post-mode machine's storage 0 holds the
 # word), the verdict at the halt by the acceptance kind, and the RunResult.
 _WORD = {"enter": """\
@@ -719,7 +734,7 @@ if not alphabet.issuperset(word):
     for i, symbol in enumerate(word):
         if symbol not in alphabet:
             raise InputSymbolError(symbol, i)
-limit = 64 * (len(word) + 1) ** 2 if max_steps is None else max_steps   # default_step_limit
+limit = {default_limit} if max_steps is None else max_steps
 {stores} = {new}
 if ex._post:
     s0.extend(word)
@@ -749,6 +764,7 @@ _PEAK = "if l{j} > m{j}:\n    m{j}, p{j} = l{j}, steps\n"       # raised in step
 # result undoes a peak raised by a faulting step (by one, a step's most).
 _WATCH = {"setup": "l{j} = m{j} = len(s{j})\np{j} = -1\n",
           "grow": "l{j} += 1\n" + _PEAK, "shrink": "l{j} -= 1\n",
+          "bulk": "l{j} = len(s{j})\n" + _PEAK,
           "write": f"l{{j}} += {_TAPE_DELTA}\n" + _PEAK}
 # A traced run appends each step's action to the trace and tracks no lengths.
 _TRACE = {"begin": "trace = Trace(ex._storage_ids, tuple(map(len, ({stores}))))\n"
@@ -773,6 +789,8 @@ def _run_loop(layout: tuple[Kind, ...], acceptance: Acceptance | None,
     nor a run's result counts it."""
     extras = [extra for on, extra in ((True, _CONFIG if acceptance is None else _WORD),
                                       (watch, _WATCH), (traced, _TRACE)) if on]
+    if Kind.QUEUE in layout:   # a copy appends the symbol its step read
+        extras.append({"read": "read = view\n"})
 
     def expand(template: str) -> str:   # each marker line, as its extra lines
         return _MARKER.sub(lambda m: textwrap.indent(
@@ -785,6 +803,7 @@ def _run_loop(layout: tuple[Kind, ...], acceptance: Acceptance | None,
     js = range(len(layout))
     source = expand(_LOOP).format(
         params="word, max_steps" if acceptance else "cfg, limit",
+        default_limit=_DEFAULT_LIMIT.format(n="len(word)"),
         stores=", ".join(f"s{j}" for j in js) + "," if js else "_",
         new="".join(f"{_LOOP_NEW[kind].format(j=j)}, " for j, kind in enumerate(layout)) or "()",
         accepts=_ACCEPTS.get(acceptance, "").format(
@@ -814,19 +833,21 @@ class Executor:
     arg 1, ...)``: per storage, in its fixed slots, what the action does to
     it (see :func:`_effect`).  The rule is found by one dict lookup per
     wildcard mask of the state's patterns, the most specific mask first.
-    Equal actions are one object.  A pure self-loop (same state, no input
-    read, nothing emitted, one storage rotated or moved without a write,
-    the others kept) gets a sweep code in that storage's slot, and as its
-    argument the set of the views compiled to the same step in its context:
-    the key without that view, with the storage and the code.  All keys of
-    a context share that action, and its set grows as they are compiled, so
-    it holds only views proven pure; a run takes the rest of a sweep at once
-    while the new view is in it.  Traced runs use a cache of their own, with
-    no sweep codes, whose actions end in one more slot, their row for the
-    trace: a byte for ``consume``, one for whether any storage's length
-    changes, then per storage one for its change of length (1, 255 for -1,
-    or 0).  A run is one call of a loop generated for the layout and the
-    acceptance kind, with the run's state in its locals and no
+    Equal actions are one object.  A self-loop that runs take in bulk (see
+    :func:`_swept`: a queue rotated or a tape head moved without a write, or
+    the input symbol consumed and appended to a non-empty queue) gets a
+    sweep code in the changed storage's slot, and as its argument a dict
+    whose keys are the views compiled to the same step in its context: the
+    key without the view the sweep goes over (the input view for
+    ``_COPY``), with the storage and the code.  All keys of a context share
+    that action, and its keys grow as they are compiled, so they are only
+    views proven to give that step; a run takes the rest of a sweep at once
+    while the new view is among them.  Traced runs use a cache of their
+    own, with no sweep codes, whose actions end in one more slot, their row
+    for the trace: a byte for ``consume``, one for whether any storage's
+    length changes, then per storage one for its change of length (1, 255
+    for -1, or 0).  A run is one call of a loop generated for the layout and
+    the acceptance kind, with the run's state in its locals and no
     :class:`Configuration`: the plain loop is built with the executor, those
     of watched and traced runs on first use.  A :class:`MachineSpec` is
     immutable, so one executor can serve any number of runs.
@@ -893,16 +914,18 @@ class Executor:
             changes = [_change(*effect) & 255 for effect in zip(
                 self.spec.storages, views, action[3::2], action[4::2])]
             action += (bytes((rule.consume, any(changes), *changes)),)
-        elif rule.next_state == state and not rule.consume and rule.emit is None:
-            j = _swept(action, views)
-            if j is not None:   # a pure self-loop: one action per context, with its views
-                sweep = _SWEEPS[action[3 + 2 * j]]
-                context = (*key[:2 + j], *key[3 + j:], j, sweep)
-                if context not in self._sweeps:
-                    self._sweeps[context] = (*action[:3 + 2 * j], sweep, set(),
-                                             *action[5 + 2 * j:])
-                action = cache[key] = self._sweeps[context]
-                action[4 + 2 * j].add(views[j])
+        elif rule.next_state == state and rule.emit is None:
+            swept = _swept(action, key)
+            if swept is not None:   # one action per context, with its views
+                i, j, sweep = swept
+                action = cache[key] = self._sweeps.setdefault(
+                    (*key[:i], *key[i + 1:], j, sweep),
+                    (*action[:3 + 2 * j], sweep, {}, *action[5 + 2 * j:]))
+                members = action[4 + 2 * j]
+                members[key[i]] = None
+                if sweep == _COPY:   # each maps to the match of a stretch of them
+                    members.update(dict.fromkeys(members, re.compile(
+                        f"[{re.escape(''.join(members))}]*").match))
                 return action
         # Equal actions are one object: many keys share a few actions.
         action = cache[key] = self._actions.setdefault(action, action)

@@ -37,11 +37,12 @@ from qmlab.machine import (
     step,
     storage_length_series,
     validate_spec,
+    _COPY,
     _SWEEPS,
     _Tape,
 )
 from qmlab.machines import builtin
-from qmlab.oracles import gen_lprime
+from qmlab.oracles import gen_lk, gen_lprime
 
 words_ab = st.text(alphabet="ab", min_size=1, max_size=40)
 
@@ -352,6 +353,18 @@ class TestRun:
         sweeps = set(_SWEEPS.values())
         assert any(sweeps & set(a[3::2]) for a in ex._cache.values() if a)
         assert not any(sweeps & set(a[3:-1:2]) for a in ex._traced.values() if a)
+
+    @pytest.mark.parametrize("name, word", [("lprime", gen_lprime(6, 1).render()),
+                                            ("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render())])
+    def test_input_runs_stay_out_of_traced_runs(self, name, word):
+        # Plain runs copy runs of input symbols onto a queue in bulk; a traced
+        # run still records one action per step and its cache has no copy code.
+        ex = executor_for(builtin(name))
+        plain, traced = ex.run(word), ex.run(word, trace=True)
+        assert len(traced.trace.actions) == traced.steps == plain.steps
+        assert traced.trace.consumed.count(1) == plain.input_consumed == len(word)
+        assert any(_COPY in a[3::2] for a in ex._cache.values() if a)
+        assert not any(_COPY in a[3:-1:2] for a in ex._traced.values() if a)
 
     def test_empty_input_needs_epsilon_flag(self):
         from dataclasses import replace

@@ -14,6 +14,7 @@ few hand-written ones and randomly generated valid specs.
 """
 
 import itertools
+import timeit
 from dataclasses import dataclass
 
 import pytest
@@ -40,6 +41,7 @@ from qmlab.machine import (
     check_realtime,
     default_step_limit,
     executor_for,
+    _COPY,
     minimal_delay,
     step,
     storage_length_series,
@@ -253,6 +255,61 @@ def _rotate_context_machine():
         rules=tuple(rules), acceptance=Acceptance.FINAL_STATES, finals=frozenset({"r"}))
 
 
+def _push_other_machine():
+    # Queues the input, then pops each front: an a is pushed back as a b (a
+    # self-loop that pops one symbol and pushes another, so not a rotation)
+    # and a b is emitted.
+    rules = [Rule("w", ch, (WILDCARD,), "w", consume=True, ops=(QueueOp(push=ch),))
+             for ch in "ab"]
+    rules += [Rule("w", NO_SYMBOL, (WILDCARD,), "r", ops=(NO_OP,)),
+              Rule("r", NO_SYMBOL, ("a",), "r", ops=(QueueOp(pop=True, push="b"),)),
+              Rule("r", NO_SYMBOL, ("b",), "r", ops=(QueueOp(pop=True),), emit="b")]
+    return core.simple_machine(Kind.QUEUE, *rules, states=("w", "r"))
+
+
+def _copy_alternate_machine():
+    # Copies each a and b onto the queue, the input runs that the run loop
+    # takes in bulk; a c appends an a instead (a consuming self-loop that
+    # appends another symbol than it reads) and ends the run.  Then it emits
+    # the queue.
+    rules = [Rule("w", ch, (WILDCARD,), "w", consume=True, ops=(QueueOp(push=ch),))
+             for ch in "ab"]
+    rules += [Rule("w", "c", (WILDCARD,), "w", consume=True, ops=(QueueOp(push="a"),)),
+              Rule("w", NO_SYMBOL, (WILDCARD,), "d", ops=(NO_OP,))]
+    rules += [Rule("d", NO_SYMBOL, (ch,), "d", ops=(QueueOp(pop=True),), emit=ch)
+              for ch in "ab"]
+    return core.simple_machine(Kind.QUEUE, *rules, alphabet="abc", storage_alphabet="ab",
+                               states=("w", "d"))
+
+
+def _copy_context_machine():
+    # Copies the input onto the queue while a pushdown's top is part of each
+    # run's context: an a is copied under any top, a b only under an empty
+    # pushdown or an a, and goes onto the pushdown under a b; a c sets the
+    # top (a, then b, then a, ...).  Then it drains both storages.
+    def rule(state, symbol, pats, q_op, p_op, emit=None):
+        return Rule(state, symbol, pats, "w" if symbol != NO_SYMBOL else "d",
+                    consume=symbol != NO_SYMBOL, ops=(q_op, p_op), emit=emit)
+
+    pop = QueueOp(pop=True)
+    rules = [rule("w", "a", (WILDCARD, WILDCARD), QueueOp(push="a"), NO_OP),
+             rule("w", "b", (WILDCARD, EMPTY), QueueOp(push="b"), NO_OP),
+             rule("w", "b", (WILDCARD, "a"), QueueOp(push="b"), NO_OP),
+             rule("w", "b", (WILDCARD, "b"), NO_OP, QueueOp(push="b")),
+             rule("w", "c", (WILDCARD, EMPTY), NO_OP, QueueOp(push="a")),
+             rule("w", "c", (WILDCARD, "a"), NO_OP, QueueOp(pop=True, push="b")),
+             rule("w", "c", (WILDCARD, "b"), NO_OP, QueueOp(pop=True, push="a")),
+             rule("w", NO_SYMBOL, (WILDCARD, WILDCARD), NO_OP, NO_OP)]
+    rules += [rule("d", NO_SYMBOL, (ch, WILDCARD), pop, NO_OP, emit=ch) for ch in "ab"]
+    rules += [rule("d", NO_SYMBOL, (EMPTY, ch), NO_OP, pop) for ch in "ab"]
+    return MachineSpec(
+        name="copy-context", states=("w", "d"), start="w",
+        input_alphabet=frozenset("abc"), output_alphabet=frozenset("ab"),
+        storages=(StorageSpec("q", Kind.QUEUE, frozenset("ab")),
+                  StorageSpec("p", Kind.PUSHDOWN, frozenset("ab"))),
+        rules=tuple(rules), acceptance=Acceptance.EMPTY_STORAGES)
+
+
 def _lprime_words():
     member = st.builds(lambda k, seed: gen_lprime(k, seed).render(),
                        st.integers(0, 3), st.integers(0, 2**32))
@@ -294,6 +351,10 @@ MACHINES = {
     "sweep:tape-right": (_sweep_right_machine, st.text("01", max_size=4)),
     "sweep:tape-left-fault": (_sweep_left_fault_machine, st.text("01", max_size=12)),
     "sweep:rotate-context": (_rotate_context_machine, st.text("ab", max_size=8)),
+    "sweep:push-other": (_push_other_machine, st.text("ab", max_size=8)),
+    # Machines whose runs copy input runs onto a queue in bulk.
+    "copy:alternate": (_copy_alternate_machine, st.text("abc", max_size=14)),
+    "copy:context": (_copy_context_machine, st.text("abc", max_size=14)),
 }
 
 _LIMITS = st.one_of(st.none(), st.integers(0, 40))
@@ -403,17 +464,64 @@ def test_step_matches_reference(name, data):
     ("sweep:rotate-context", "aab"),
     ("sweep:rotate-context", "abbaab"),
     ("anbn:quadratic", "aaabbb"),
+    ("sweep:push-other", "abab"),
+    ("echo:queue", "abbab"),      # a first push, then a copy run to the end of input
+    ("echo:queue", "aaaaaaa"),
+    ("copy:alternate", "ab"),
+    ("copy:alternate", "abcabcabcbacbbacaab"),   # short copy runs, many times
+    ("copy:context", "abcabbcabba"),
+    ("copy:context", "bbcaabbacbbaab"),
+    ("lprime", gen_lprime(2, 5).render()),
 ])
 def test_sweep_edges_match_reference(name, word):
-    """A run that sweeps, cut at every step limit up to its length (the
-    default limit, for one that reaches it), plain, watched and traced, and
-    stepped by ``step``."""
+    """A run that sweeps or copies input runs, cut at every step limit up to
+    its length (the default limit, for one that reaches it), plain, watched
+    and traced, and stepped by ``step``."""
     spec = MACHINES[name][0]()
     length = reference_run(spec, word).steps
     for max_steps in range(length + 1):
         check_runs(spec, word, max_steps)
     check_runs(spec, word, None)
     check_steps(spec, word, length + 1)
+
+
+def test_input_runs_are_counted_only_when_the_next_symbol_copies():
+    """A copy step tests the next input symbol against its context's views
+    and counts the rest of the run only if it is one of them, so a one-step
+    run makes no count.  Here each count starts at a member: one per maximal
+    run of a and b after the first symbol (a first push), of length 2 or
+    more."""
+    spec, word = _copy_alternate_machine(), "abab" + "cab" * 5 + "cbbacac"
+    ex = executor_for(spec)
+    ex.run(word)   # compiles every key
+    calls = []
+
+    def counted(match, members):
+        def count(w, pos, end):
+            calls.append(w[pos:pos + 1] in members)
+            return match(w, pos, end)
+        return count
+
+    for action in ex._sweeps.values():
+        for code, members in zip(action[3::2], action[4::2]):
+            if code == _COPY:   # each view maps to the context's one match
+                members.update(dict.fromkeys(members, counted(members[next(iter(members))],
+                                                              members)))
+    assert ex.run(word).steps == reference_run(spec, word).steps
+    assert calls == [True] * 7
+
+
+def test_input_run_counts_do_not_grow_with_the_position():
+    """Counting an input run costs the run's length, not its position in
+    the word: on 8 times the word, a run of short copy runs takes about 8
+    times as long (a count that scanned from the word's start, 64 times)."""
+    ex = executor_for(_copy_alternate_machine())
+
+    def best(word):
+        assert ex.run(word).steps == 2 * len(word) + 1
+        return min(timeit.repeat(lambda: ex.run(word), number=1, repeat=5))
+
+    assert best("abc" * 2**14) < 24 * best("abc" * 2**11)
 
 
 # --------------------------------------------------------------------------
