@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, compress, islice, takewhile
+from itertools import accumulate, compress, islice, repeat, takewhile
 from operator import itemgetter
 
 WILDCARD = "*"
@@ -537,13 +537,14 @@ def _effect(storage: StorageSpec, view: str, op: QueueOp | TapeOp) -> tuple[int,
     return _APPEND if queue and view != EMPTY else _APPEND_SET, op.push
 
 
-_GROW, _SHRINK = {_APPEND, _APPEND_SET}, {_POPLEFT, _POP}
+_GROW, _SHRINK = {_APPEND, _APPEND_SET, _COPY}, {_POPLEFT, _POP}
 
 
-def _change(storage: StorageSpec, view: str, code: int, arg: str | None) -> int:
+def _change(storage: StorageSpec, view: str, code: int, arg: str | dict | None) -> int:
     """What the effect ``(code, arg)`` on a storage whose view is ``view``
-    adds to its length: -1, 0 or 1 (a tape's length is its non-blank cells)."""
-    if storage.kind is Kind.TAPE:
+    adds to its length: -1, 0 or 1 (a tape's length is its non-blank cells).
+    A sweep's arg is its members, not a cell: only a copy changes a length."""
+    if storage.kind is Kind.TAPE and code not in (_SWEEP_R, _SWEEP_L):
         blank = storage.blank_cell
         return 0 if arg is None else (arg != blank) - (view != blank)
     return (code in _GROW) - (code in _SHRINK)
@@ -598,9 +599,11 @@ def _sweep(cells: list, head: int, by: int, members: dict, blank: str,
 # A marker line ``@name`` becomes the lines ``_WORD`` or ``_CONFIG`` (where a
 # loop starts and ends), ``_WATCH`` and ``_TRACE`` give ``name`` (and, in a
 # layout with a queue, ``@read`` keeps the symbol a step read), or nothing.
-# A traced loop reads the traced cache, whose actions end in their row for
-# the trace.  The dead ``if False`` block numbers a step's locals first
-# (CPython numbers them as met; past 256, each use costs more).
+# A traced loop reads the traced cache, whose actions are the plain ones with
+# their row for the trace appended; in a bulk branch, ``@before`` and
+# ``@swept`` add the steps it took to the trace.  The dead ``if False`` block
+# numbers a step's locals first (CPython numbers them as met; past 256, each
+# use costs more).
 _LOOP_SETUP = {
     Kind.QUEUE: "v{j} = s{j}[0] if s{j} else EMPTY\n@setup",
     Kind.PUSHDOWN: "v{j} = s{j}[-1] if s{j} else EMPTY\n@setup",
@@ -615,7 +618,9 @@ if c{j}:
         if view in a{j}:   # one match bounded at both ends counts the rest
             end = a{j}[view](word, pos, pos + limit - steps - 1).end()
             s{j}.extend(word[pos:end])
+            @before
             steps, pos, view = steps + end - pos, end, padded[end]
+            @swept
         @bulk
     elif c{j} == {_APPEND}:
         s{j}.append(a{j})
@@ -631,7 +636,9 @@ if c{j}:
     elif c{j} == {_ROTATE}:   # the step, then the rest of the sweep at once
         s{j}.rotate(-1)
         if s{j}[0] in a{j}:
+            @before
             steps = _rotate(s{j}, a{j}, steps, limit)
+            @swept
         v{j} = s{j}[0]
     elif c{j} == {_APPEND_SET}:
         s{j}.append(a{j})
@@ -682,7 +689,9 @@ if c{j}:
         if head{j} == len(cells{j}):
             cells{j}.append(blank{j})
         if cells{j}[head{j}] in a{j}:
+            @before
             steps, head{j} = _sweep(cells{j}, head{j}, by, a{j}, blank{j}, steps, limit)
+            @swept
         v{j} = cells{j}[head{j}]""",
 }
 _LOOP_NEW = {Kind.QUEUE: "deque()", Kind.PUSHDOWN: "[]", Kind.TAPE: "ex._factories[{j}]()"}
@@ -767,9 +776,13 @@ _WATCH = {"setup": "l{j} = m{j} = len(s{j})\np{j} = -1\n",
           "bulk": "l{j} = len(s{j})\n" + _PEAK,
           "write": f"l{{j}} += {_TAPE_DELTA}\n" + _PEAK}
 # A traced run appends each step's action to the trace and tracks no lengths.
+# Every step of a sweep applies the same action, so a bulk step appends it
+# once per step it took before the step's own.
 _TRACE = {"begin": "trace = Trace(ex._storage_ids, tuple(map(len, ({stores}))))\n"
-                   "cache, compile_ = ex._traced, partial(ex._compile, traced=True)\n"
-                   "add_action = trace.actions.append\n",
+                   "cache, compile_ = ex._traced, ex._compile_traced\n"
+                   "add_action, add_actions = trace.actions.append, trace.actions.extend\n",
+          "before": "before = steps\n",
+          "swept": "add_actions(repeat(action, steps - before))\n",
           "step": "add_action(action)\n"}
 _MARKER = re.compile(r"^( *)@(\w+)\n?", re.M)
 
@@ -843,14 +856,15 @@ class Executor:
     that action, and its keys grow as they are compiled, so they are only
     views proven to give that step; a run takes the rest of a sweep at once
     while the new view is among them.  Traced runs use a cache of their
-    own, with no sweep codes, whose actions end in one more slot, their row
-    for the trace: a byte for ``consume``, one for whether any storage's
-    length changes, then per storage one for its change of length (1, 255
-    for -1, or 0).  A run is one call of a loop generated for the layout and
-    the acceptance kind, with the run's state in its locals and no
-    :class:`Configuration`: the plain loop is built with the executor, those
-    of watched and traced runs on first use.  A :class:`MachineSpec` is
-    immutable, so one executor can serve any number of runs.
+    own, filled from the plain one: each action is the plain action, sweep
+    codes and all, with one more slot, its row for the trace: a byte for
+    ``consume``, one for whether any storage's length changes, then per
+    storage one for its change of length (1, 255 for -1, or 0).  A run is
+    one call of a loop generated for the layout and the acceptance kind,
+    with the run's state in its locals and no :class:`Configuration`: the
+    plain loop is built with the executor, those of watched and traced runs
+    on first use.  A :class:`MachineSpec` is immutable, so one executor can
+    serve any number of runs.
     """
 
     def __init__(self, spec: MachineSpec):
@@ -860,6 +874,7 @@ class Executor:
             self.rules_by_state.setdefault(rule.state, []).append(rule)
         self._cache: dict[tuple, tuple | None] = {}
         self._traced: dict[tuple, tuple | None] = {}
+        self._rowed: dict[tuple, tuple] = {}   # (id of a plain action, row): traced action
         self._by_pattern: dict[str, list[tuple[tuple[int, ...], dict]]] = {}
         self._actions: dict[tuple, tuple] = {}
         self._sweeps: dict[tuple, tuple] = {}   # a sweep's context: its action
@@ -887,9 +902,22 @@ class Executor:
 
     # -- stepping ----------------------------------------------------------
 
-    def _compile(self, key: tuple, traced: bool = False) -> tuple | None:
+    def _compile_traced(self, key: tuple) -> tuple | None:
+        """The plain action of ``key`` with its row for the trace (see
+        Trace._rows) appended."""
+        action = self._cache[key] if key in self._cache else self._compile(key)
+        if action is not None:
+            changes = [_change(*effect) & 255 for effect in zip(
+                self.spec.storages, key[2:], action[3::2], action[4::2])]
+            row = bytes((action[1], any(changes), *changes))
+            # One object per plain action (each lives in _actions or _sweeps)
+            # and row: a sweep context's keys share it.
+            action = self._rowed.setdefault((id(action), row), (*action, row))
+        self._traced[key] = action
+        return action
+
+    def _compile(self, key: tuple) -> tuple | None:
         state, _, *views = key
-        cache = self._traced if traced else self._cache
         if state not in self._by_pattern:
             # The state's rules by pattern: per wildcard mask (as
             # Rule.specificity gives it), a dict from a pattern's concrete
@@ -905,20 +933,16 @@ class Executor:
             if rule is not None:
                 break
         else:
-            cache[key] = None
+            self._cache[key] = None
             return None
         action = (rule.next_state, rule.consume, rule.emit,
                   *(x for st, view, op in zip(self.spec.storages, views, rule.ops)
                     for x in _effect(st, view, op)))
-        if traced:   # its row for the trace (see Trace._rows)
-            changes = [_change(*effect) & 255 for effect in zip(
-                self.spec.storages, views, action[3::2], action[4::2])]
-            action += (bytes((rule.consume, any(changes), *changes)),)
-        elif rule.next_state == state and rule.emit is None:
+        if rule.next_state == state and rule.emit is None:
             swept = _swept(action, key)
             if swept is not None:   # one action per context, with its views
                 i, j, sweep = swept
-                action = cache[key] = self._sweeps.setdefault(
+                action = self._cache[key] = self._sweeps.setdefault(
                     (*key[:i], *key[i + 1:], j, sweep),
                     (*action[:3 + 2 * j], sweep, {}, *action[5 + 2 * j:]))
                 members = action[4 + 2 * j]
@@ -928,7 +952,7 @@ class Executor:
                         f"[{re.escape(''.join(members))}]*").match))
                 return action
         # Equal actions are one object: many keys share a few actions.
-        action = cache[key] = self._actions.setdefault(action, action)
+        action = self._cache[key] = self._actions.setdefault(action, action)
         return action
 
     # -- running -----------------------------------------------------------

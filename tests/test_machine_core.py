@@ -6,18 +6,21 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmlab import machine
 from qmlab.analysis import lprime_timing
 from qmlab.machine import (
     EMPTY,
     NO_SYMBOL,
     WILDCARD,
     Acceptance,
+    Executor,
     InputSymbolError,
     Kind,
     MachineSpec,
@@ -62,6 +65,17 @@ def steps_of(trace):
     return [StepRecord(i, state, bool(consumed), tuple(trace.lengths[(i - 1) * k:i * k]), emit)
             for i, (state, consumed, emit) in enumerate(
                 zip(trace.states, trace.consumed, trace.emits), 1)]
+
+
+def stepped_lines(spec, word):
+    """The trace file lines of a run of ``word`` driven by ``step``."""
+    cfg = executor_for(spec).initial(word)
+    lines = ["step,state,consumed," + ",".join(f"len({s.ident})" for s in spec.storages)
+             + ",emit"]
+    while (rec := step(spec, cfg)) is not None:
+        lines.append(f"{rec.step},{rec.state},{'y' if rec.consumed else 'n'},"
+                     f"{','.join(map(str, rec.lengths))},{rec.emit or ''}")
+    return lines
 
 
 def simple_machine(kind: Kind, *rules, acceptance=Acceptance.EMPTY_STORAGES,
@@ -344,27 +358,64 @@ class TestRun:
 
     @pytest.mark.parametrize("name, word", [("anbn:quadratic", "a" * 20 + "b" * 20),
                                             ("tk:1", "10$0$1$1$0$1$1$")])
-    def test_sweeps_stay_out_of_traced_runs(self, name, word):
-        # Plain runs take rotations and tape moves in bulk; a traced run
-        # still records one action per step and its cache has no sweep code.
-        ex = executor_for(builtin(name))
-        plain, traced = ex.run(word), ex.run(word, trace=True)
-        assert len(traced.trace.actions) == traced.steps == plain.steps
+    def test_traced_runs_take_sweeps_in_bulk(self, name, word):
+        # A traced run on a fresh executor compiles plain actions, sweep codes
+        # and all, and still records one action per step.
+        spec = builtin(name)
+        ex = Executor(spec)
+        traced = ex.run(word, trace=True)
         sweeps = set(_SWEEPS.values())
         assert any(sweeps & set(a[3::2]) for a in ex._cache.values() if a)
-        assert not any(sweeps & set(a[3:-1:2]) for a in ex._traced.values() if a)
+        assert any(sweeps & set(a[3:-1:2]) for a in ex._traced.values() if a)
+        assert len(traced.trace.actions) == traced.steps == ex.run(word).steps
+        assert traced.trace.to_lines() == stepped_lines(spec, word)
 
     @pytest.mark.parametrize("name, word", [("lprime", gen_lprime(6, 1).render()),
                                             ("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render())])
-    def test_input_runs_stay_out_of_traced_runs(self, name, word):
-        # Plain runs copy runs of input symbols onto a queue in bulk; a traced
-        # run still records one action per step and its cache has no copy code.
-        ex = executor_for(builtin(name))
-        plain, traced = ex.run(word), ex.run(word, trace=True)
+    def test_traced_runs_take_input_runs_in_bulk(self, name, word):
+        # A traced run on a fresh executor compiles copy codes into the plain
+        # cache, and still records one action per step.
+        spec = builtin(name)
+        ex = Executor(spec)
+        traced = ex.run(word, trace=True)
+        assert any(_COPY in a[3::2] for a in ex._cache.values() if a)
+        plain = ex.run(word)
         assert len(traced.trace.actions) == traced.steps == plain.steps
         assert traced.trace.consumed.count(1) == plain.input_consumed == len(word)
-        assert any(_COPY in a[3::2] for a in ex._cache.values() if a)
-        assert not any(_COPY in a[3:-1:2] for a in ex._traced.values() if a)
+        assert traced.trace.to_lines() == stepped_lines(spec, word)
+
+    @pytest.mark.parametrize("name, word, bulk", [
+        ("anbn:quadratic", "a" * 20 + "b" * 20, {"rotate"}),
+        ("tk:1", "10$0$1$1$0$1$1$", {"sweep"}),
+        ("lprime", gen_lprime(6, 1).render(), {"rotate", "copy"}),
+        ("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render(), {"copy"})])
+    def test_traced_runs_take_as_many_bulk_steps_as_plain_runs(self, name, word, bulk,
+                                                               monkeypatch):
+        # Counted on one warm executor: _rotate, _sweep and the copy
+        # contexts' match are called as often in a traced run as in a plain one.
+        ex = Executor(builtin(name))
+        ex.run(word)
+        ex.run(word, trace=True)   # every key is now compiled in both caches
+        calls = Counter()
+
+        def counted(kind, fn):
+            def count(*args):
+                calls[kind] += 1
+                return fn(*args)
+            return count
+
+        monkeypatch.setattr(machine, "_rotate", counted("rotate", machine._rotate))
+        monkeypatch.setattr(machine, "_sweep", counted("sweep", machine._sweep))
+        for action in ex._sweeps.values():
+            for code, members in zip(action[3::2], action[4::2]):
+                if code == _COPY:   # each view maps to the context's one match
+                    members.update(dict.fromkeys(members, counted(
+                        "copy", next(iter(members.values())))))
+        ex.run(word)
+        plain = dict(calls)
+        calls.clear()
+        ex.run(word, trace=True)
+        assert calls == plain and set(plain) == bulk
 
     def test_empty_input_needs_epsilon_flag(self):
         from dataclasses import replace
