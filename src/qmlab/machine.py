@@ -90,6 +90,11 @@ class InputSymbolError(ValueError):
         self.symbol = symbol
         self.position = position
 
+    @classmethod
+    def first(cls, word: str, alphabet: frozenset[str]) -> InputSymbolError:
+        """The error for ``word``'s first symbol outside ``alphabet``."""
+        return next(cls(s, i) for i, s in enumerate(word) if s not in alphabet)
+
 
 @dataclass(frozen=True, slots=True)
 class QueueOp:
@@ -180,13 +185,14 @@ class ValidationReport:
         return not self.violations
 
 
+def _cell_ok(storage: StorageSpec, cell: str) -> bool:
+    return len(cell) == storage.tracks and all(c == BLANK or c in storage.alphabet for c in cell)
+
+
 def _view_ok(storage: StorageSpec, pat: str) -> bool:
-    if pat == WILDCARD:
-        return True
     if storage.kind is Kind.TAPE:
-        return (len(pat) == storage.tracks
-                and all(c == BLANK or c in storage.alphabet for c in pat))
-    return pat == EMPTY or pat in storage.alphabet
+        return pat == WILDCARD or _cell_ok(storage, pat)
+    return pat in (WILDCARD, EMPTY) or pat in storage.alphabet
 
 
 def _op_ok(storage: StorageSpec, op: QueueOp | TapeOp) -> str | None:
@@ -195,9 +201,7 @@ def _op_ok(storage: StorageSpec, op: QueueOp | TapeOp) -> str | None:
             return "tape storage needs a tape action"
         if op.move not in ("L", "S", "R"):
             return f"bad tape move {op.move!r}"
-        if op.write is not None and not (
-                len(op.write) == storage.tracks
-                and all(c == BLANK or c in storage.alphabet for c in op.write)):
+        if op.write is not None and not _cell_ok(storage, op.write):
             return f"tape write {op.write!r} outside alphabet"
         return None
     if not isinstance(op, QueueOp):
@@ -503,7 +507,7 @@ def _swept(action: tuple, key: tuple) -> tuple[int, int, int] | None:
     storage it changes and its sweep code.  Reading no input, it may only
     rotate that queue (pop the view, push it back) or move that tape's head
     without a write; reading input, append it to that non-empty queue."""
-    moved = [j for j, code in enumerate(action[3::2]) if code]
+    moved = [j for j, code in enumerate(action[3:-1:2]) if code]
     if len(moved) == 1:
         j = moved[0]
         code, arg = action[3 + 2 * j:5 + 2 * j]
@@ -514,40 +518,31 @@ def _swept(action: tuple, key: tuple) -> tuple[int, int, int] | None:
     return None
 
 
-def _effect(storage: StorageSpec, view: str, op: QueueOp | TapeOp) -> tuple[int, str | None]:
-    """Compile ``op`` on a storage whose current view is ``view`` to ``(code, arg)``."""
+def _effect(storage: StorageSpec, view: str, op: QueueOp | TapeOp) -> tuple[int, str | None, int]:
+    """Compile ``op`` on a storage whose current view is ``view`` to ``(code,
+    arg, change)``, where ``change`` is what it adds to the storage's length
+    (1, 255 for -1, or 0; a tape's length is its non-blank cells)."""
     if storage.kind is Kind.TAPE:
         write = op.write if op.write != view else None
+        change = 0 if write is None else (
+            (write != storage.blank_cell) - (view != storage.blank_cell)) & 255
         if op.move == "R":
-            return _RIGHT, write
+            return _RIGHT, write, change
         if op.move == "L":
-            return _LEFT, write
-        return (_KEEP, None) if write is None else (_WRITE, write)
+            return _LEFT, write, change
+        return (_KEEP, None, 0) if write is None else (_WRITE, write, change)
     queue = storage.kind is Kind.QUEUE
     if op.pop:
         if view == EMPTY:
-            return _POP_EMPTY, None
+            return _POP_EMPTY, None, 0
         if op.push is None:
-            return _POPLEFT if queue else _POP, None
+            return _POPLEFT if queue else _POP, None, 255
         if queue:
-            return _POPLEFT_APPEND, op.push
-        return (_KEEP, None) if op.push == view else (_SET_TOP, op.push)
+            return _POPLEFT_APPEND, op.push, 0
+        return (_KEEP, None, 0) if op.push == view else (_SET_TOP, op.push, 0)
     if op.push is None:
-        return _KEEP, None
-    return _APPEND if queue and view != EMPTY else _APPEND_SET, op.push
-
-
-_GROW, _SHRINK = {_APPEND, _APPEND_SET, _COPY}, {_POPLEFT, _POP}
-
-
-def _change(storage: StorageSpec, view: str, code: int, arg: str | dict | None) -> int:
-    """What the effect ``(code, arg)`` on a storage whose view is ``view``
-    adds to its length: -1, 0 or 1 (a tape's length is its non-blank cells).
-    A sweep's arg is its members, not a cell: only a copy changes a length."""
-    if storage.kind is Kind.TAPE and code not in (_SWEEP_R, _SWEEP_L):
-        blank = storage.blank_cell
-        return 0 if arg is None else (arg != blank) - (view != blank)
-    return (code in _GROW) - (code in _SHRINK)
+        return _KEEP, None, 0
+    return _APPEND if queue and view != EMPTY else _APPEND_SET, op.push, 1
 
 
 def _fault(storage: StorageSpec) -> str:
@@ -599,11 +594,11 @@ def _sweep(cells: list, head: int, by: int, members: dict, blank: str,
 # A marker line ``@name`` becomes the lines ``_WORD`` or ``_CONFIG`` (where a
 # loop starts and ends), ``_WATCH`` and ``_TRACE`` give ``name`` (and, in a
 # layout with a queue, ``@read`` keeps the symbol a step read), or nothing.
-# A traced loop reads the traced cache, whose actions are the plain ones with
-# their row for the trace appended; in a bulk branch, ``@before`` and
-# ``@swept`` add the steps it took to the trace.  The dead ``if False`` block
-# numbers a step's locals first (CPython numbers them as met; past 256, each
-# use costs more).
+# Every loop unpacks an action's last slot, its row for the trace, into
+# ``change``, which no loop reads; in a bulk branch of a traced loop,
+# ``@before`` and ``@swept`` add the steps it took to the trace.  The dead
+# ``if False`` block numbers a step's locals first (CPython numbers them as
+# met; past 256, each use costs more).
 _LOOP_SETUP = {
     Kind.QUEUE: "v{j} = s{j}[0] if s{j} else EMPTY\n@setup",
     Kind.PUSHDOWN: "v{j} = s{j}[-1] if s{j} else EMPTY\n@setup",
@@ -717,7 +712,7 @@ def run_loop(ex, {params}):
                 action = compile_((state, view{views}))
             if action is None:
                 @halt
-            next_state, consume, emit{slots}{change} = action
+            next_state, consume, emit{slots}, change = action
             if consume:
                 if pos >= n:
                     raise ExecutionFault("input consumed past end of word")
@@ -740,9 +735,7 @@ _DEFAULT_LIMIT = "64 * ({n} + 1) ** 2"   # default_step_limit(n), which _WORD in
 _WORD = {"enter": """\
 alphabet = ex.spec.input_alphabet
 if not alphabet.issuperset(word):
-    for i, symbol in enumerate(word):
-        if symbol not in alphabet:
-            raise InputSymbolError(symbol, i)
+    raise InputSymbolError.first(word, alphabet)
 limit = {default_limit} if max_steps is None else max_steps
 {stores} = {new}
 if ex._post:
@@ -775,11 +768,11 @@ _WATCH = {"setup": "l{j} = m{j} = len(s{j})\np{j} = -1\n",
           "grow": "l{j} += 1\n" + _PEAK, "shrink": "l{j} -= 1\n",
           "bulk": "l{j} = len(s{j})\n" + _PEAK,
           "write": f"l{{j}} += {_TAPE_DELTA}\n" + _PEAK}
-# A traced run appends each step's action to the trace and tracks no lengths.
+# A traced run appends each step's action (its last slot is the step's row
+# for the trace) and tracks no lengths.
 # Every step of a sweep applies the same action, so a bulk step appends it
 # once per step it took before the step's own.
 _TRACE = {"begin": "trace = Trace(ex._storage_ids, tuple(map(len, ({stores}))))\n"
-                   "cache, compile_ = ex._traced, ex._compile_traced\n"
                    "add_action, add_actions = trace.actions.append, trace.actions.extend\n",
           "before": "before = steps\n",
           "swept": "add_actions(repeat(action, steps - before))\n",
@@ -822,7 +815,7 @@ def _run_loop(layout: tuple[Kind, ...], acceptance: Acceptance | None,
         accepts=_ACCEPTS.get(acceptance, "").format(
             empty=" or ".join(f"s{j}" for j in js) or "()"),
         views="".join(f", v{j}" for j in js),
-        slots="".join(f", c{j}, a{j}" for j in js), change=", change" if traced else "",
+        slots="".join(f", c{j}, a{j}" for j in js),
         hot="".join(f" = v{j} = c{j} = a{j}" for j in js),
         trace="trace" if traced else "None",
         peaks="(" + "".join(f"m{j} - (p{j} == steps), " for j in js) + ")" if watch else "None",
@@ -842,29 +835,27 @@ class Executor:
 
     The cache key is ``(state, input view, view of storage 0, ...)``.  The
     first time a key is looked up it is compiled to ``None`` (no rule
-    applies) or to ``(next_state, consume, emit, code 0, arg 0, code 1,
-    arg 1, ...)``: per storage, in its fixed slots, what the action does to
-    it (see :func:`_effect`).  The rule is found by one dict lookup per
-    wildcard mask of the state's patterns, the most specific mask first.
-    Equal actions are one object.  A self-loop that runs take in bulk (see
-    :func:`_swept`: a queue rotated or a tape head moved without a write, or
-    the input symbol consumed and appended to a non-empty queue) gets a
-    sweep code in the changed storage's slot, and as its argument a dict
-    whose keys are the views compiled to the same step in its context: the
-    key without the view the sweep goes over (the input view for
-    ``_COPY``), with the storage and the code.  All keys of a context share
-    that action, and its keys grow as they are compiled, so they are only
-    views proven to give that step; a run takes the rest of a sweep at once
-    while the new view is among them.  Traced runs use a cache of their
-    own, filled from the plain one: each action is the plain action, sweep
-    codes and all, with one more slot, its row for the trace: a byte for
-    ``consume``, one for whether any storage's length changes, then per
-    storage one for its change of length (1, 255 for -1, or 0).  A run is
-    one call of a loop generated for the layout and the acceptance kind,
-    with the run's state in its locals and no :class:`Configuration`: the
-    plain loop is built with the executor, those of watched and traced runs
-    on first use.  A :class:`MachineSpec` is immutable, so one executor can
-    serve any number of runs.
+    applies) or to ``(next_state, consume, emit, code 0, arg 0, code 1, arg 1,
+    ..., row)``: per storage, in its fixed slots, what the action does to it
+    (see :func:`_effect`), and last the step's row for the trace (see
+    ``Trace._rows``).  Plain, watched and traced runs all read this one cache.
+    The rule is found by one dict lookup per wildcard mask of the state's
+    patterns, the most specific mask first.  Equal actions are one object.  A
+    self-loop that runs take in bulk (see :func:`_swept`: a queue rotated or a
+    tape head moved without a write, or the input symbol consumed and appended
+    to a non-empty queue) gets a sweep code in the changed storage's slot, and
+    as its argument a dict whose keys are the views compiled to the same step
+    in its context: the key without the view the sweep goes over (the input
+    view for ``_COPY``), with the storage and the code.  All keys of a context
+    share that action, row and all (a rotation or a tape sweep changes no
+    length, a copy adds one), and its keys grow as they are compiled, so they
+    are only views proven to give that step; a run takes the rest of a sweep
+    at once while the new view is among them.  A run is one call of a loop
+    generated for the layout and the acceptance kind, with the run's state in
+    its locals and no :class:`Configuration`: the plain loop is built with the
+    executor, those of watched and traced runs on first use.  A
+    :class:`MachineSpec` is immutable, so one executor can serve any number of
+    runs.
     """
 
     def __init__(self, spec: MachineSpec):
@@ -873,8 +864,6 @@ class Executor:
         for rule in spec.rules:
             self.rules_by_state.setdefault(rule.state, []).append(rule)
         self._cache: dict[tuple, tuple | None] = {}
-        self._traced: dict[tuple, tuple | None] = {}
-        self._rowed: dict[tuple, tuple] = {}   # (id of a plain action, row): traced action
         self._by_pattern: dict[str, list[tuple[tuple[int, ...], dict]]] = {}
         self._actions: dict[tuple, tuple] = {}
         self._sweeps: dict[tuple, tuple] = {}   # a sweep's context: its action
@@ -892,29 +881,13 @@ class Executor:
         """Start-of-run configuration; in post mode, storage 0 holds the input."""
         alpha = self.spec.input_alphabet
         if not alpha.issuperset(word):
-            for i, ch in enumerate(word):
-                if ch not in alpha:
-                    raise InputSymbolError(ch, i)
+            raise InputSymbolError.first(word, alpha)
         stores = [make() for make in self._factories]
         if self._post:
             stores[0].extend(word)
         return Configuration(word, self.spec.start, 0, stores, [], 0)
 
     # -- stepping ----------------------------------------------------------
-
-    def _compile_traced(self, key: tuple) -> tuple | None:
-        """The plain action of ``key`` with its row for the trace (see
-        Trace._rows) appended."""
-        action = self._cache[key] if key in self._cache else self._compile(key)
-        if action is not None:
-            changes = [_change(*effect) & 255 for effect in zip(
-                self.spec.storages, key[2:], action[3::2], action[4::2])]
-            row = bytes((action[1], any(changes), *changes))
-            # One object per plain action (each lives in _actions or _sweeps)
-            # and row: a sweep context's keys share it.
-            action = self._rowed.setdefault((id(action), row), (*action, row))
-        self._traced[key] = action
-        return action
 
     def _compile(self, key: tuple) -> tuple | None:
         state, _, *views = key
@@ -935,9 +908,12 @@ class Executor:
         else:
             self._cache[key] = None
             return None
-        action = (rule.next_state, rule.consume, rule.emit,
-                  *(x for st, view, op in zip(self.spec.storages, views, rule.ops)
-                    for x in _effect(st, view, op)))
+        action, row = [rule.next_state, rule.consume, rule.emit], [rule.consume, 0]
+        for code, arg, change in map(_effect, self.spec.storages, views, rule.ops):
+            action += code, arg
+            row.append(change)
+        row[1] = any(row[2:])
+        action = (*action, bytes(row))
         if rule.next_state == state and rule.emit is None:
             swept = _swept(action, key)
             if swept is not None:   # one action per context, with its views

@@ -359,26 +359,25 @@ class TestRun:
     @pytest.mark.parametrize("name, word", [("anbn:quadratic", "a" * 20 + "b" * 20),
                                             ("tk:1", "10$0$1$1$0$1$1$")])
     def test_traced_runs_take_sweeps_in_bulk(self, name, word):
-        # A traced run on a fresh executor compiles plain actions, sweep codes
-        # and all, and still records one action per step.
+        # A traced run on a fresh executor compiles sweep codes into the one
+        # cache, and still records one action per step.
         spec = builtin(name)
         ex = Executor(spec)
         traced = ex.run(word, trace=True)
         sweeps = set(_SWEEPS.values())
-        assert any(sweeps & set(a[3::2]) for a in ex._cache.values() if a)
-        assert any(sweeps & set(a[3:-1:2]) for a in ex._traced.values() if a)
+        assert any(sweeps & set(a[3:-1:2]) for a in ex._cache.values() if a)
         assert len(traced.trace.actions) == traced.steps == ex.run(word).steps
         assert traced.trace.to_lines() == stepped_lines(spec, word)
 
     @pytest.mark.parametrize("name, word", [("lprime", gen_lprime(6, 1).render()),
                                             ("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render())])
     def test_traced_runs_take_input_runs_in_bulk(self, name, word):
-        # A traced run on a fresh executor compiles copy codes into the plain
+        # A traced run on a fresh executor compiles copy codes into the one
         # cache, and still records one action per step.
         spec = builtin(name)
         ex = Executor(spec)
         traced = ex.run(word, trace=True)
-        assert any(_COPY in a[3::2] for a in ex._cache.values() if a)
+        assert any(_COPY in a[3:-1:2] for a in ex._cache.values() if a)
         plain = ex.run(word)
         assert len(traced.trace.actions) == traced.steps == plain.steps
         assert traced.trace.consumed.count(1) == plain.input_consumed == len(word)
@@ -395,7 +394,7 @@ class TestRun:
         # contexts' match are called as often in a traced run as in a plain one.
         ex = Executor(builtin(name))
         ex.run(word)
-        ex.run(word, trace=True)   # every key is now compiled in both caches
+        ex.run(word, trace=True)   # every key of both runs is now compiled
         calls = Counter()
 
         def counted(kind, fn):
@@ -407,7 +406,7 @@ class TestRun:
         monkeypatch.setattr(machine, "_rotate", counted("rotate", machine._rotate))
         monkeypatch.setattr(machine, "_sweep", counted("sweep", machine._sweep))
         for action in ex._sweeps.values():
-            for code, members in zip(action[3::2], action[4::2]):
+            for code, members in zip(action[3:-1:2], action[4::2]):
                 if code == _COPY:   # each view maps to the context's one match
                     members.update(dict.fromkeys(members, counted(
                         "copy", next(iter(members.values())))))
@@ -416,6 +415,31 @@ class TestRun:
         calls.clear()
         ex.run(word, trace=True)
         assert calls == plain and set(plain) == bulk
+
+    @pytest.mark.parametrize("name, word", [("lprime", gen_lprime(6, 1).render()),
+                                            ("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render()),
+                                            ("tk:1", "10$0$1$1$0$1$1$"),
+                                            ("anbn:quadratic", "a" * 20 + "b" * 20)])
+    def test_one_observation_cache(self, name, word):
+        # Plain, traced and watched runs read one cache: once a plain run has
+        # compiled a word's keys, the other two compile none.  Every action
+        # carries its row for the trace, and a sweep context's action is the
+        # one the cache holds for each of its keys.
+        ex = Executor(builtin(name))
+        ex.run(word)
+        keys = set(ex._cache)
+        ex.run(word, trace=True)
+        ex.run(word, watch_lengths=True)
+        assert set(ex._cache) == keys
+        k = len(ex.spec.storages)
+        for action in filter(None, ex._cache.values()):
+            row = action[-1]
+            assert type(row) is bytes and len(row) == k + 2 and row[0] == action[1]
+        uses, sweeps = Counter(map(id, ex._cache.values())), set(_SWEEPS.values())
+        assert ex._sweeps
+        for action in ex._sweeps.values():
+            members = next(a for c, a in zip(action[3:-1:2], action[4::2]) if c in sweeps)
+            assert uses[id(action)] == len(members)
 
     def test_empty_input_needs_epsilon_flag(self):
         from dataclasses import replace

@@ -503,7 +503,7 @@ def test_input_runs_are_counted_only_when_the_next_symbol_copies():
         return count
 
     for action in ex._sweeps.values():
-        for code, members in zip(action[3::2], action[4::2]):
+        for code, members in zip(action[3:-1:2], action[4::2]):
             if code == _COPY:   # each view maps to the context's one match
                 members.update(dict.fromkeys(members, counted(members[next(iter(members))],
                                                               members)))

@@ -15,7 +15,12 @@ run's steps, in ns/step.  ``short_run_us`` is the fastest of ``REPEAT``
 batches of ``SHORT_BATCH`` plain lprime runs on each of ``SHORT_WORDS``, in
 µs per run; ``short_run_over_plain_step`` divides the ``ab0c0`` figure by
 lprime's plain ns/step, both taken in this process, so that most of a
-drift of the host's speed between processes cancels.  ``bits`` is the fastest
+drift of the host's speed between processes cancels.  ``cold_over_warm``
+measures the compile layer: a fresh tk:3 executor's first pass over the
+``COLD_WORDS`` words of ``gen_fk_cases(COLD_WORDS, SEED, 3)``, which
+compiles each observation on its first look-up, divided by its second pass,
+which finds them all cached; each pass is the fastest of ``REPEAT`` fresh
+executors', all in this process.  ``bits`` is the fastest
 ``SplitMix64(seed).bits(n)`` call, in µs per 1,000 bits, for each ``n``.
 The program is imported from ``src/`` next to this directory.  The last line
 printed is one JSON object.  Standard library only.
@@ -37,13 +42,14 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from qmlab.analysis import sized_fk_instance  # noqa: E402
 from qmlab.machine import Executor  # noqa: E402
 from qmlab.machines import builtin  # noqa: E402
-from qmlab.oracles import SplitMix64, gen_lprime  # noqa: E402
+from qmlab.oracles import SplitMix64, gen_fk_cases, gen_lprime  # noqa: E402
 
 SEED = 1
 BIT_COUNTS = (64, 1024, 8192)
 REPEAT = 7
 SHORT_WORDS = ("a", "ab0c0", "ab0c0ab")   # 1, 5 and 14 steps
 SHORT_BATCH = 2000
+COLD_WORDS = 600   # as many fk words as the batch workload replays
 
 
 def words() -> dict[str, str]:
@@ -105,6 +111,20 @@ def short_run_costs(repeat: int) -> dict:
     return out
 
 
+def cold_over_warm(repeat: int) -> float:
+    """A fresh tk:3 executor's first pass over the fk words over its second."""
+    words = [case.word for case in gen_fk_cases(COLD_WORDS, SEED, 3)]
+    passes = ([], [])
+    for _ in range(repeat):
+        run_word = Executor(builtin("tk:3")).run
+        for times in passes:
+            t = time.perf_counter()
+            for word in words:
+                run_word(word)
+            times.append(time.perf_counter() - t)
+    return round(min(passes[0]) / min(passes[1]), 3)
+
+
 def bit_costs(repeat: int) -> dict:
     return {str(n): round(1e9 * best(lambda: SplitMix64(SEED).bits(n), repeat) / n, 3)
             for n in BIT_COUNTS}
@@ -118,6 +138,7 @@ def main() -> int:
               "repeat": REPEAT, "runs": runs, "short_run_us": short,
               "short_run_over_plain_step": round(
                   1e3 * short["ab0c0"] / runs["lprime"]["plain_ns_per_step"], 2),
+              "cold_over_warm": cold_over_warm(REPEAT),
               "bits_us_per_1000": bit_costs(REPEAT)}
     for name, r in result["runs"].items():
         print(f"{name:<15} {r['steps']:>8} steps  plain {r['plain_ns_per_step']:>7} "
@@ -125,6 +146,8 @@ def main() -> int:
     for word, us in short.items():
         print(f"lprime short run {word!r}: {us} µs")
     print(f"an 'ab0c0' run costs {result['short_run_over_plain_step']} plain lprime steps")
+    print(f"a cold tk:3 pass over {COLD_WORDS} fk words costs {result['cold_over_warm']} "
+          f"warm passes")
     for n, us in result["bits_us_per_1000"].items():
         print(f"bits({n}): {us} µs per 1,000 bits")
     print(json.dumps(result))
