@@ -464,11 +464,6 @@ class RunResult:
         return self.verdict is _ACCEPT
 
 
-def default_step_limit(input_len: int) -> int:
-    """Generous default: every machine in this package is at most quadratic."""
-    return eval(_DEFAULT_LIMIT.format(n=int(input_len)))
-
-
 # The verdicts as module constants: a global is cheaper to read than an
 # enum member.
 _ACCEPT, _REJECT = Verdict.ACCEPT, Verdict.REJECT
@@ -590,15 +585,15 @@ def _sweep(cells: list, head: int, by: int, members: dict, blank: str,
 # locals: its object ``sj``, its view ``vj`` and, for a tape, its ``cellsj``,
 # ``headj`` and ``blankj``; its effect code and argument in an action are
 # ``cj`` and ``aj``.  Per storage kind, its new object, its lines at the start
-# of a run, its branch in a step and its lines in the ``finally`` of a step.
-# A marker line ``@name`` becomes the lines ``_WORD`` or ``_CONFIG`` (where a
-# loop starts and ends), ``_WATCH`` and ``_TRACE`` give ``name`` (and, in a
-# layout with a queue, ``@read`` keeps the symbol a step read), or nothing.
-# Every loop unpacks an action's last slot, its row for the trace, into
-# ``change``, which no loop reads; in a bulk branch of a traced loop,
-# ``@before`` and ``@swept`` add the steps it took to the trace.  The dead
-# ``if False`` block numbers a step's locals first (CPython numbers them as
-# met; past 256, each use costs more).
+# of a run, its branch in a step and what a resumed loop writes back.  A
+# marker line ``@name`` becomes the lines ``_WORD`` or ``_CONFIG`` (where a
+# loop starts, and what it writes back), ``_WATCH`` and ``_TRACE`` give
+# ``name``, or nothing.  Every loop stops (halt, step limit, fault) in the
+# same lines and returns a RunResult, and unpacks an action's last slot, its
+# trace row, into ``change``, which none reads.  A bulk branch runs only with
+# room for a step; in a traced loop, ``@before`` and ``@swept`` add the steps
+# it took.  The dead ``if False`` block numbers a step's locals first
+# (CPython numbers them as met; past 256, each use costs more).
 _LOOP_SETUP = {
     Kind.QUEUE: "v{j} = s{j}[0] if s{j} else EMPTY\n@setup",
     Kind.PUSHDOWN: "v{j} = s{j}[-1] if s{j} else EMPTY\n@setup",
@@ -609,28 +604,27 @@ _LOOP_APPLY = {
     Kind.QUEUE: """\
 if c{j}:
     if c{j} == {_COPY}:   # the step, then the rest of the input run at once
-        s{j}.append(read)
-        if view in a{j}:   # one match bounded at both ends counts the rest
+        s{j}.append(word[pos - 1])
+        if view in a{j} and steps + 1 < limit:   # one bounded match counts the rest
             end = a{j}[view](word, pos, pos + limit - steps - 1).end()
             s{j}.extend(word[pos:end])
             @before
             steps, pos, view = steps + end - pos, end, padded[end]
             @swept
-        @bulk
+        @grow
     elif c{j} == {_APPEND}:
         s{j}.append(a{j})
         @grow
     elif c{j} == {_POPLEFT}:
         s{j}.popleft()
         v{j} = s{j}[0] if s{j} else EMPTY
-        @shrink
     elif c{j} == {_POPLEFT_APPEND}:
         s{j}.popleft()
         s{j}.append(a{j})
         v{j} = s{j}[0]
     elif c{j} == {_ROTATE}:   # the step, then the rest of the sweep at once
         s{j}.rotate(-1)
-        if s{j}[0] in a{j}:
+        if s{j}[0] in a{j} and steps + 1 < limit:
             @before
             steps = _rotate(s{j}, a{j}, steps, limit)
             @swept
@@ -650,7 +644,6 @@ if c{j}:
     elif c{j} == {_POP}:
         s{j}.pop()
         v{j} = s{j}[-1] if s{j} else EMPTY
-        @shrink
     elif c{j} == {_SET_TOP}:
         s{j}[-1] = v{j} = a{j}
     else:
@@ -683,7 +676,7 @@ if c{j}:
         head{j} += by
         if head{j} == len(cells{j}):
             cells{j}.append(blank{j})
-        if cells{j}[head{j}] in a{j}:
+        if cells{j}[head{j}] in a{j} and steps + 1 < limit:
             @before
             steps, head{j} = _sweep(cells{j}, head{j}, by, a{j}, blank{j}, steps, limit)
             @swept
@@ -694,7 +687,7 @@ _LOOP_FINAL = {**dict.fromkeys(Kind, ""), Kind.TAPE: "s{j}.head = head{j}"}
 _LOOP = """\
 def run_loop(ex, {params}):
     if False:   # never runs: the compiler meets a step's locals here first
-        state = pos = steps = view = read = action = next_state = consume = emit = None
+        state = pos = steps = view = action = next_state = consume = emit = None
         add_action = change{hot} = None
     cache, compile_ = ex._cache, ex._compile
     @enter
@@ -711,12 +704,14 @@ def run_loop(ex, {params}):
             except KeyError:
                 action = compile_((state, view{views}))
             if action is None:
-                @halt
+                accept = (word or ex.spec.epsilon_accept) and {accepts}
+                verdict = _ACCEPT if accept else _REJECT
+                reason, fault = "no_rule", None
+                break
             next_state, consume, emit{slots}, change = action
             if consume:
                 if pos >= n:
                     raise ExecutionFault("input consumed past end of word")
-                @read
                 pos += 1
                 view = padded[pos]
 {apply}
@@ -725,53 +720,44 @@ def run_loop(ex, {params}):
             state = next_state
             steps += 1
             @step
-        @limit
+        else:
+            verdict, reason, fault = _STEP_LIMIT, "step_limit", None
+    except ExecutionFault as exc:
+        verdict, reason, fault = _FAULT, "fault", str(exc)
     @exit
 {final}
+    return RunResult(verdict, "".join(output), steps, pos, reason, {trace}, fault, {peaks})
 """
-_DEFAULT_LIMIT = "64 * ({n} + 1) ** 2"   # default_step_limit(n), which _WORD inlines
 # A run from a word: fresh storages (a post-mode machine's storage 0 holds the
-# word), the verdict at the halt by the acceptance kind, and the RunResult.
+# word) and, without max_steps, the limit 64 * (n + 1) ** 2 for n symbols.
 _WORD = {"enter": """\
 alphabet = ex.spec.input_alphabet
 if not alphabet.issuperset(word):
     raise InputSymbolError.first(word, alphabet)
-limit = {default_limit} if max_steps is None else max_steps
+limit = 64 * (len(word) + 1) ** 2 if max_steps is None else max_steps
 {stores} = {new}
 if ex._post:
     s0.extend(word)
 state, pos, steps, output = ex.spec.start, 0, 0, []
-""",
-         "halt": "accept = (word or ex.spec.epsilon_accept) and {accepts}\n"
-                 "verdict = _ACCEPT if accept else _REJECT\n"
-                 'reason, fault = "no_rule", None\nbreak\n',
-         "limit": 'else:\n    verdict, reason, fault = _STEP_LIMIT, "step_limit", None\n',
-         "exit": "except ExecutionFault as exc:\n"
-                 '    verdict, reason, fault = _FAULT, "fault", str(exc)\n'
-                 'return RunResult(verdict, "".join(output), steps, pos, reason, {trace}, fault, '
-                 '{peaks})\n'}
+"""}
 _ACCEPTS = {Acceptance.OUTPUT_BIT: 'output[-1:] == ["1"]',
             Acceptance.FINAL_STATES: "(ex._post or pos == n) and state in ex.spec.finals",
             Acceptance.EMPTY_STORAGES: "(ex._post or pos == n) and not ({empty})"}
-# Steps of a Configuration, in place, for step().
+# Steps of a Configuration, in place, written back before the loop returns.
 _CONFIG = {"enter": """\
 {stores} = cfg.stores
 word, output, state, pos, steps = cfg.input, cfg.output, cfg.state, cfg.input_pos, cfg.steps
 """,
-           "halt": "return True\n", "limit": "return False\n",
-           "exit": "finally:\n    cfg.state, cfg.input_pos, cfg.steps = state, pos, steps\n"}
+           "exit": "cfg.state, cfg.input_pos, cfg.steps = state, pos, steps\n"}
 _TAPE_DELTA = "(a{j} != blank{j}) - (v{j} != blank{j})"   # a write's change of the length
 _PEAK = "if l{j} > m{j}:\n    m{j}, p{j} = l{j}, steps\n"       # raised in step pj
-# A watched run keeps storage j's length in lj and its peak in mj; its
-# result undoes a peak raised by a faulting step (by one, a step's most).
+# A watched run keeps storage j's peak in mj (a push reads len(), a tape keeps
+# its count in lj); its result undoes a peak a faulting step raised (by one).
 _WATCH = {"setup": "l{j} = m{j} = len(s{j})\np{j} = -1\n",
-          "grow": "l{j} += 1\n" + _PEAK, "shrink": "l{j} -= 1\n",
-          "bulk": "l{j} = len(s{j})\n" + _PEAK,
+          "grow": "if (l{j} := len(s{j})) > m{j}:\n    m{j}, p{j} = l{j}, steps\n",
           "write": f"l{{j}} += {_TAPE_DELTA}\n" + _PEAK}
-# A traced run appends each step's action (its last slot is the step's row
-# for the trace) and tracks no lengths.
-# Every step of a sweep applies the same action, so a bulk step appends it
-# once per step it took before the step's own.
+# A traced run appends each step's action (its last slot is its trace row) and
+# tracks no lengths; a bulk step appends it once per step it took.
 _TRACE = {"begin": "trace = Trace(ex._storage_ids, tuple(map(len, ({stores}))))\n"
                    "add_action, add_actions = trace.actions.append, trace.actions.extend\n",
           "before": "before = steps\n",
@@ -781,22 +767,21 @@ _MARKER = re.compile(r"^( *)@(\w+)\n?", re.M)
 
 
 @lru_cache(maxsize=256)
-def _run_loop(layout: tuple[Kind, ...], acceptance: Acceptance | None,
-              watch: bool = False, traced: bool = False):
-    """The run loop for storages of the kinds ``layout``.  With an
-    ``acceptance`` kind, ``run_loop(ex, word, max_steps)`` is all of
-    :meth:`Executor.run` for specs of that kind, from the word to the
-    :class:`RunResult`, tracing the completed steps if ``traced`` and
-    keeping the peaks after them if ``watch``.  With None,
-    ``run_loop(ex, cfg, limit)`` steps ``cfg`` in place until no rule applies
-    (returns True) or ``cfg.steps`` reaches ``limit`` (False).  A faulting
-    step keeps what it did before the fault (input consumed, earlier
-    storages changed) but not its new state or its step: neither ``cfg``
-    nor a run's result counts it."""
-    extras = [extra for on, extra in ((True, _CONFIG if acceptance is None else _WORD),
+def _run_loop(layout: tuple[Kind, ...], acceptance: Acceptance,
+              watch: bool = False, traced: bool = False, resume: bool = False):
+    """The run loop for storages of the kinds ``layout`` and specs of the
+    ``acceptance`` kind, tracing the completed steps if ``traced`` and
+    keeping the peaks after them if ``watch``.  ``run_loop(ex, word,
+    max_steps)`` is all of :meth:`Executor.run`, from the word to the
+    :class:`RunResult`; with ``resume``, ``run_loop(ex, cfg, limit)`` steps
+    ``cfg`` in place until it halts, faults or ``cfg.steps`` reaches
+    ``limit``, writes the run's state back to it and returns the
+    :class:`RunResult` of the steps from the word's start.  A faulting step
+    keeps what it did before the fault (input consumed, earlier storages
+    changed) but not its new state or its step: neither ``cfg`` nor the
+    result counts it."""
+    extras = [extra for on, extra in ((True, _CONFIG if resume else _WORD),
                                       (watch, _WATCH), (traced, _TRACE)) if on]
-    if Kind.QUEUE in layout:   # a copy appends the symbol its step read
-        extras.append({"read": "read = view\n"})
 
     def expand(template: str) -> str:   # each marker line, as its extra lines
         return _MARKER.sub(lambda m: textwrap.indent(
@@ -808,11 +793,10 @@ def _run_loop(layout: tuple[Kind, ...], acceptance: Acceptance | None,
 
     js = range(len(layout))
     source = expand(_LOOP).format(
-        params="word, max_steps" if acceptance else "cfg, limit",
-        default_limit=_DEFAULT_LIMIT.format(n="len(word)"),
+        params="cfg, limit" if resume else "word, max_steps",
         stores=", ".join(f"s{j}" for j in js) + "," if js else "_",
         new="".join(f"{_LOOP_NEW[kind].format(j=j)}, " for j, kind in enumerate(layout)) or "()",
-        accepts=_ACCEPTS.get(acceptance, "").format(
+        accepts=_ACCEPTS[acceptance].format(
             empty=" or ".join(f"s{j}" for j in js) or "()"),
         views="".join(f", v{j}" for j in js),
         slots="".join(f", c{j}, a{j}" for j in js),
@@ -820,7 +804,7 @@ def _run_loop(layout: tuple[Kind, ...], acceptance: Acceptance | None,
         trace="trace" if traced else "None",
         peaks="(" + "".join(f"m{j} - (p{j} == steps), " for j in js) + ")" if watch else "None",
         setup=lines(_LOOP_SETUP, "    "), apply=lines(_LOOP_APPLY, " " * 12),
-        final=lines(_LOOP_FINAL, " " * 8) if acceptance is None else "")
+        final=lines(_LOOP_FINAL, "    ") if resume else "")
     namespace: dict = {}
     exec(compile(source, f"<run loop {','.join(k.value for k in layout)}>", "exec"),
          globals(), namespace)
@@ -850,12 +834,13 @@ class Executor:
     share that action, row and all (a rotation or a tape sweep changes no
     length, a copy adds one), and its keys grow as they are compiled, so they
     are only views proven to give that step; a run takes the rest of a sweep
-    at once while the new view is among them.  A run is one call of a loop
-    generated for the layout and the acceptance kind, with the run's state in
-    its locals and no :class:`Configuration`: the plain loop is built with the
-    executor, those of watched and traced runs on first use.  A
-    :class:`MachineSpec` is immutable, so one executor can serve any number of
-    runs.
+    at once while the new view is among them and it has room for a step.  A
+    run is one call of a loop generated for the layout and the acceptance
+    kind, with the run's state in its locals: the plain loop is built with
+    the executor, those of watched and traced runs on first use.  :func:`step`
+    enters it from a :class:`Configuration`.  Every loop returns a
+    :class:`RunResult`.  A :class:`MachineSpec` is immutable, so one executor
+    can serve any number of runs.
     """
 
     def __init__(self, spec: MachineSpec):
@@ -950,7 +935,10 @@ def step(spec: MachineSpec, cfg: Configuration) -> StepRecord | None:
     """Apply one step in place; returns ``None`` when the machine halts."""
     ex = executor_for(spec)
     pos, emitted = cfg.input_pos, len(cfg.output)
-    if _run_loop(ex._layout, None)(ex, cfg, cfg.steps + 1):
+    res = _run_loop(ex._layout, spec.acceptance, resume=True)(ex, cfg, cfg.steps + 1)
+    if res.fault is not None:
+        raise ExecutionFault(res.fault)
+    if res.halt_reason == "no_rule":
         return None
     return StepRecord(cfg.steps, cfg.state, cfg.input_pos > pos, cfg.storage_lengths(),
                       cfg.output[-1] if len(cfg.output) > emitted else None)

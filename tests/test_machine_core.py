@@ -78,6 +78,27 @@ def stepped_lines(spec, word):
     return lines
 
 
+def count_bulk_calls(ex, monkeypatch) -> Counter:
+    """Counts, by kind, the calls of ``machine._rotate``, ``machine._sweep``
+    and the ``match`` of each copy context ``ex`` has compiled so far."""
+    calls = Counter()
+
+    def counted(kind, fn):
+        def count(*args):
+            calls[kind] += 1
+            return fn(*args)
+        return count
+
+    monkeypatch.setattr(machine, "_rotate", counted("rotate", machine._rotate))
+    monkeypatch.setattr(machine, "_sweep", counted("sweep", machine._sweep))
+    for action in ex._sweeps.values():
+        for code, members in zip(action[3:-1:2], action[4::2]):
+            if code == _COPY:   # each view maps to the context's one match
+                members.update(dict.fromkeys(members, counted(
+                    "copy", next(iter(members.values())))))
+    return calls
+
+
 def simple_machine(kind: Kind, *rules, acceptance=Acceptance.EMPTY_STORAGES,
                    mode=Mode.ONLINE, finals=(), alphabet="ab", storage_alphabet=None,
                    output="ab", epsilon_accept=False, states=None, start=None,
@@ -395,26 +416,33 @@ class TestRun:
         ex = Executor(builtin(name))
         ex.run(word)
         ex.run(word, trace=True)   # every key of both runs is now compiled
-        calls = Counter()
-
-        def counted(kind, fn):
-            def count(*args):
-                calls[kind] += 1
-                return fn(*args)
-            return count
-
-        monkeypatch.setattr(machine, "_rotate", counted("rotate", machine._rotate))
-        monkeypatch.setattr(machine, "_sweep", counted("sweep", machine._sweep))
-        for action in ex._sweeps.values():
-            for code, members in zip(action[3:-1:2], action[4::2]):
-                if code == _COPY:   # each view maps to the context's one match
-                    members.update(dict.fromkeys(members, counted(
-                        "copy", next(iter(members.values())))))
+        calls = count_bulk_calls(ex, monkeypatch)
         ex.run(word)
         plain = dict(calls)
         calls.clear()
         ex.run(word, trace=True)
         assert calls == plain and set(plain) == bulk
+
+    @pytest.mark.parametrize("name, word, bulk", [
+        ("lprime", gen_lprime(6, 1).render(), {"rotate", "copy"}),
+        ("anbn:quadratic", "a" * 8 + "b" * 8, {"rotate"}),
+        ("tk:1", "10$0$1$1$0$1$1$", {"sweep"}),
+        ("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render(), {"copy"})])
+    def test_step_calls_no_bulk_helper(self, name, word, bulk, monkeypatch):
+        # step() runs its loop to one step past the configuration's, so no
+        # bulk branch has room for a step: it calls neither _rotate, _sweep
+        # nor a copy context's match.  A plain run of the word calls them.
+        spec = builtin(name)
+        ex = Executor(spec)
+        ex.run(word)   # compiles every key that stepping the word meets
+        keys = set(ex._cache)
+        monkeypatch.setattr(machine, "executor_for", lambda _: ex)
+        calls = count_bulk_calls(ex, monkeypatch)
+        cfg = ex.initial(word)
+        while step(spec, cfg) is not None:
+            pass
+        assert not calls and set(ex._cache) == keys
+        assert ex.run(word).steps == cfg.steps and set(calls) == bulk
 
     @pytest.mark.parametrize("name, word", [("lprime", gen_lprime(6, 1).render()),
                                             ("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render()),
@@ -506,9 +534,25 @@ class TestRun:
 
 
 def test_default_step_limit_formula():
-    from qmlab.machine import default_step_limit
-    assert default_step_limit(0) == 64
-    assert default_step_limit(3) == 64 * 16
+    # A machine that never halts, run without max_steps, stops at the default
+    # limit 64 * (n + 1) ** 2: 64 steps on the empty word, 1,024 on three symbols.
+    spec = simple_machine(Kind.QUEUE, Rule("s", WILDCARD, (WILDCARD,), "s", ops=(NO_OP,)),
+                          states=("s",))
+    for flags in ({}, {"watch_lengths": True}, {"trace": True}):
+        for word, limit in (("", 64), ("aba", 64 * 16)):
+            res = run(spec, word, **flags)
+            assert (res.verdict, res.halt_reason, res.steps) == (
+                Verdict.STEP_LIMIT, "step_limit", limit), flags
+
+
+def test_loop_hooks_are_the_extras_keys():
+    # A marker line renders its extras' lines for its name, and a misspelled
+    # one renders nothing: every hook of the templates is some extra's key,
+    # and every key is a hook.
+    templates = (machine._LOOP, *machine._LOOP_SETUP.values(), *machine._LOOP_APPLY.values())
+    hooks = {m[2] for template in templates for m in machine._MARKER.finditer(template)}
+    assert hooks == set().union(machine._WORD, machine._CONFIG, machine._WATCH,
+                                machine._TRACE)
 
 
 class TestTraceChecks:

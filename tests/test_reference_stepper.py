@@ -6,8 +6,9 @@ applicable one (componentwise, input most significant) and has no cache.
 Plain, watched and traced ``Executor.run`` and the public ``step`` API must
 each agree with it on verdict, output, steps, input consumed, fault text,
 halt reason, per-step records and peak storage lengths, and ``step`` must
-leave the same configuration behind, after a fault too.  A traced run's
-trace file lines, ``check_realtime``, ``minimal_delay``,
+leave the same configuration behind, after a fault too.  The run loop
+entered from a configuration must return what a run from the word returns.
+A traced run's trace file lines, ``check_realtime``, ``minimal_delay``,
 ``storage_length_series`` and ``Trace.length_after`` must equal values
 computed from the reference's records.  The machines are the builtins, a
 few hand-written ones and randomly generated valid specs.
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_machine_core as core
+from qmlab import machine
 from qmlab.machine import (
     BLANK,
     EMPTY,
@@ -39,7 +41,6 @@ from qmlab.machine import (
     TapeOp,
     Verdict,
     check_realtime,
-    default_step_limit,
     executor_for,
     _COPY,
     minimal_delay,
@@ -119,7 +120,7 @@ def reference_run(spec, word, max_steps=None) -> Reference:
 
     state, pos, output, records = spec.start, 0, [], []
     peaks = lengths()
-    limit = default_step_limit(len(word)) if max_steps is None else max_steps
+    limit = 64 * (len(word) + 1) ** 2 if max_steps is None else max_steps
     fault = None
     while True:
         if len(records) >= limit:
@@ -439,6 +440,28 @@ def check_steps(spec, word, limit):
     assert _config(cfg) == ref.config
 
 
+def check_resume(spec, word, max_steps):
+    """The run loop entered from ``initial(word)`` (rendered with
+    ``resume=True``), plain, watched and traced, returns the result of the
+    same run from the word and leaves the reference's configuration."""
+    ex = executor_for(spec)
+    limit = 64 * (len(word) + 1) ** 2 if max_steps is None else max_steps
+    config = reference_run(spec, word, max_steps).config
+    for watch, traced in ((False, False), (True, False), (False, True)):
+        cfg = ex.initial(word)
+        res = machine._run_loop(ex._layout, spec.acceptance, watch, traced,
+                                resume=True)(ex, cfg, limit)
+        want = ex.run(word, max_steps=max_steps, watch_lengths=watch, trace=traced)
+        assert (res.verdict, res.output, res.steps, res.input_consumed, res.halt_reason,
+                res.fault, res.max_lengths) == (
+            want.verdict, want.output, want.steps, want.input_consumed, want.halt_reason,
+            want.fault, want.max_lengths)
+        assert traced == (res.trace is not None)
+        if traced:
+            assert res.trace.to_lines() == want.trace.to_lines()
+        assert _config(cfg) == config
+
+
 @pytest.mark.parametrize("name", sorted(MACHINES))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -455,7 +478,15 @@ def test_step_matches_reference(name, data):
     check_steps(build(), data.draw(words, label="word"), 200)
 
 
-@pytest.mark.parametrize("name, word", [
+@pytest.mark.parametrize("name", sorted(MACHINES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_resume_matches_run(name, data):
+    build, words = MACHINES[name]
+    check_resume(build(), data.draw(words, label="word"), data.draw(_LIMITS, label="max_steps"))
+
+
+_EDGE_ROWS = [
     ("sweep:rotate-all", "ab"),
     ("sweep:tape-right", ""),
     ("sweep:tape-right", "0"),
@@ -472,7 +503,10 @@ def test_step_matches_reference(name, data):
     ("copy:context", "abcabbcabba"),
     ("copy:context", "bbcaabbacbbaab"),
     ("lprime", gen_lprime(2, 5).render()),
-])
+]
+
+
+@pytest.mark.parametrize("name, word", _EDGE_ROWS)
 def test_sweep_edges_match_reference(name, word):
     """A run that sweeps or copies input runs, cut at every step limit up to
     its length (the default limit, for one that reaches it), plain, watched
@@ -483,6 +517,32 @@ def test_sweep_edges_match_reference(name, word):
         check_runs(spec, word, max_steps)
     check_runs(spec, word, None)
     check_steps(spec, word, length + 1)
+
+
+@pytest.mark.parametrize("name, word", _EDGE_ROWS)
+def test_sweep_edges_resume_as_runs(name, word):
+    """The same runs, cut at every step limit, entered from a configuration."""
+    spec = MACHINES[name][0]()
+    for max_steps in [*range(reference_run(spec, word).steps + 1), None]:
+        check_resume(spec, word, max_steps)
+
+
+@pytest.mark.parametrize("name, word, kind, first", [
+    ("sweep:rotate-all", "ab", "rotate", 3),
+    ("echo:queue", "aaaaaaa", "copy", 2),
+    ("sweep:tape-right", "0", "sweep", 6),
+])
+def test_bulk_helpers_run_only_with_room(name, word, kind, first, monkeypatch):
+    """On a warm executor, step ``first`` is the first whose new view
+    continues its sweep.  Its bulk helper is called once, when the run
+    has room for a step after it, and never for zero steps."""
+    ex = machine.Executor(MACHINES[name][0]())
+    ex.run(word)
+    calls = core.count_bulk_calls(ex, monkeypatch)
+    for limit in range(first + 4):
+        calls.clear()
+        assert ex.run(word, max_steps=limit).steps == limit
+        assert calls == ({kind: 1} if limit > first else {}), limit
 
 
 def test_input_runs_are_counted_only_when_the_next_symbol_copies():

@@ -20,7 +20,10 @@ measures the compile layer: a fresh tk:3 executor's first pass over the
 ``COLD_WORDS`` words of ``gen_fk_cases(COLD_WORDS, SEED, 3)``, which
 compiles each observation on its first look-up, divided by its second pass,
 which finds them all cached; each pass is the fastest of ``REPEAT`` fresh
-executors', all in this process.  ``bits`` is the fastest
+executors', all in this process.  ``step_us`` is the cost of one ``step``
+call, in µs: the fastest of ``REPEAT`` passes that step a configuration of
+``gen_lprime(6, SEED)`` from its start to its halt (255 steps), over the
+steps.  ``bits`` is the fastest
 ``SplitMix64(seed).bits(n)`` call, in µs per 1,000 bits, for each ``n``.
 The program is imported from ``src/`` next to this directory.  The last line
 printed is one JSON object.  Standard library only.
@@ -40,7 +43,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from qmlab.analysis import sized_fk_instance  # noqa: E402
-from qmlab.machine import Executor  # noqa: E402
+from qmlab.machine import Executor, executor_for, step  # noqa: E402
 from qmlab.machines import builtin  # noqa: E402
 from qmlab.oracles import SplitMix64, gen_fk_cases, gen_lprime  # noqa: E402
 
@@ -125,6 +128,21 @@ def cold_over_warm(repeat: int) -> float:
     return round(min(passes[0]) / min(passes[1]), 3)
 
 
+def step_us(repeat: int) -> float:
+    """µs per ``step`` call, stepping lprime over one word to its halt."""
+    spec, word = builtin("lprime"), gen_lprime(6, SEED).render()
+    initial = executor_for(spec).initial
+
+    def drive() -> int:
+        cfg = initial(word)
+        while step(spec, cfg) is not None:
+            pass
+        return cfg.steps
+
+    steps = drive()
+    return round(1e6 * best(drive, repeat) / steps, 3)
+
+
 def bit_costs(repeat: int) -> dict:
     return {str(n): round(1e9 * best(lambda: SplitMix64(SEED).bits(n), repeat) / n, 3)
             for n in BIT_COUNTS}
@@ -139,6 +157,7 @@ def main() -> int:
               "short_run_over_plain_step": round(
                   1e3 * short["ab0c0"] / runs["lprime"]["plain_ns_per_step"], 2),
               "cold_over_warm": cold_over_warm(REPEAT),
+              "step_us": step_us(REPEAT),
               "bits_us_per_1000": bit_costs(REPEAT)}
     for name, r in result["runs"].items():
         print(f"{name:<15} {r['steps']:>8} steps  plain {r['plain_ns_per_step']:>7} "
@@ -148,6 +167,7 @@ def main() -> int:
     print(f"an 'ab0c0' run costs {result['short_run_over_plain_step']} plain lprime steps")
     print(f"a cold tk:3 pass over {COLD_WORDS} fk words costs {result['cold_over_warm']} "
           f"warm passes")
+    print(f"a step() call of lprime costs {result['step_us']} µs")
     for n, us in result["bits_us_per_1000"].items():
         print(f"bits({n}): {us} µs per 1,000 bits")
     print(json.dumps(result))
