@@ -105,7 +105,7 @@ def _cmd_run(args) -> int:
         raise _Exit(EXIT_USAGE, exc) from None
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(res.trace.to_lines()) + "\n")
+            res.trace.write(fh)
     line = f"verdict={res.verdict.value} steps={res.steps} output={res.output}"
     if res.fault:
         line += f" fault={res.fault}"

@@ -46,6 +46,8 @@ NO_SYMBOL = "-"
 # used as a storage symbol.
 EMPTY = "empty"
 BLANK = "_"
+_CHUNK = 1 << 14                  # steps a trace file is written in at a time
+_SILENT = re.compile(rb"\x00+")   # a run of steps that consume no input
 
 # Characters that would collide with the machine file format or the reserved
 # observation tokens; alphabets must avoid them.
@@ -346,12 +348,10 @@ class Trace:
     """A run's completed steps as the compiled actions they applied:
     ``actions[i]`` is step ``i + 1``'s (see :class:`Executor`; a step that
     faults adds none), and ``initial`` holds the storage lengths before step
-    1.  The columns are built from them on first read and kept: after step
-    ``i + 1``, the state ``states[i]``, whether the step consumed an input
-    symbol (``consumed[i]``, 0 or 1), the emitted symbol ``emits[i]`` (or
-    ``None``) and the storage lengths ``lengths[i * k:(i + 1) * k]`` for
-    ``k`` storages.  ``records`` is the trace itself;
-    ``perfbench/tracer.py`` still reads it."""
+    1.  Built from them on first read and kept: whether step ``i + 1``
+    consumed an input symbol (``consumed[i]``, 0 or 1) and the ``k`` storage
+    lengths after it (``lengths[i * k:(i + 1) * k]``).  :meth:`write` renders
+    the file.  ``records`` is the trace itself; ``perfbench/tracer.py`` reads it."""
 
     def __init__(self, storage_ids: tuple[str, ...], initial: tuple[int, ...]):
         self.storage_ids = storage_ids
@@ -366,50 +366,42 @@ class Trace:
         return self
 
     @cached_property
-    def _rows(self) -> bytes:
-        """Each step's row of its action (``k + 2`` bytes): whether it
-        consumed, whether it changed a length, then each storage's change of
-        length (1, 255 for -1, or 0)."""
-        buf = io.BytesIO()
+    def _columns(self) -> list[bytes]:
+        """The rows of the steps' actions (``k + 2`` bytes each) by column:
+        whether a step consumed, whether it changed a length, then each
+        storage's change of length (1, 255 for -1, or 0)."""
+        buf, width = io.BytesIO(), len(self.storage_ids) + 2
         buf.writelines(map(itemgetter(-1), self.actions))
-        return buf.getvalue()
-
-    @cached_property
-    def states(self) -> list[str]:
-        return list(map(itemgetter(0), self.actions))
+        rows = buf.getvalue()
+        return [rows[c::width] for c in range(width)]
 
     @cached_property
     def consumed(self) -> bytearray:
-        return bytearray(self._rows[::len(self.storage_ids) + 2])
-
-    @cached_property
-    def emits(self) -> list[str | None]:
-        return list(map(itemgetter(2), self.actions))
+        return bytearray(self._columns[0])
 
     @cached_property
     def lengths(self) -> array:
-        k, n, rows = len(self.storage_ids), len(self), self._rows
-        changed = rows[1::k + 2]
+        k, n = len(self.storage_ids), len(self)
         # Built by row, a changing step costs about as much as 32 entries by column.
-        if 32 * changed.count(1) < k * n:
-            return self._lengths_by_row(changed)
+        if 32 * self._columns[1].count(1) < k * n:
+            return self._lengths_by_row()
         lengths = array("q", self.initial) * n
         for j, first in enumerate(self.initial):   # a running sum per storage
-            column = accumulate(array("b", rows[j + 2::k + 2]), initial=first)
+            column = accumulate(array("b", self._columns[j + 2]), initial=first)
             lengths[j::k] = array("q", struct.pack(f"{n + 1}q", *column))[1:]
         return lengths
 
-    def _lengths_by_row(self, changed: bytes) -> array:
+    def _lengths_by_row(self) -> array:
         """``lengths`` as one row of lengths repeated until a step changes
-        it (``changed[i]`` is 1): the cheaper way where few steps do."""
+        it: the cheaper way where few steps do."""
         k, n, patches = len(self.storage_ids), len(self), {}
         row, last = array("q", self.initial), 0
         lengths = row * n
-        for i, action in compress(enumerate(self.actions), changed):
+        for i, action in compress(enumerate(self.actions), self._columns[1]):
             lengths[last * k:i * k] = row * (i - last)
             changes = action[-1]
-            if changes not in patches:   # its changed storages and by how much
-                patches[changes] = [(j, d) for j, d in enumerate(array("b", changes)[2:]) if d]
+            if changes not in patches:
+                patches[changes] = _length_changes(changes)
             for j, d in patches[changes]:
                 row[j] += d
             last = i
@@ -433,19 +425,37 @@ class Trace:
         j = self._index(storage)
         if not 0 <= step <= len(self):
             raise ValueError(f"step {step} outside trace of {len(self)} steps")
-        changes = self._rows[j + 2::len(self.storage_ids) + 2]
+        changes = self._columns[j + 2]
         return self.initial[j] + changes.count(1, 0, step) - changes.count(255, 0, step)
 
+    def write(self, fh) -> None:
+        """Write the trace in its file format to ``fh``, ``_CHUNK`` steps at a
+        time: each distinct action's text is rendered once, and the lengths
+        only after a step that changes one."""
+        fh.write(f"step,state,consumed,{','.join(f'len({i})' for i in self.storage_ids)},emit\n")
+        lengths, texts, lens = list(self.initial), {}, ",".join(map(str, self.initial))
+        for start in range(0, len(self), _CHUNK):
+            lines = []
+            for i, action in enumerate(self.actions[start:start + _CHUNK], start + 1):
+                head, tail, changes = texts.get(id(action)) or texts.setdefault(id(action), (
+                    f"{action[0]},{'y' if action[1] else 'n'},", f",{action[2] or ''}\n",
+                    _length_changes(action[-1])))
+                if changes:
+                    for j, d in changes:
+                        lengths[j] += d
+                    lens = ",".join(map(str, lengths))
+                lines.append(f"{i},{head}{lens}{tail}")
+            fh.write("".join(lines))
+
     def to_lines(self) -> list[str]:
-        """Render the trace in its file format, one step per line."""
-        header = "step,state,consumed," + ",".join(
-            f"len({i})" for i in self.storage_ids) + ",emit"
-        # Each step's lengths as one string, built a storage column at a time.
-        lens = (map(",".join, zip(*(map(str, self.lengths_of(i)) for i in self.storage_ids)))
-                if self.storage_ids else [""] * len(self))
-        return [header] + [f"{i},{state},{'y' if consumed else 'n'},{ls},{emit or ''}"
-                           for i, (state, consumed, ls, emit) in enumerate(
-                               zip(self.states, self.consumed, lens, self.emits), 1)]
+        """The trace in its file format, one step per line, as written."""
+        self.write(buf := io.StringIO())
+        return buf.getvalue().split("\n")[:-1]
+
+
+def _length_changes(row: bytes) -> list[tuple[int, int]]:
+    """The storages a step's trace row changes, each with its change (1 or -1)."""
+    return [(j, d) for j, d in enumerate(array("b", row)[2:]) if d]
 
 
 @dataclass(slots=True)
@@ -974,8 +984,8 @@ def minimal_delay(trace: Trace, region: tuple[int, int]) -> int:
     start, end = region
     if not (1 <= start <= end <= len(trace)):
         raise ValueError(f"region {region} outside trace of {len(trace)} steps")
-    # The longest run of non-consuming steps: split the region at consuming ones.
-    return max(map(len, trace.consumed[start - 1:end].split(b"\x01")))
+    return max((m.end() - m.start() for m in _SILENT.finditer(trace.consumed, start - 1, end)),
+               default=0)
 
 
 def storage_length_series(trace: Trace, storage: str) -> list[tuple[int, int]]:

@@ -251,14 +251,19 @@ t | - | *,*,* -> t | n | -,pop,move=L | -
          "510bb37c2f6fa7ad32506b82f27bd1e66c07a586a6432837395ffe437da56438"),
         ("three", "aaab", None, 5,
          "fb86a346f4b1294203837f94af5c08f4e263a3285790974bdce69639c545a9d1"),
+        # 28,173 steps: the file is written in more than one chunk.
+        ("tk:3", "fk8k", None, 0,
+         "362aec6bc2994384e27de106119a4dadf5ee3567eb0573c3c5f9a845ae36bf94"),
     ])
     def test_trace_files_are_pinned(self, capsys, tmp_path, machine, word, max_steps,
                                     code, sha256):
         if machine == "three":
             machine = tmp_path / "three.qm"
             machine.write_text(self.THREE_STORAGES)
-        word = {"lprime": oracles.gen_lprime(3, 1).render(),
-                "fk": analysis.sized_fk_instance(3, 256, 1).render()}.get(word, word)
+        word = {"lprime": lambda: oracles.gen_lprime(3, 1).render(),
+                "fk": lambda: analysis.sized_fk_instance(3, 256, 1).render(),
+                "fk8k": lambda: analysis.sized_fk_instance(3, 1 << 13, 1).render(),
+                }.get(word, lambda: word)()
         path = tmp_path / "t.csv"
         argv = ["run", "--machine", str(machine), "--input", word, "--trace", str(path)]
         if max_steps is not None:

@@ -1,6 +1,7 @@
 """Core executor semantics: storages, matching, verdicts, traces."""
 
 import dataclasses
+import itertools
 import os
 import pickle
 import subprocess
@@ -20,6 +21,7 @@ from qmlab.machine import (
     NO_SYMBOL,
     WILDCARD,
     Acceptance,
+    ExecutionFault,
     Executor,
     InputSymbolError,
     Kind,
@@ -31,6 +33,7 @@ from qmlab.machine import (
     StorageSpec,
     TapeOp,
     NO_OP,
+    Trace,
     Verdict,
     check_bounded_delay,
     check_realtime,
@@ -60,21 +63,28 @@ def contents(cfg, j):
 
 
 def steps_of(trace):
-    """The trace's steps as :class:`StepRecord` objects, built from its columns."""
+    """The trace's steps as :class:`StepRecord` objects, built from its
+    actions and columns."""
     k = len(trace.storage_ids)
-    return [StepRecord(i, state, bool(consumed), tuple(trace.lengths[(i - 1) * k:i * k]), emit)
-            for i, (state, consumed, emit) in enumerate(
-                zip(trace.states, trace.consumed, trace.emits), 1)]
+    return [StepRecord(i, action[0], bool(consumed), tuple(trace.lengths[(i - 1) * k:i * k]),
+                       action[2])
+            for i, (action, consumed) in enumerate(zip(trace.actions, trace.consumed), 1)]
 
 
-def stepped_lines(spec, word):
-    """The trace file lines of a run of ``word`` driven by ``step``."""
+def stepped_lines(spec, word, max_steps=None):
+    """The trace file lines of a run of ``word`` driven by ``step``, to its
+    halt, its first fault or ``max_steps`` steps (a run's default limit if
+    ``None``)."""
+    limit = 64 * (len(word) + 1) ** 2 if max_steps is None else max_steps
     cfg = executor_for(spec).initial(word)
     lines = ["step,state,consumed," + ",".join(f"len({s.ident})" for s in spec.storages)
              + ",emit"]
-    while (rec := step(spec, cfg)) is not None:
-        lines.append(f"{rec.step},{rec.state},{'y' if rec.consumed else 'n'},"
-                     f"{','.join(map(str, rec.lengths))},{rec.emit or ''}")
+    try:
+        while cfg.steps < limit and (rec := step(spec, cfg)) is not None:
+            lines.append(f"{rec.step},{rec.state},{'y' if rec.consumed else 'n'},"
+                         f"{','.join(map(str, rec.lengths))},{rec.emit or ''}")
+    except ExecutionFault:
+        pass
     return lines
 
 
@@ -607,6 +617,35 @@ class TestTraceChecks:
         for storage, step in (("nope", 0), ("s", -1), ("s", len(tr) + 1)):
             with pytest.raises(ValueError):
                 tr.length_after(storage, step)
+
+    def test_minimal_delay_on_every_short_column(self):
+        """Every 0/1 ``consumed`` column up to 10 steps and every region
+        against the longest run of silent steps counted one by one."""
+        for n in range(1, 11):
+            for bits in itertools.product((0, 1), repeat=n):
+                tr = Trace((), ())
+                tr.actions = [("s", c, None, bytes((c, 0))) for c in bits]
+                for start, end in itertools.combinations_with_replacement(range(1, n + 1), 2):
+                    worst = streak = 0
+                    for c in bits[start - 1:end]:
+                        streak = 0 if c else streak + 1
+                        worst = max(worst, streak)
+                    assert minimal_delay(tr, (start, end)) == worst, (bits, start, end)
+
+    @pytest.mark.parametrize("name, word", [("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render()),
+                                            ("tk:2", "10#01$11$00$"),
+                                            ("lprime", gen_lprime(4, 1).render())],
+                             ids=["mk:3", "tk:2", "lprime"])
+    def test_length_after_reads_its_kept_column(self, name, word):
+        """Once a storage's change column is kept, queries in decreasing step
+        order, the storages interleaved, still read each length."""
+        tr = run(builtin(name), word, trace=True).trace
+        tr.length_after(tr.storage_ids[0], len(tr))
+        assert "_columns" in vars(tr)
+        want = {i: [tr.initial[j], *tr.lengths_of(i)] for j, i in enumerate(tr.storage_ids)}
+        for n in reversed(range(len(tr) + 1)):
+            for i in tr.storage_ids[::-1]:
+                assert tr.length_after(i, n) == want[i][n], (i, n)
 
     def test_lprime_timing_memory_per_step(self):
         """``lprime_timing`` reads ``consumed`` and a few queue lengths, so a

@@ -10,10 +10,14 @@ leave the same configuration behind, after a fault too.  The run loop
 entered from a configuration must return what a run from the word returns.
 A traced run's trace file lines, ``check_realtime``, ``minimal_delay``,
 ``storage_length_series`` and ``Trace.length_after`` must equal values
-computed from the reference's records.  The machines are the builtins, a
-few hand-written ones and randomly generated valid specs.
+computed from the reference's records, and the trace file written in
+chunks of 1, 2, 3, 7 and 2**14 steps must equal the lines of the same run
+driven by ``step``.
+The machines are the builtins, a few hand-written ones and randomly
+generated valid specs.
 """
 
+import io
 import itertools
 import timeit
 from dataclasses import dataclass
@@ -398,6 +402,19 @@ def check_runs(spec, word, max_steps):
             initial[j], *after]
     assert both.max_lengths == watched.max_lengths
     assert both.trace.to_lines() == traced.trace.to_lines()
+    check_written(spec, word, max_steps, traced.trace)
+
+
+def check_written(spec, word, max_steps, trace):
+    """The run's trace file, written in chunks of 1, 2, 3, 7 and the
+    default number of steps, against the lines of the same run driven by
+    ``step``."""
+    want = "\n".join(core.stepped_lines(spec, word, max_steps)) + "\n"
+    for chunk in (1, 2, 3, 7, machine._CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(machine, "_CHUNK", chunk)
+            trace.write(buf := io.StringIO())
+        assert buf.getvalue() == want, chunk
 
 
 def check_trace(spec, tr, records):

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Per-step cost of plain, watched and traced runs, the cost of a short run,
-and the cost of drawing seeded bits.
+of writing a trace file, of the cycle-schedule trace checks and of drawing
+seeded bits.
 
     python3 tools/step_cost.py > costs.txt
 
 For each machine, one seeded word (the kind ``analysis.growth_point`` runs)
 is run on one executor in three ways: plain, with ``watch_lengths=True`` and
 with ``trace=True``.  A traced run is timed together with reading its
-``consumed`` and ``lengths`` columns, as ``Trace.to_lines`` and the trace
-checks do, since a trace builds its columns when they are first read.
+``consumed`` and ``lengths`` columns, as the trace checks do, since a trace
+builds its columns when they are first read.
 After one untimed warm-up run of each, the three are timed in that order,
 ``REPEAT`` times over; a mode's figure is its fastest repeat divided by the
 run's steps, in ns/step.  ``short_run_us`` is the fastest of ``REPEAT``
@@ -23,7 +24,14 @@ which finds them all cached; each pass is the fastest of ``REPEAT`` fresh
 executors', all in this process.  ``step_us`` is the cost of one ``step``
 call, in µs: the fastest of ``REPEAT`` passes that step a configuration of
 ``gen_lprime(6, SEED)`` from its start to its halt (255 steps), over the
-steps.  ``bits`` is the fastest
+steps.  ``trace_file_ns_per_step`` is the fastest of ``REPEAT`` traced
+tk:3 runs on its word, each written through ``Trace.write`` into an
+``io.StringIO``, over the run's steps.  ``timing_checks_us`` is the fastest
+of ``REPEAT`` passes of ``analysis.lprime_timing``'s checks (the cycle
+starts, the queue length before each and the prefix's delay) on a held
+traced run of ``gen_lprime(12, SEED)``, each on a fresh ``Trace`` of its
+actions, so that the columns the checks read are built in the time.
+``bits`` is the fastest
 ``SplitMix64(seed).bits(n)`` call, in µs per 1,000 bits, for each ``n``.
 The program is imported from ``src/`` next to this directory.  The last line
 printed is one JSON object.  Standard library only.
@@ -32,6 +40,7 @@ printed is one JSON object.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -42,8 +51,8 @@ import timeit
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from qmlab.analysis import sized_fk_instance  # noqa: E402
-from qmlab.machine import Executor, executor_for, step  # noqa: E402
+from qmlab.analysis import lprime_cycle_starts, sized_fk_instance  # noqa: E402
+from qmlab.machine import Executor, Trace, executor_for, minimal_delay, step  # noqa: E402
 from qmlab.machines import builtin  # noqa: E402
 from qmlab.oracles import SplitMix64, gen_fk_cases, gen_lprime  # noqa: E402
 
@@ -75,7 +84,7 @@ def best(fn, repeat: int) -> float:
 
 
 def read_trace(res) -> None:
-    """Read the columns that ``Trace.to_lines`` and the trace checks read."""
+    """Read the columns that the trace checks read."""
     res.trace.consumed, res.trace.lengths
 
 
@@ -143,6 +152,35 @@ def step_us(repeat: int) -> float:
     return round(1e6 * best(drive, repeat) / steps, 3)
 
 
+def trace_file_ns_per_step(repeat: int) -> float:
+    """ns per step of a traced tk:3 run written as a trace file in memory."""
+    run_word, word = Executor(builtin("tk:3")).run, words()["tk:3"]
+
+    def write() -> int:
+        res = run_word(word, trace=True)
+        res.trace.write(io.StringIO())
+        return res.steps
+
+    steps = write()
+    return round(1e9 * best(write, repeat) / steps, 1)
+
+
+def timing_checks_us(repeat: int) -> float:
+    """µs for ``lprime_timing``'s checks on a held traced lprime run."""
+    inst = gen_lprime(12, SEED)
+    held = executor_for(builtin("lprime")).run(inst.render(), trace=True).trace
+
+    def checks() -> None:
+        trace = Trace(held.storage_ids, held.initial)
+        trace.actions = held.actions
+        for start in lprime_cycle_starts(trace, inst.prefix_length):
+            trace.length_after("q", start - 1)
+        minimal_delay(trace, (1, inst.prefix_length))
+
+    checks()
+    return round(1e6 * best(checks, repeat), 1)
+
+
 def bit_costs(repeat: int) -> dict:
     return {str(n): round(1e9 * best(lambda: SplitMix64(SEED).bits(n), repeat) / n, 3)
             for n in BIT_COUNTS}
@@ -158,6 +196,8 @@ def main() -> int:
                   1e3 * short["ab0c0"] / runs["lprime"]["plain_ns_per_step"], 2),
               "cold_over_warm": cold_over_warm(REPEAT),
               "step_us": step_us(REPEAT),
+              "trace_file_ns_per_step": trace_file_ns_per_step(REPEAT),
+              "timing_checks_us": timing_checks_us(REPEAT),
               "bits_us_per_1000": bit_costs(REPEAT)}
     for name, r in result["runs"].items():
         print(f"{name:<15} {r['steps']:>8} steps  plain {r['plain_ns_per_step']:>7} "
@@ -168,6 +208,9 @@ def main() -> int:
     print(f"a cold tk:3 pass over {COLD_WORDS} fk words costs {result['cold_over_warm']} "
           f"warm passes")
     print(f"a step() call of lprime costs {result['step_us']} µs")
+    print(f"a traced tk:3 run written as a trace file costs "
+          f"{result['trace_file_ns_per_step']} ns/step")
+    print(f"lprime_timing's checks on a k = 12 trace cost {result['timing_checks_us']} µs")
     for n, us in result["bits_us_per_1000"].items():
         print(f"bits({n}): {us} µs per 1,000 bits")
     print(json.dumps(result))
