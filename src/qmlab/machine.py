@@ -348,10 +348,12 @@ class Trace:
     """A run's completed steps as the compiled actions they applied:
     ``actions[i]`` is step ``i + 1``'s (see :class:`Executor`; a step that
     faults adds none), and ``initial`` holds the storage lengths before step
-    1.  Built from them on first read and kept: whether step ``i + 1``
-    consumed an input symbol (``consumed[i]``, 0 or 1) and the ``k`` storage
-    lengths after it (``lengths[i * k:(i + 1) * k]``).  :meth:`write` renders
-    the file.  ``records`` is the trace itself; ``perfbench/tracer.py`` reads it."""
+    1.  Each action's row holds whether the step consumed an input symbol,
+    then each storage's change of length.  The rows' columns are sliced on
+    first read and kept; ``consumed`` (``consumed[i]`` is 0 or 1 for step
+    ``i + 1``), :meth:`lengths_of` and :meth:`length_after` each read one.
+    :meth:`write` renders the file.  ``records`` is the trace itself;
+    ``perfbench/tracer.py`` reads it."""
 
     def __init__(self, storage_ids: tuple[str, ...], initial: tuple[int, ...]):
         self.storage_ids = storage_ids
@@ -367,46 +369,17 @@ class Trace:
 
     @cached_property
     def _columns(self) -> list[bytes]:
-        """The rows of the steps' actions (``k + 2`` bytes each) by column:
-        whether a step consumed, whether it changed a length, then each
-        storage's change of length (1, 255 for -1, or 0)."""
-        buf, width = io.BytesIO(), len(self.storage_ids) + 2
+        """The rows of the steps' actions (``k + 1`` bytes each) by column:
+        whether a step consumed, then each storage's change of length (1,
+        255 for -1, or 0)."""
+        buf, width = io.BytesIO(), len(self.storage_ids) + 1
         buf.writelines(map(itemgetter(-1), self.actions))
         rows = buf.getvalue()
         return [rows[c::width] for c in range(width)]
 
-    @cached_property
-    def consumed(self) -> bytearray:
-        return bytearray(self._columns[0])
-
-    @cached_property
-    def lengths(self) -> array:
-        k, n = len(self.storage_ids), len(self)
-        # Built by row, a changing step costs about as much as 32 entries by column.
-        if 32 * self._columns[1].count(1) < k * n:
-            return self._lengths_by_row()
-        lengths = array("q", self.initial) * n
-        for j, first in enumerate(self.initial):   # a running sum per storage
-            column = accumulate(array("b", self._columns[j + 2]), initial=first)
-            lengths[j::k] = array("q", struct.pack(f"{n + 1}q", *column))[1:]
-        return lengths
-
-    def _lengths_by_row(self) -> array:
-        """``lengths`` as one row of lengths repeated until a step changes
-        it: the cheaper way where few steps do."""
-        k, n, patches = len(self.storage_ids), len(self), {}
-        row, last = array("q", self.initial), 0
-        lengths = row * n
-        for i, action in compress(enumerate(self.actions), self._columns[1]):
-            lengths[last * k:i * k] = row * (i - last)
-            changes = action[-1]
-            if changes not in patches:
-                patches[changes] = _length_changes(changes)
-            for j, d in patches[changes]:
-                row[j] += d
-            last = i
-        lengths[last * k:] = row * (n - last)
-        return lengths
+    @property
+    def consumed(self) -> bytes:
+        return self._columns[0]
 
     def _index(self, storage: str) -> int:
         try:
@@ -416,16 +389,19 @@ class Trace:
                              f"{self.storage_ids}") from None
 
     def lengths_of(self, storage: str) -> array:
-        """The length of ``storage`` after each step."""
-        return self.lengths[self._index(storage)::len(self.storage_ids)]
+        """The length of ``storage`` after each step: the running sum of its
+        changes."""
+        j, n = self._index(storage), len(self)
+        column = accumulate(array("b", self._columns[j + 1]), initial=self.initial[j])
+        return array("q", struct.pack(f"{n + 1}q", *column))[1:]
 
     def length_after(self, storage: str, step: int) -> int:
         """The length of ``storage`` after step ``step`` (0: before step 1),
-        counted from its changes without building ``lengths``."""
+        counted from its changes."""
         j = self._index(storage)
         if not 0 <= step <= len(self):
             raise ValueError(f"step {step} outside trace of {len(self)} steps")
-        changes = self._columns[j + 2]
+        changes = self._columns[j + 1]
         return self.initial[j] + changes.count(1, 0, step) - changes.count(255, 0, step)
 
     def write(self, fh) -> None:
@@ -455,7 +431,7 @@ class Trace:
 
 def _length_changes(row: bytes) -> list[tuple[int, int]]:
     """The storages a step's trace row changes, each with its change (1 or -1)."""
-    return [(j, d) for j, d in enumerate(array("b", row)[2:]) if d]
+    return [(j, d) for j, d in enumerate(array("b", row)[1:]) if d]
 
 
 @dataclass(slots=True)
@@ -526,7 +502,8 @@ def _swept(action: tuple, key: tuple) -> tuple[int, int, int] | None:
 def _effect(storage: StorageSpec, view: str, op: QueueOp | TapeOp) -> tuple[int, str | None, int]:
     """Compile ``op`` on a storage whose current view is ``view`` to ``(code,
     arg, change)``, where ``change`` is what it adds to the storage's length
-    (1, 255 for -1, or 0; a tape's length is its non-blank cells)."""
+    (1, 255 for -1, or 0; a tape's length is its non-blank cells): the
+    storage's byte in the action's trace row, after the consume byte."""
     if storage.kind is Kind.TAPE:
         write = op.write if op.write != view else None
         change = 0 if write is None else (
@@ -832,7 +809,7 @@ class Executor:
     applies) or to ``(next_state, consume, emit, code 0, arg 0, code 1, arg 1,
     ..., row)``: per storage, in its fixed slots, what the action does to it
     (see :func:`_effect`), and last the step's row for the trace (see
-    ``Trace._rows``).  Plain, watched and traced runs all read this one cache.
+    ``Trace._columns``).  Plain, watched and traced runs all read this one cache.
     The rule is found by one dict lookup per wildcard mask of the state's
     patterns, the most specific mask first.  Equal actions are one object.  A
     self-loop that runs take in bulk (see :func:`_swept`: a queue rotated or a
@@ -903,11 +880,10 @@ class Executor:
         else:
             self._cache[key] = None
             return None
-        action, row = [rule.next_state, rule.consume, rule.emit], [rule.consume, 0]
+        action, row = [rule.next_state, rule.consume, rule.emit], [rule.consume]
         for code, arg, change in map(_effect, self.spec.storages, views, rule.ops):
             action += code, arg
             row.append(change)
-        row[1] = any(row[2:])
         action = (*action, bytes(row))
         if rule.next_state == state and rule.emit is None:
             swept = _swept(action, key)

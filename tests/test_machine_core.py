@@ -65,8 +65,8 @@ def contents(cfg, j):
 def steps_of(trace):
     """The trace's steps as :class:`StepRecord` objects, built from its
     actions and columns."""
-    k = len(trace.storage_ids)
-    return [StepRecord(i, action[0], bool(consumed), tuple(trace.lengths[(i - 1) * k:i * k]),
+    columns = [trace.lengths_of(i) for i in trace.storage_ids]
+    return [StepRecord(i, action[0], bool(consumed), tuple(c[i - 1] for c in columns),
                        action[2])
             for i, (action, consumed) in enumerate(zip(trace.actions, trace.consumed), 1)]
 
@@ -472,7 +472,7 @@ class TestRun:
         k = len(ex.spec.storages)
         for action in filter(None, ex._cache.values()):
             row = action[-1]
-            assert type(row) is bytes and len(row) == k + 2 and row[0] == action[1]
+            assert type(row) is bytes and len(row) == k + 1 and row[0] == action[1]
         uses, sweeps = Counter(map(id, ex._cache.values())), set(_SWEEPS.values())
         assert ex._sweeps
         for action in ex._sweeps.values():
@@ -624,13 +624,39 @@ class TestTraceChecks:
         for n in range(1, 11):
             for bits in itertools.product((0, 1), repeat=n):
                 tr = Trace((), ())
-                tr.actions = [("s", c, None, bytes((c, 0))) for c in bits]
+                tr.actions = [("s", c, None, bytes((c,))) for c in bits]
                 for start, end in itertools.combinations_with_replacement(range(1, n + 1), 2):
                     worst = streak = 0
                     for c in bits[start - 1:end]:
                         streak = 0 if c else streak + 1
                         worst = max(worst, streak)
                     assert minimal_delay(tr, (start, end)) == worst, (bits, start, end)
+
+    def test_lengths_on_every_short_column(self):
+        """Every sequence of up to 4 steps of two storages (initially of
+        lengths 0 and 2), each step changing each by +1, -1 or 0 and no
+        length going below 0: every length read against a plain loop."""
+        ids, initial = ("p", "q"), (0, 2)
+        for n in range(5):
+            for steps in itertools.product(itertools.product((1, -1, 0), repeat=2), repeat=n):
+                want, row = [], list(initial)
+                for changes in steps:
+                    row = [x + d for x, d in zip(row, changes)]
+                    want.append(tuple(row))
+                if any(x < 0 for after in want for x in after):
+                    continue
+                tr = Trace(ids, initial)
+                tr.actions = [("s", 0, None, bytes((0, *(d & 255 for d in changes))))
+                              for changes in steps]
+                for j, i in enumerate(ids):
+                    assert list(tr.lengths_of(i)) == [after[j] for after in want], steps
+                    assert [tr.length_after(i, m) for m in range(n + 1)] == [
+                        initial[j], *(after[j] for after in want)], steps
+                    assert storage_length_series(tr, i) == [
+                        (m, after[j]) for m, after in enumerate(want, 1)], steps
+                lines = tr.to_lines()
+                assert lines[0] == "step,state,consumed,len(p),len(q),emit"
+                assert [tuple(map(int, line.split(",")[3:5])) for line in lines[1:]] == want
 
     @pytest.mark.parametrize("name, word", [("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render()),
                                             ("tk:2", "10#01$11$00$"),

@@ -8,7 +8,8 @@ seeded bits.
 For each machine, one seeded word (the kind ``analysis.growth_point`` runs)
 is run on one executor in three ways: plain, with ``watch_lengths=True`` and
 with ``trace=True``.  A traced run is timed together with reading its
-``consumed`` and ``lengths`` columns, as the trace checks do, since a trace
+``consumed`` column and the lengths of every storage (``lengths_of``, a
+running sum of the storage's changes), as the trace checks do, since a trace
 builds its columns when they are first read.
 After one untimed warm-up run of each, the three are timed in that order,
 ``REPEAT`` times over; a mode's figure is its fastest repeat divided by the
@@ -85,7 +86,10 @@ def best(fn, repeat: int) -> float:
 
 def read_trace(res) -> None:
     """Read the columns that the trace checks read."""
-    res.trace.consumed, res.trace.lengths
+    trace = res.trace
+    trace.consumed
+    for storage in trace.storage_ids:
+        trace.lengths_of(storage)
 
 
 def run_costs(repeat: int) -> dict:
