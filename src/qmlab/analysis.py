@@ -10,9 +10,8 @@ merged in a fixed order so reports are byte-stable for a given seed.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .growth import GrowthReport, fit_growth
 from .machine import (
@@ -73,12 +72,12 @@ def parallel_map(fn, tasks: list, workers: int | None = None) -> list:
     n = min(effective_workers(workers), len(tasks))
     if n <= 1:
         return [fn(t) for t in tasks]
-    with multiprocessing.Pool(n) as pool:
+    from multiprocessing import Pool   # loaded only by a process that starts a pool
+    with Pool(n) as pool:
         return pool.map(fn, tasks, chunksize=max(1, len(tasks) // (n * 16)))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     case_id: str
     ok: bool
     detail: str
@@ -91,8 +90,7 @@ class Check:
 # Riffle-copy acceptor: cycle schedule and timing
 
 
-@dataclass(frozen=True)
-class LprimeTiming:
+class LprimeTiming(NamedTuple):
     k: int
     verdict: Verdict
     prefix_length: int
@@ -228,8 +226,7 @@ def _scan_task(comp: tuple[int, int, int, int]) -> tuple[int, list[str]]:
     return checked, bad
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     words_checked: int
     mismatches: tuple[str, ...]
 

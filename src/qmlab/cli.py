@@ -15,7 +15,6 @@ one to tell.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -51,8 +50,14 @@ VERIFY_SUITES = {"lprime": analysis.lprime_suite, "fk": analysis.fk_suite,
                  "anbn": analysis.anbn_suite, "formulas": analysis.formulas_suite,
                  "pi": analysis.pi_suite}
 GEN_FAMILIES = {"lprime": gen_lprime_cases, "fk": gen_fk_cases, "anbn": gen_anbn_cases}
-VERIFY_FLAGS = {name: tuple(inspect.signature(fn).parameters)
-                for name, fn in VERIFY_SUITES.items()}
+
+
+def _parameters(fn) -> tuple[str, ...]:
+    """The names of ``fn``'s parameters, in order, read off its code object."""
+    return fn.__code__.co_varnames[:fn.__code__.co_argcount]
+
+
+VERIFY_FLAGS = {name: _parameters(fn) for name, fn in VERIFY_SUITES.items()}
 # The largest value of each size flag whose cost at least doubles with each
 # step: --k-max wherever it is an exponent and bench --max-exp build words of
 # about 2**k symbols; --len-max and --exhaustive-len run at least 2**k words.
@@ -159,9 +164,10 @@ def _oracle_judge(case, res) -> str | None:
 
 def _arguments(args, fn) -> dict:
     """Each parameter of ``fn``: its flag's value if given, else its default."""
-    params = inspect.signature(fn).parameters
-    return {p: params[p].default if getattr(args, p) is None else getattr(args, p)
-            for p in params}
+    params = _parameters(fn)
+    # __defaults__ holds the defaults of the last parameters, in order.
+    defaults = dict(zip(reversed(params), reversed(fn.__defaults__)))
+    return {p: defaults[p] if getattr(args, p) is None else getattr(args, p) for p in params}
 
 
 def _cmd_verify(args) -> int:
@@ -271,10 +277,10 @@ def _flag_error(args) -> str | None:
         return "--batch applies only to the lprime suite"
     if args.command == "verify" and args.max_steps is not None and batch is None:
         return "--max-steps applies only with --batch"
-    reads = () if batch is not None else inspect.signature(table[name]).parameters
+    reads = () if batch is not None else _parameters(table[name])
     for flag in vars(args):   # in the parser's order
         if (getattr(args, flag) is not None and flag not in reads
-                and any(flag in inspect.signature(fn).parameters for fn in table.values())):
+                and any(flag in _parameters(fn) for fn in table.values())):
             where = "with --batch" if batch is not None else f"to the {name} {kind}"
             return f"--{flag.replace('_', '-')} does not apply {where}"
     if (args.command, name) == ("gen", "fk"):

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SLOPE_LIMIT = 1.05
 RATIO_SPREAD_LIMIT = 3.0
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     series: tuple[tuple[int, int], ...]   # (n, steps), sorted by n
     fitted_exponent: float                # log-log least-squares slope
     max_ratio: float                      # max over steps/n

@@ -32,11 +32,11 @@ import struct
 import textwrap
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, compress, islice, repeat, takewhile
 from operator import itemgetter
+from typing import NamedTuple
 
 WILDCARD = "*"
 # Pattern token and observation value for "no input symbol": end of input in
@@ -98,15 +98,13 @@ class InputSymbolError(ValueError):
         return next(cls(s, i) for i, s in enumerate(word) if s not in alphabet)
 
 
-@dataclass(frozen=True, slots=True)
-class QueueOp:
+class QueueOp(NamedTuple):
     """Action on a queue or pushdown: optionally pop, optionally push."""
     pop: bool = False
     push: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class TapeOp:
+class TapeOp(NamedTuple):
     """Action on a tape: optionally write the full cell vector, then move."""
     write: str | None = None
     move: str = "S"  # L, S or R
@@ -116,8 +114,7 @@ NO_OP = QueueOp()
 TAPE_STAY = TapeOp()
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
+class Rule(NamedTuple):
     state: str
     input_pat: str                       # symbol, NO_SYMBOL or WILDCARD
     storage_pats: tuple[str, ...]        # per storage: view value or WILDCARD
@@ -134,31 +131,40 @@ class Rule:
         return (self.state, self.input_pat) + self.storage_pats
 
 
-@dataclass(frozen=True, slots=True)
-class StorageSpec:
+class _StorageFields(NamedTuple):
     ident: str
     kind: Kind
     alphabet: frozenset[str]
     tracks: int = 1
 
-    def __post_init__(self):
-        if self.kind is not Kind.TAPE and self.tracks != 1:
-            raise ValueError(f"storage {self.ident!r}: tracks={self.tracks} "
+
+class StorageSpec(_StorageFields):
+    """A storage's fields, checked when it is built: a NamedTuple's own body
+    may not define ``__new__``, so the check lives in this subclass."""
+    __slots__ = ()
+
+    def __new__(cls, ident: str, kind: Kind, alphabet: frozenset[str], tracks: int = 1):
+        if kind is not Kind.TAPE and tracks != 1:
+            raise ValueError(f"storage {ident!r}: tracks={tracks} "
                              f"is only allowed for tapes")
-        if self.tracks < 1:
-            raise ValueError(f"storage {self.ident!r}: tracks must be >= 1")
-        bad = set(self.alphabet) & FORBIDDEN_SYMBOLS
-        if bad or any(len(s) != 1 for s in self.alphabet):
-            raise ValueError(f"storage {self.ident!r}: alphabet must be "
+        if tracks < 1:
+            raise ValueError(f"storage {ident!r}: tracks must be >= 1")
+        bad = set(alphabet) & FORBIDDEN_SYMBOLS
+        if bad or any(len(s) != 1 for s in alphabet):
+            raise ValueError(f"storage {ident!r}: alphabet must be "
                              f"single characters outside {sorted(FORBIDDEN_SYMBOLS)}")
+        return super().__new__(cls, ident, kind, alphabet, tracks)
+
+    @classmethod
+    def _make(cls, iterable) -> StorageSpec:
+        return cls(*iterable)   # so that _replace checks its result too
 
     @property
     def blank_cell(self) -> str:
         return BLANK * self.tracks
 
 
-@dataclass(frozen=True, slots=True)
-class MachineSpec:
+class MachineSpec(NamedTuple):
     name: str
     states: tuple[str, ...]
     start: str
@@ -177,10 +183,31 @@ class MachineSpec:
         return hash((self.name, self.start, len(self.rules)))
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class _Record:
+    """A mutable record whose fields are its ``__slots__``: compared only
+    with its own class and shown field by field, in order."""
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class ValidationReport(_Record):
+    __slots__ = ("violations", "warnings")
+
+    def __init__(self, violations: list[str] | None = None, warnings: list[str] | None = None):
+        self.violations = [] if violations is None else violations
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def ok(self) -> bool:
@@ -315,28 +342,30 @@ class _Tape:
         return len(self.cells) - self.cells.count(self.blank)
 
 
-@dataclass(slots=True)
-class Configuration:
+class Configuration(_Record):
     """A full instantaneous description of a run.
 
     ``stores`` holds the live storage objects (deque for a queue, list for a
     pushdown bottom-to-top, ``_Tape`` for a tape); they are mutated in place
     by :func:`step`.
     """
-    input: str
-    state: str
-    input_pos: int
-    stores: list
-    output: list[str]
-    steps: int
+    __slots__ = ("input", "state", "input_pos", "stores", "output", "steps")
+
+    def __init__(self, input: str, state: str, input_pos: int, stores: list,
+                 output: list[str], steps: int):
+        self.input = input
+        self.state = state
+        self.input_pos = input_pos
+        self.stores = stores
+        self.output = output
+        self.steps = steps
 
     def storage_lengths(self) -> tuple[int, ...]:
         """Per storage, its number of symbols; a tape's non-blank cells."""
         return tuple(map(len, self.stores))
 
 
-@dataclass(frozen=True, slots=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     step: int
     state: str            # state after the step
     consumed: bool
@@ -434,16 +463,23 @@ def _length_changes(row: bytes) -> list[tuple[int, int]]:
     return [(j, d) for j, d in enumerate(array("b", row)[1:]) if d]
 
 
-@dataclass(slots=True)
-class RunResult:
-    verdict: Verdict
-    output: str
-    steps: int
-    input_consumed: int
-    halt_reason: str            # no_rule, step_limit or fault
-    trace: Trace | None = None
-    fault: str | None = None
-    max_lengths: tuple[int, ...] | None = None   # per-storage peak, if watched
+class RunResult(_Record):
+    """A run's verdict and counts.  ``halt_reason`` is no_rule, step_limit or
+    fault; ``max_lengths`` holds each storage's peak if the run was watched."""
+    __slots__ = ("verdict", "output", "steps", "input_consumed", "halt_reason", "trace",
+                 "fault", "max_lengths")
+
+    def __init__(self, verdict: Verdict, output: str, steps: int, input_consumed: int,
+                 halt_reason: str, trace: Trace | None = None, fault: str | None = None,
+                 max_lengths: tuple[int, ...] | None = None):
+        self.verdict = verdict
+        self.output = output
+        self.steps = steps
+        self.input_consumed = input_consumed
+        self.halt_reason = halt_reason
+        self.trace = trace
+        self.fault = fault
+        self.max_lengths = max_lengths
 
     @property
     def accepted(self) -> bool:

@@ -18,7 +18,7 @@ after, as n calls of ``below(2)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .machines import pi
 
@@ -121,8 +121,7 @@ class ParseReject(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class FkInstance:
+class FkInstance(NamedTuple):
     """A well-formed input for the k-stream interleaver.
 
     ``prefixes[i]`` is the i-th buffered stream prefix (length >= 1) and
@@ -229,8 +228,7 @@ def pi_by_halving(word: str) -> str:
 # Instance generation
 
 
-@dataclass(frozen=True)
-class LprimeInstance:
+class LprimeInstance(NamedTuple):
     w: str
     v: str
 
@@ -380,8 +378,7 @@ def gen_anbn_cases(count: int = 100, seed: int = 1) -> list[BatchCase]:
 # Instance batch files: one case per line, word TAB expected TAB tag
 
 
-@dataclass(frozen=True)
-class BatchCase:
+class BatchCase(NamedTuple):
     word: str
     expected: str   # "accept", "reject" or "output=<word>"
     tag: str

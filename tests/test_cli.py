@@ -2,10 +2,10 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -157,7 +157,7 @@ class TestRun:
         for name in ("shape_compositions", "_anbn_words"):
             monkeypatch.setattr(analysis, name, bounded(getattr(analysis, name)))
         monkeypatch.setattr(analysis, "growth_point", bounded_point)
-        monkeypatch.setattr(analysis.multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         monkeypatch.chdir(tmp_path)   # a gen that is wrongly accepted writes here
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -587,7 +587,7 @@ def test_bad_workers_env_is_a_usage_error(monkeypatch, capsys):
 ])
 def test_worker_count_outside_its_bound_is_a_usage_error(monkeypatch, capsys, env, argv,
                                                          needle):
-    monkeypatch.setattr(analysis.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     if env is None:
         monkeypatch.delenv("QMLAB_WORKERS", raising=False)
     else:
@@ -614,7 +614,7 @@ def test_parallel_map_starts_at_most_one_process_per_task(monkeypatch):
         def map(self, fn, tasks, chunksize):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(analysis.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     assert analysis.parallel_map(abs, [-1, -2, -3], workers=analysis.MAX_WORKERS) == [1, 2, 3]
     assert analysis.parallel_map(abs, [-4, -5, -6], workers=2) == [4, 5, 6]
     assert analysis.parallel_map(abs, [-7], workers=8) == [7]
@@ -656,7 +656,7 @@ def test_verify_exits_one_on_a_failed_check(monkeypatch, capsys):
 
     def off_by_one_at_k2(inst):
         t = real(inst)
-        return replace(t, predicted_tail=t.predicted_tail + 1) if t.k == 2 else t
+        return t._replace(predicted_tail=t.predicted_tail + 1) if t.k == 2 else t
 
     monkeypatch.setattr(analysis, "lprime_timing", off_by_one_at_k2)
     code, out = invoke(capsys, "verify", "--suite", "formulas", "--k-max", "3")

@@ -1,6 +1,5 @@
 """Core executor semantics: storages, matching, verdicts, traces."""
 
-import dataclasses
 import itertools
 import os
 import pickle
@@ -346,6 +345,10 @@ class TestValidator:
     def test_tracks_only_on_tapes(self):
         with pytest.raises(ValueError):
             StorageSpec("q", Kind.QUEUE, frozenset("ab"), tracks=2)
+        tape = StorageSpec("t", Kind.TAPE, frozenset("ab"), tracks=2)
+        with pytest.raises(ValueError):   # a changed copy is checked too
+            tape._replace(kind=Kind.QUEUE)
+        assert tape._replace(tracks=3) == ("t", Kind.TAPE, frozenset("ab"), 3)
 
 
 class TestInitialConfiguration:
@@ -480,11 +483,10 @@ class TestRun:
             assert uses[id(action)] == len(members)
 
     def test_empty_input_needs_epsilon_flag(self):
-        from dataclasses import replace
         spec = echo_machine(Kind.QUEUE)
         assert run(spec, "").verdict is Verdict.REJECT
         # the same machine with the flag set accepts the empty input
-        assert run(replace(spec, epsilon_accept=True), "").verdict is Verdict.ACCEPT
+        assert run(spec._replace(epsilon_accept=True), "").verdict is Verdict.ACCEPT
 
     def test_final_states_acceptance(self):
         spec = simple_machine(
@@ -730,8 +732,8 @@ def test_reloaded_spec_hashes_equal_and_shares_the_executor(name):
 def test_specs_differing_in_one_rule_get_their_own_executors():
     spec = echo_machine(Kind.QUEUE)
     rules = list(spec.rules)
-    rules[2] = dataclasses.replace(rules[2], emit="b")   # pops an a, emits b
-    other = dataclasses.replace(spec, rules=tuple(rules))
+    rules[2] = rules[2]._replace(emit="b")   # pops an a, emits b
+    other = spec._replace(rules=tuple(rules))
     assert (other.name, other.start, len(other.rules)) == (spec.name, spec.start,
                                                             len(spec.rules))
     assert other != spec

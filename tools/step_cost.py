@@ -34,6 +34,13 @@ traced run of ``gen_lprime(12, SEED)``, each on a fresh ``Trace`` of its
 actions, so that the columns the checks read are built in the time.
 ``bits`` is the fastest
 ``SplitMix64(seed).bits(n)`` call, in µs per 1,000 bits, for each ``n``.
+``import_ms`` is the start-up cost of the command line: the fastest of
+``REPEAT`` fresh ``python3 -c "import qmlab.cli"`` processes, with bytecode
+writing off (``PYTHONDONTWRITEBYTECODE=1``) as in the benchmark runs, minus
+the fastest of ``REPEAT`` ``python3 -c pass``, in ms; ``start_modules`` lists
+which of ``LAZY_MODULES`` that import loads (none: only the commands that use
+them import them).  ``run_result_us`` is the cost of building one
+``RunResult``, the fastest of ``REPEAT`` batches of ``SHORT_BATCH``, in µs.
 The program is imported from ``src/`` next to this directory.  The last line
 printed is one JSON object.  Standard library only.
 """
@@ -45,6 +52,7 @@ import io
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 import timeit
@@ -53,7 +61,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from qmlab.analysis import lprime_cycle_starts, sized_fk_instance  # noqa: E402
-from qmlab.machine import Executor, Trace, executor_for, minimal_delay, step  # noqa: E402
+from qmlab.machine import (Executor, RunResult, Trace, Verdict, executor_for,  # noqa: E402
+                           minimal_delay, step)
 from qmlab.machines import builtin  # noqa: E402
 from qmlab.oracles import SplitMix64, gen_fk_cases, gen_lprime  # noqa: E402
 
@@ -63,6 +72,7 @@ REPEAT = 7
 SHORT_WORDS = ("a", "ab0c0", "ab0c0ab")   # 1, 5 and 14 steps
 SHORT_BATCH = 2000
 COLD_WORDS = 600   # as many fk words as the batch workload replays
+LAZY_MODULES = ("multiprocessing", "dataclasses", "inspect")
 
 
 def words() -> dict[str, str]:
@@ -185,6 +195,33 @@ def timing_checks_us(repeat: int) -> float:
     return round(1e6 * best(checks, repeat), 1)
 
 
+def python(code: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter running ``code``, which imports qmlab from ``src/``
+    and writes no bytecode."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+
+
+def import_ms(repeat: int) -> float:
+    """ms that ``import qmlab.cli`` adds to an interpreter's start."""
+    cost = {code: best(lambda: python(code), repeat) for code in ("pass", "import qmlab.cli")}
+    return round(1e3 * (cost["import qmlab.cli"] - cost["pass"]), 1)
+
+
+def start_modules() -> list[str]:
+    """Which of ``LAZY_MODULES`` ``import qmlab.cli`` loads."""
+    code = f"import sys, qmlab.cli; print(*(m for m in {LAZY_MODULES!r} if m in sys.modules))"
+    return python(code).stdout.split()
+
+
+def run_result_us(repeat: int) -> float:
+    """µs to build one ``RunResult``, as a run's loop builds it at the halt."""
+    build = timeit.Timer('RunResult(ACCEPT, "", 1, 1, "no_rule", None, None, None)',
+                         globals={"RunResult": RunResult, "ACCEPT": Verdict.ACCEPT})
+    return round(1e6 * min(build.repeat(repeat, SHORT_BATCH)) / SHORT_BATCH, 3)
+
+
 def bit_costs(repeat: int) -> dict:
     return {str(n): round(1e9 * best(lambda: SplitMix64(SEED).bits(n), repeat) / n, 3)
             for n in BIT_COUNTS}
@@ -202,7 +239,10 @@ def main() -> int:
               "step_us": step_us(REPEAT),
               "trace_file_ns_per_step": trace_file_ns_per_step(REPEAT),
               "timing_checks_us": timing_checks_us(REPEAT),
-              "bits_us_per_1000": bit_costs(REPEAT)}
+              "bits_us_per_1000": bit_costs(REPEAT),
+              "import_ms": import_ms(REPEAT),
+              "start_modules": start_modules(),
+              "run_result_us": run_result_us(REPEAT)}
     for name, r in result["runs"].items():
         print(f"{name:<15} {r['steps']:>8} steps  plain {r['plain_ns_per_step']:>7} "
               f"watched {r['watched_ns_per_step']:>7} traced {r['traced_ns_per_step']:>7} ns/step")
@@ -217,6 +257,9 @@ def main() -> int:
     print(f"lprime_timing's checks on a k = 12 trace cost {result['timing_checks_us']} µs")
     for n, us in result["bits_us_per_1000"].items():
         print(f"bits({n}): {us} µs per 1,000 bits")
+    print(f"import qmlab.cli adds {result['import_ms']} ms to a process's start and loads "
+          f"{', '.join(result['start_modules']) or 'none'} of {', '.join(LAZY_MODULES)}")
+    print(f"building a RunResult costs {result['run_result_us']} µs")
     print(json.dumps(result))
     return 0
 
