@@ -35,7 +35,8 @@ from collections import deque
 from enum import Enum
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, compress, islice, repeat, takewhile
-from operator import itemgetter
+from operator import itemgetter, truth
+from sys import intern
 from typing import NamedTuple
 
 WILDCARD = "*"
@@ -375,14 +376,15 @@ class StepRecord(NamedTuple):
 
 class Trace:
     """A run's completed steps as the compiled actions they applied:
-    ``actions[i]`` is step ``i + 1``'s (see :class:`Executor`; a step that
-    faults adds none), and ``initial`` holds the storage lengths before step
-    1.  Each action's row holds whether the step consumed an input symbol,
-    then each storage's change of length.  The rows' columns are sliced on
-    first read and kept; ``consumed`` (``consumed[i]`` is 0 or 1 for step
-    ``i + 1``), :meth:`lengths_of` and :meth:`length_after` each read one.
-    :meth:`write` renders the file.  ``records`` is the trace itself;
-    ``perfbench/tracer.py`` reads it."""
+    ``actions[i]`` is step ``i + 1``'s, or its bulk sweep's first step's, of
+    the same row (see :class:`Executor`; a step that faults adds none), and
+    ``initial`` holds the storage lengths before step 1.  Each action's row
+    holds whether the step consumed an input symbol, then each storage's
+    change of length.  The rows' columns are sliced on first read and kept;
+    ``consumed`` (``consumed[i]`` is 0 or 1 for step ``i + 1``),
+    :meth:`lengths_of` and :meth:`length_after` each read one.  :meth:`write`
+    renders the file.  ``records`` is the trace itself; ``perfbench/tracer.py``
+    reads it."""
 
     def __init__(self, storage_ids: tuple[str, ...], initial: tuple[int, ...]):
         self.storage_ids = storage_ids
@@ -506,35 +508,44 @@ _WRITE = 8            # tape write, head stays; view := arg
 _RIGHT = 9            # tape: write arg unless None, then move right
 _LEFT = 10            # tape: write arg unless None, then move left (faults at cell 0)
 # The sweep codes tag a self-loop of a plain action that runs take in bulk:
-# the state stays, nothing is emitted and only this storage changes, as below.
-# Their arg is a dict whose keys are the views (the input's for _COPY, else
-# this storage's) that compile to the same step with the rest of the key the
-# same; a run stays in bulk while the new view is in it (see _rotate, _sweep
-# and the _COPY branch of _LOOP_APPLY, where each maps to a regex's match).
+# the state stays, nothing is emitted and only this storage changes (and a
+# tape's pushdown), as below.  A queue's arg is a dict whose keys are the views
+# (the input's for _COPY, else this storage's) that compile to the same step
+# with the rest of the key the same; a run stays in bulk while the new view is
+# in it (see _rotate and the _COPY branch of _LOOP_APPLY, where each maps to a
+# regex's match).  A tape's arg is its write (see _sweep).
 _ROTATE = 11          # queue: pop the front and push it back
-_SWEEP_R = 12         # tape: move right without a write
-_SWEEP_L = 13         # tape: move left without a write (faults at cell 0)
+_SWEEP_R = 12         # tape: as _RIGHT
+_SWEEP_L = 13         # tape: as _LEFT
 _COPY = 14            # non-empty queue: consume the input symbol and append it
 _SWEEPS = {_POPLEFT_APPEND: _ROTATE, _RIGHT: _SWEEP_R, _LEFT: _SWEEP_L, _APPEND: _COPY}
+_RENT = 8             # single steps of a tape sweep before the rest goes in bulk
 
 
-def _swept(action: tuple, key: tuple) -> tuple[int, int, int] | None:
-    """For an action that keeps its state and emits nothing, if runs take
-    it in bulk: the index in ``key`` of the view they go over, the one
-    storage it changes and its sweep code.  Reading no input, it may only
-    rotate that queue (pop the view, push it back) or move that tape's head
-    without a write; reading input, append it to that non-empty queue."""
+def _swept(action: list, key: tuple, layout: tuple, masks: list) -> tuple | None:
+    """For an action that keeps its state and emits nothing, if runs take it
+    in bulk: its storage, its sweep code and, for a tape, the code of the
+    pushdown after it.  It may rotate a queue, or consume the input symbol and
+    append it to a non-empty queue; or move a tape's head, maybe consuming
+    input, and pop from that pushdown or push if no rule of the state reads it."""
     moved = [j for j, code in enumerate(action[3:-1:2]) if code]
-    if len(moved) == 1:
-        j = moved[0]
-        code, arg = action[3 + 2 * j:5 + 2 * j]
-        i = 1 if action[1] else 2 + j
-        if code in _SWEEPS and (code == _APPEND) == action[1] and arg == (
-                None if code in (_RIGHT, _LEFT) else key[i]):
-            return i, j, _SWEEPS[code]
+    if not moved:
+        return None
+    j = moved[0]
+    code, arg = action[3 + 2 * j:5 + 2 * j]
+    if code == _RIGHT or code == _LEFT:
+        other = _KEEP if len(moved) == 1 else action[5 + 2 * j] if moved[1:] == [j + 1] else None
+        if other == _KEEP or other == _POP or other == _APPEND_SET and layout[
+                j + 1] is Kind.PUSHDOWN and not any(mask[2 + j] for mask, _ in masks):
+            return j, _SWEEPS[code], other
+        return None
+    if len(moved) == 1 and code in (_POPLEFT_APPEND, _APPEND) and (
+            code == _APPEND) == action[1] and arg == key[1 if action[1] else 2 + j]:
+        return j, _SWEEPS[code], None
     return None
 
 
+@lru_cache(maxsize=4096)   # a cold run compiles many keys with the same effects
 def _effect(storage: StorageSpec, view: str, op: QueueOp | TapeOp) -> tuple[int, str | None, int]:
     """Compile ``op`` on a storage whose current view is ``view`` to ``(code,
     arg, change)``, where ``change`` is what it adds to the storage's length
@@ -582,25 +593,42 @@ def _rotate(queue: deque, members: dict, steps: int, limit: int) -> int:
     return steps + run
 
 
-def _sweep(cells: list, head: int, by: int, members: dict, blank: str,
-           steps: int, limit: int) -> tuple[int, int]:
-    """The rest of a tape sweep by ``by`` (1 or -1) at once: while the cell
-    under the head is in ``members`` and the run is short of ``limit`` after
-    the current step, one more step moves the head.  It stops at cell 0,
-    where the next step faults on the normal path; past the end of
-    ``cells`` it appends a blank per step.  Returns ``steps`` plus the steps
-    it took, and the head."""
-    stop = head + by * (limit - steps - 1)
-    end = max(stop, 0) if by < 0 else min(stop, len(cells))
-    h = head
-    while h != end and cells[h] in members:
-        h += by
-    if h == len(cells):   # the head left the cells: each step appends a blank
-        cells.append(blank)
-        if blank in members:
-            cells.extend([blank] * (stop - h))
-            h = stop
-    return steps + by * (h - head), h
+def _sweep(walk: set | dict, cells: list, head: int, by: int, blank: str, pd: list | None,
+           pop: bool, push: str | None, word: str | None, pos: int, steps: int, limit: int):
+    """The rest of a tape sweep by ``by`` (1 or -1) at once: one more step
+    while the run is short of ``limit`` after the current step and the views
+    that pick it (the symbol at ``pos`` of ``word`` if given, the cell under
+    the head, with ``pop`` the top under ``pd``'s) are in ``walk``: cells that
+    stay, or a map to the cell each step leaves, or to it and what it pushes
+    after ``push``.  It stops at cell 0 and returns ``steps``, the head,
+    ``pos`` and the push that the caller makes."""
+    room, n = limit - steps - 1, 16
+    while room:   # in windows of views that grow fourfold
+        n = min(n, room)
+        ahead = (cells[head:head + n] + [blank] * (head + n - len(cells)) if by > 0
+                 else cells[max(head - n, 0) + 1:head + 1][::-1])
+        if walk.__class__ is set:
+            took = len(list(takewhile(walk.__contains__, ahead)))
+        else:
+            views = ([word[pos:pos + n]] if word is not None else []) + [ahead] + (
+                [pd[max(len(pd) - n - 1, 0):-1][::-1]] if pop else [])
+            run = list(takewhile(truth, map(walk.get, zip(*views) if len(views) > 1 else ahead)))
+            took = len(run)
+            if pop:
+                del pd[len(pd) - 1 - took:-1]
+            elif pd is not None:
+                pd.append(push)
+                pd.extend(map(itemgetter(1), run))
+                push, run = pd.pop(), list(map(itemgetter(0), run))
+            cells[head + 1 - took if by < 0 else head:head + 1 if by < 0 else head + took] = (
+                run[::by])
+            pos += took if word is not None else 0
+        if by > 0:
+            cells.extend(repeat(blank, head + took + 1 - len(cells)))
+        steps, head, room, n = steps + took, head + by * took, room - took, 4 * n
+        if took < n // 4:
+            break
+    return steps, head, pos, push
 
 
 # The run loop, as a template specialised by :func:`_run_loop` to a storage
@@ -612,16 +640,16 @@ def _sweep(cells: list, head: int, by: int, members: dict, blank: str,
 # marker line ``@name`` becomes the lines ``_WORD`` or ``_CONFIG`` (where a
 # loop starts, and what it writes back), ``_WATCH`` and ``_TRACE`` give
 # ``name``, or nothing.  Every loop stops (halt, step limit, fault) in the
-# same lines and returns a RunResult, and unpacks an action's last slot, its
-# trace row, into ``change``, which none reads.  A bulk branch runs only with
-# room for a step; in a traced loop, ``@before`` and ``@swept`` add the steps
-# it took.  The dead ``if False`` block numbers a step's locals first
-# (CPython numbers them as met; past 256, each use costs more).
+# same lines and returns a RunResult.  A bulk branch runs only with room for
+# a step, a tape sweep's only after ``_RENT`` single steps in its state; in a
+# trace, ``@swept`` adds the steps it took.  The dead ``if False`` block
+# numbers a step's locals first (CPython numbers them as met; past 256, each
+# use costs more).
 _LOOP_SETUP = {
     Kind.QUEUE: "v{j} = s{j}[0] if s{j} else EMPTY\n@setup",
     Kind.PUSHDOWN: "v{j} = s{j}[-1] if s{j} else EMPTY\n@setup",
     Kind.TAPE: "cells{j}, head{j}, blank{j} = s{j}.cells, s{j}.head, s{j}.blank\n"
-               "v{j} = cells{j}[head{j}]\n@setup",
+               "v{j}, last = cells{j}[head{j}], None\n@setup",
 }
 _LOOP_APPLY = {
     Kind.QUEUE: """\
@@ -631,7 +659,7 @@ if c{j}:
         if view in a{j} and steps + 1 < limit:   # one bounded match counts the rest
             end = a{j}[view](word, pos, pos + limit - steps - 1).end()
             s{j}.extend(word[pos:end])
-            @before
+            before = steps
             steps, pos, view = steps + end - pos, end, padded[end]
             @swept
         @grow
@@ -648,7 +676,7 @@ if c{j}:
     elif c{j} == {_ROTATE}:   # the step, then the rest of the sweep at once
         s{j}.rotate(-1)
         if s{j}[0] in a{j} and steps + 1 < limit:
-            @before
+            before = steps
             steps = _rotate(s{j}, a{j}, steps, limit)
             @swept
         v{j} = s{j}[0]
@@ -673,7 +701,30 @@ if c{j}:
         raise ExecutionFault(_fault(ex.spec.storages[{j}]))""",
     Kind.TAPE: """\
 if c{j}:
-    if c{j} == {_RIGHT}:
+    if c{j} >= {_SWEEP_R}:   # a sweep: the step, then, once it has paid its rent, the rest
+        if a{j} is not None:
+            @write
+            cells{j}[head{j}] = a{j}
+        if c{j} == {_SWEEP_R}:
+            head{j} += 1
+            if head{j} == len(cells{j}):
+                cells{j}.append(blank{j})
+        elif head{j}:
+            head{j} -= 1
+        else:
+            raise ExecutionFault(_fault(ex.spec.storages[{j}]))
+        v{j} = cells{j}[head{j}]
+        if state is not last:
+            last, due = state, steps + {_RENT}
+        elif steps >= due and steps + 1 < limit:
+            before = steps
+            steps, head{j}, pos, {push} = _sweep(
+                ex._walks[id(action)], cells{j}, head{j}, 1 if c{j} == {_SWEEP_R} else -1,
+                blank{j}, {pd}, word if consume else None, pos, steps, limit)
+            view, v{j} = padded[pos], cells{j}[head{j}]
+            @swept
+            @moved
+    elif c{j} == {_RIGHT}:
         if a{j} is not None:
             @write
             cells{j}[head{j}] = a{j}
@@ -689,21 +740,9 @@ if c{j}:
             raise ExecutionFault(_fault(ex.spec.storages[{j}]))
         head{j} -= 1
         v{j} = cells{j}[head{j}]
-    elif c{j} == {_WRITE}:
+    else:
         @write
-        cells{j}[head{j}] = v{j} = a{j}
-    else:   # a sweep: the move, then the rest of the sweep at once
-        by = 1 if c{j} == {_SWEEP_R} else -1
-        if head{j} + by < 0:
-            raise ExecutionFault(_fault(ex.spec.storages[{j}]))
-        head{j} += by
-        if head{j} == len(cells{j}):
-            cells{j}.append(blank{j})
-        if cells{j}[head{j}] in a{j} and steps + 1 < limit:
-            @before
-            steps, head{j} = _sweep(cells{j}, head{j}, by, a{j}, blank{j}, steps, limit)
-            @swept
-        v{j} = cells{j}[head{j}]""",
+        cells{j}[head{j}] = v{j} = a{j}""",
 }
 _LOOP_NEW = {Kind.QUEUE: "deque()", Kind.PUSHDOWN: "[]", Kind.TAPE: "ex._factories[{j}]()"}
 _LOOP_FINAL = {**dict.fromkeys(Kind, ""), Kind.TAPE: "s{j}.head = head{j}"}
@@ -778,12 +817,12 @@ _PEAK = "if l{j} > m{j}:\n    m{j}, p{j} = l{j}, steps\n"       # raised in step
 # its count in lj); its result undoes a peak a faulting step raised (by one).
 _WATCH = {"setup": "l{j} = m{j} = len(s{j})\np{j} = -1\n",
           "grow": "if (l{j} := len(s{j})) > m{j}:\n    m{j}, p{j} = l{j}, steps\n",
-          "write": f"l{{j}} += {_TAPE_DELTA}\n" + _PEAK}
+          "write": f"l{{j}} += {_TAPE_DELTA}\n" + _PEAK,
+          "moved": "l{j} += (steps - before) * ((change[{j} + 1] ^ 128) - 128)\n" + _PEAK}
 # A traced run appends each step's action (its last slot is its trace row) and
 # tracks no lengths; a bulk step appends it once per step it took.
 _TRACE = {"begin": "trace = Trace(ex._storage_ids, tuple(map(len, ({stores}))))\n"
                    "add_action, add_actions = trace.actions.append, trace.actions.extend\n",
-          "before": "before = steps\n",
           "swept": "add_actions(repeat(action, steps - before))\n",
           "step": "add_action(action)\n"}
 _MARKER = re.compile(r"^( *)@(\w+)\n?", re.M)
@@ -811,8 +850,14 @@ def _run_loop(layout: tuple[Kind, ...], acceptance: Acceptance,
             "".join(extra.get(m[2], "") for extra in extras), m[1]), template)
 
     def lines(parts: dict, indent: str) -> str:   # the effect codes are literals
-        return "\n".join(textwrap.indent(expand(parts[kind]).format_map(dict(globals(), j=j)),
-                                         indent) for j, kind in enumerate(layout))
+        return "\n".join(textwrap.indent(expand(parts[kind]).format_map(dict(
+            globals(), j=j, **partner(j))), indent) for j, kind in enumerate(layout))
+
+    def partner(j: int) -> dict:   # a tape sweep's pushdown, whose branch pushes the last push
+        if layout[j + 1:j + 2] == (Kind.PUSHDOWN,):
+            return {"pd": f"s{j + 1} if change[{j + 2}] else None, change[{j + 2}] == 255, "
+                          f"a{j + 1}", "push": f"a{j + 1}"}
+        return {"pd": "None, False, None", "push": "_"}
 
     js = range(len(layout))
     source = expand(_LOOP).format(
@@ -848,22 +893,20 @@ class Executor:
     ``Trace._columns``).  Plain, watched and traced runs all read this one cache.
     The rule is found by one dict lookup per wildcard mask of the state's
     patterns, the most specific mask first.  Equal actions are one object.  A
-    self-loop that runs take in bulk (see :func:`_swept`: a queue rotated or a
-    tape head moved without a write, or the input symbol consumed and appended
-    to a non-empty queue) gets a sweep code in the changed storage's slot, and
-    as its argument a dict whose keys are the views compiled to the same step
-    in its context: the key without the view the sweep goes over (the input
-    view for ``_COPY``), with the storage and the code.  All keys of a context
-    share that action, row and all (a rotation or a tape sweep changes no
-    length, a copy adds one), and its keys grow as they are compiled, so they
-    are only views proven to give that step; a run takes the rest of a sweep
-    at once while the new view is among them and it has room for a step.  A
-    run is one call of a loop generated for the layout and the acceptance
-    kind, with the run's state in its locals: the plain loop is built with
-    the executor, those of watched and traced runs on first use.  :func:`step`
+    self-loop that runs take in bulk (see :func:`_swept`) gets a sweep code in
+    its storage's slot.  Its context is its key less the views that pick its
+    steps or that it sets, plus the storage, the code and the row.  A queue's
+    keys share the context's action, whose argument holds the views compiled
+    to it (so only views proven to give that step); a run takes the rest of a
+    rotation or copy while the new view is among them.  A tape sweep's keys
+    keep their actions and share the context's walk (``_walks``, by action),
+    from such views to what each step writes and pushes; a run takes
+    ``_RENT`` steps of a sweep singly, about one :func:`_sweep` call's cost,
+    then the rest at once.  A run is one call of a loop generated for the
+    layout and the acceptance kind, with the run's state in its locals (the
+    plain loop built with the executor, the others on first use); :func:`step`
     enters it from a :class:`Configuration`.  Every loop returns a
-    :class:`RunResult`.  A :class:`MachineSpec` is immutable, so one executor
-    can serve any number of runs.
+    :class:`RunResult`.  One executor serves any number of runs of its spec.
     """
 
     def __init__(self, spec: MachineSpec):
@@ -874,7 +917,8 @@ class Executor:
         self._cache: dict[tuple, tuple | None] = {}
         self._by_pattern: dict[str, list[tuple[tuple[int, ...], dict]]] = {}
         self._actions: dict[tuple, tuple] = {}
-        self._sweeps: dict[tuple, tuple] = {}   # a sweep's context: its action
+        self._sweeps: dict[tuple, tuple] = {}   # a sweep's context: its action or walk
+        self._walks: dict[int, set | dict] = {}   # a tape sweep's action (by id): its walk
         self._post = spec.mode is Mode.POST
         self._layout = tuple(s.kind for s in spec.storages)
         self._run = _run_loop(self._layout, spec.acceptance)
@@ -916,25 +960,41 @@ class Executor:
         else:
             self._cache[key] = None
             return None
-        action, row = [rule.next_state, rule.consume, rule.emit], [rule.consume]
+        action, row = [intern(rule.next_state), rule.consume, rule.emit], [rule.consume]
         for code, arg, change in map(_effect, self.spec.storages, views, rule.ops):
             action += code, arg
             row.append(change)
-        action = (*action, bytes(row))
-        if rule.next_state == state and rule.emit is None:
-            swept = _swept(action, key)
-            if swept is not None:   # one action per context, with its views
-                i, j, sweep = swept
+        action.append(bytes(row))
+        if rule.next_state == state and rule.emit is None and (
+                swept := _swept(action, key, self._layout, self._by_pattern[state])):
+            (j, sweep, other), consume = swept, rule.consume
+            if other is None:   # a queue's: its context is the key less the view it goes over
+                i = 1 if consume else 2 + j
+                action[3 + 2 * j:5 + 2 * j] = sweep, {}
                 action = self._cache[key] = self._sweeps.setdefault(
-                    (*key[:i], *key[i + 1:], j, sweep),
-                    (*action[:3 + 2 * j], sweep, {}, *action[5 + 2 * j:]))
+                    (*key[:i], *key[i + 1:], j, sweep, action[-1]), tuple(action))
                 members = action[4 + 2 * j]
                 members[key[i]] = None
                 if sweep == _COPY:   # each maps to the match of a stretch of them
                     members.update(dict.fromkeys(members, re.compile(
                         f"[{re.escape(''.join(members))}]*").match))
                 return action
+            # A tape's: the key less the views that pick the step or that it sets.
+            cell, action[3 + 2 * j] = action[4 + 2 * j] or key[2 + j], sweep
+            keeps = other == _KEEP and not consume and cell == key[2 + j]
+            walk = self._sweeps.setdefault(key[:2 - consume] + key[2:2 + j] + key[
+                3 + j + (other != _KEEP):] + (j, sweep, action[-1], keeps), set() if keeps else {})
+            pick = key[1:2] * consume + key[2 + j:3 + j + (other == _POP)]
+            if keeps:
+                walk.add(cell)
+            else:   # the cell the step leaves, and what it pushes
+                walk[pick if pick[1:] else pick[0]] = (
+                    (cell, action[6 + 2 * j]) if other == _APPEND_SET else cell)
+            action = self._cache[key] = tuple(action)
+            self._walks[id(action)] = walk
+            return action
         # Equal actions are one object: many keys share a few actions.
+        action = tuple(action)
         action = self._cache[key] = self._actions.setdefault(action, action)
         return action
 

@@ -544,6 +544,17 @@ class TestBench:
         assert data["verdict"] == "linear"
         assert len(data["rows"]) == 4
 
+    def test_tk3_json_rows_pinned(self, capsys):
+        # (n, steps, max_len) of every default size, 2**8 ... 2**16.
+        code, out = invoke(capsys, "bench", "--machine", "tk:3", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert {row["verdict"] for row in rows} == {"accept"}
+        assert [(row["n"], row["steps"], row["max_len"]) for row in rows] == [
+            (254, 903, 63), (509, 1773, 126), (1022, 3543, 255), (2045, 7053, 510),
+            (4094, 14103, 1023), (8189, 28173, 2046), (16382, 56343, 4095),
+            (32765, 112653, 8190), (65534, 225303, 16383)]
+
     def test_too_few_sizes(self, capsys):
         assert main(["bench", "--machine", "mk:1", "--min-exp", "8",
                      "--max-exp", "9"]) == 2

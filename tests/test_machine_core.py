@@ -89,19 +89,22 @@ def stepped_lines(spec, word, max_steps=None):
 
 def count_bulk_calls(ex, monkeypatch) -> Counter:
     """Counts, by kind, the calls of ``machine._rotate``, ``machine._sweep``
-    and the ``match`` of each copy context ``ex`` has compiled so far."""
+    (``sweep`` for a tape sweep whose cells stay, ``map`` for one that
+    writes, consumes, pushes or pops) and the ``match`` of each copy context
+    ``ex`` has compiled so far."""
     calls = Counter()
 
     def counted(kind, fn):
         def count(*args):
-            calls[kind] += 1
+            calls[kind(*args) if callable(kind) else kind] += 1
             return fn(*args)
         return count
 
     monkeypatch.setattr(machine, "_rotate", counted("rotate", machine._rotate))
-    monkeypatch.setattr(machine, "_sweep", counted("sweep", machine._sweep))
+    monkeypatch.setattr(machine, "_sweep", counted(
+        lambda walk, *_: "sweep" if type(walk) is set else "map", machine._sweep))
     for action in ex._sweeps.values():
-        for code, members in zip(action[3:-1:2], action[4::2]):
+        for code, members in zip(action[3:-1:2], action[4::2]) if type(action) is tuple else ():
             if code == _COPY:   # each view maps to the context's one match
                 members.update(dict.fromkeys(members, counted(
                     "copy", next(iter(members.values())))))
@@ -419,7 +422,7 @@ class TestRun:
 
     @pytest.mark.parametrize("name, word, bulk", [
         ("anbn:quadratic", "a" * 20 + "b" * 20, {"rotate"}),
-        ("tk:1", "10$0$1$1$0$1$1$", {"sweep"}),
+        ("tk:1", "11011011001$0$0$0$0$1$1$1$0$0$0$0$1$", {"sweep", "map"}),
         ("lprime", gen_lprime(6, 1).render(), {"rotate", "copy"}),
         ("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render(), {"copy"})])
     def test_traced_runs_take_as_many_bulk_steps_as_plain_runs(self, name, word, bulk,
@@ -439,7 +442,7 @@ class TestRun:
     @pytest.mark.parametrize("name, word, bulk", [
         ("lprime", gen_lprime(6, 1).render(), {"rotate", "copy"}),
         ("anbn:quadratic", "a" * 8 + "b" * 8, {"rotate"}),
-        ("tk:1", "10$0$1$1$0$1$1$", {"sweep"}),
+        ("tk:1", "11011011001$0$0$0$0$1$1$1$0$0$0$0$1$", {"sweep", "map"}),
         ("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render(), {"copy"})])
     def test_step_calls_no_bulk_helper(self, name, word, bulk, monkeypatch):
         # step() runs its loop to one step past the configuration's, so no
@@ -464,8 +467,10 @@ class TestRun:
     def test_one_observation_cache(self, name, word):
         # Plain, traced and watched runs read one cache: once a plain run has
         # compiled a word's keys, the other two compile none.  Every action
-        # carries its row for the trace, and a sweep context's action is the
-        # one the cache holds for each of its keys.
+        # carries its row for the trace, and a queue sweep context's action is
+        # the one the cache holds for each of its keys.  A tape sweep's keys
+        # keep their own actions, with the context's code and row, and share
+        # its walk, each of whose views some key gave.
         ex = Executor(builtin(name))
         ex.run(word)
         keys = set(ex._cache)
@@ -478,9 +483,17 @@ class TestRun:
             assert type(row) is bytes and len(row) == k + 1 and row[0] == action[1]
         uses, sweeps = Counter(map(id, ex._cache.values())), set(_SWEEPS.values())
         assert ex._sweeps
-        for action in ex._sweeps.values():
-            members = next(a for c, a in zip(action[3:-1:2], action[4::2]) if c in sweeps)
-            assert uses[id(action)] == len(members)
+        for context, shared in ex._sweeps.items():
+            if type(shared) is tuple:
+                members = next(a for c, a in zip(shared[3:-1:2], shared[4::2]) if c in sweeps)
+                assert uses[id(shared)] == len(members)
+                continue
+            j, code, row = context[-4:-1]
+            its_keys = [key for key, action in ex._cache.items()
+                        if action and ex._walks.get(id(action)) is shared]
+            assert 0 < len(shared) <= len(its_keys)
+            for key in its_keys:
+                assert ex._cache[key][3 + 2 * j] == code and ex._cache[key][-1] == row
 
     def test_empty_input_needs_epsilon_flag(self):
         spec = echo_machine(Kind.QUEUE)

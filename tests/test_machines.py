@@ -253,6 +253,18 @@ class TestTk:
     def test_malformed_rejected(self, word):
         assert not accepts(build_tk(2), word)
 
+    @pytest.mark.parametrize("k, rows", [
+        (1, [(255, 678, 128), (511, 1350, 256), (1023, 2694, 512), (2047, 5382, 1024),
+             (4095, 10758, 2048)]),
+        (2, [(255, 652, 64), (511, 1292, 128), (1023, 2572, 256), (2047, 5132, 512),
+             (4095, 10252, 1024)]),
+        (3, [(254, 903, 63), (509, 1773, 126), (1022, 3543, 255), (2045, 7053, 510),
+             (4094, 14103, 1023)])])
+    def test_growth_rows_pinned(self, k, rows):
+        # (n, steps, peak length) at 2**8 ... 2**12: the repairs gather, refill
+        # and copy over hundreds of cells, far past the reference's words.
+        assert analysis.growth_series(f"tk:{k}", range(8, 13)) == rows
+
     def test_repair_survives_many_rounds(self):
         # Stream runs of different lengths force staggered repairs.
         word = gen_lk(3, (1, 2, 7), 60, 13).render()

@@ -315,6 +315,73 @@ def _copy_context_machine():
         rules=tuple(rules), acceptance=Acceptance.EMPTY_STORAGES)
 
 
+def _tape_pushdown_machine(name, *rules, finals):
+    """A machine over the bits with one tape (cells of 0, 1, D and m) and one
+    pushdown of bits."""
+    states = tuple(dict.fromkeys(s for r in rules for s in (r.state, r.next_state)))
+    return MachineSpec(
+        name=name, states=states, start=states[0], input_alphabet=frozenset("01"),
+        output_alphabet=frozenset("01"),
+        storages=(StorageSpec("t", Kind.TAPE, frozenset("01Dm")),
+                  StorageSpec("p", Kind.PUSHDOWN, frozenset("01"))),
+        rules=rules, acceptance=Acceptance.FINAL_STATES, finals=frozenset(finals))
+
+
+def _tape_rule(state, symbol, cell, top, next_state, write=None, move="S", pd=NO_OP):
+    return Rule(state, symbol, (cell, top), next_state, consume=symbol in "01",
+                ops=(TapeOp(write=write, move=move), pd))
+
+
+def _copy(then, pd=lambda b: NO_OP, cell=lambda b: b, mark="m", end=None):
+    # Writes ``mark`` in cell 0, then copies the input onto the tape, past its
+    # end (a tape sweep that consumes its input: each step is picked by its
+    # symbol and cell), and at the end of the input writes ``end`` and turns
+    # left into ``then``.
+    return (_tape_rule("s", WILDCARD, WILDCARD, WILDCARD, "w", mark, "R" if mark else "S"),
+            *(_tape_rule("w", b, WILDCARD, WILDCARD, "w", cell(b), "R", pd(b)) for b in "01"),
+            _tape_rule("w", NO_SYMBOL, WILDCARD, WILDCARD, then, end, "L"))
+
+
+def _gather_fault_machine():
+    # Copies the input from cell 0, then gathers it leftwards onto the
+    # pushdown, marking it D (the top it pushes is left out of its context),
+    # and off the left end.
+    return _tape_pushdown_machine("gather-fault", *_copy("g", mark=None), *(
+        _tape_rule("g", WILDCARD, b, WILDCARD, "g", "D", "L", QueueOp(push=b))
+        for b in "01"), finals=())
+
+
+def _refill_empty_machine():
+    # Copies the input as D cells and onto the pushdown, goes back to the mark,
+    # then refills the D cells from the pushdown until it is empty.
+    return _tape_pushdown_machine("refill-empty", *_copy(
+        "b", pd=lambda b: QueueOp(push=b), cell=lambda b: "D"),
+        _tape_rule("b", WILDCARD, "D", WILDCARD, "b", move="L"),
+        _tape_rule("b", WILDCARD, "m", WILDCARD, "r", move="R"),
+        *(_tape_rule("r", WILDCARD, "D", b, "r", b, "R", QueueOp(pop=True)) for b in "01"),
+        finals=("r",))
+
+
+def _lower_machine():
+    # Copies the input between two marks, blanks its trailing 1s leftwards (a
+    # tape sweep whose writes lower the tape's length each step), then writes
+    # D over them rightwards up to the end mark, back to the same peak.
+    return _tape_pushdown_machine(
+        "lower", *_copy("e", end="m"),
+        _tape_rule("e", WILDCARD, "1", WILDCARD, "e", "_", "L"),
+        _tape_rule("e", WILDCARD, "0", WILDCARD, "f", move="R"),
+        _tape_rule("f", WILDCARD, "_", WILDCARD, "f", "D", "R"), finals=("f",))
+
+
+def _push_reads_top_machine():
+    # Gathers leftwards as _gather_fault_machine does, but pushes a bit that
+    # depends on the top it reads: the top it sets picks its next step, so
+    # the sweep goes step by step.
+    return _tape_pushdown_machine("push-reads-top", *_copy("g"), *(
+        _tape_rule("g", WILDCARD, b, top, "g", "D", "L", QueueOp(push=push))
+        for b in "01" for top, push in ((EMPTY, "0"), ("0", "1"), ("1", "0"))), finals=("g",))
+
+
 def _lprime_words():
     member = st.builds(lambda k, seed: gen_lprime(k, seed).render(),
                        st.integers(0, 3), st.integers(0, 2**32))
@@ -340,7 +407,7 @@ _ANBN_WORDS = st.one_of(st.text("ab", max_size=10),
 MACHINES = {
     "lprime": (lambda: builtin("lprime"), _lprime_words()),
     **{f"mk:{k}": (lambda k=k: builtin(f"mk:{k}"), _fk_words(k)) for k in (1, 2, 3, 5, 9)},
-    **{f"tk:{k}": (lambda k=k: builtin(f"tk:{k}"), _fk_words(k)) for k in (1, 2)},
+    **{f"tk:{k}": (lambda k=k: builtin(f"tk:{k}"), _fk_words(k)) for k in (1, 2, 3)},
     "anbn:linear": (lambda: builtin("anbn:linear"), _ANBN_WORDS),
     "anbn:quadratic": (lambda: builtin("anbn:quadratic"), _ANBN_WORDS),
     "echo:queue": (lambda: core.echo_machine(Kind.QUEUE), st.text("ab", max_size=12)),
@@ -357,6 +424,11 @@ MACHINES = {
     "sweep:tape-left-fault": (_sweep_left_fault_machine, st.text("01", max_size=12)),
     "sweep:rotate-context": (_rotate_context_machine, st.text("ab", max_size=8)),
     "sweep:push-other": (_push_other_machine, st.text("ab", max_size=8)),
+    # Tape sweeps that write, consume input, push or pop, once past their rent.
+    "sweep:copy-gather-fault": (_gather_fault_machine, st.text("01", max_size=16)),
+    "sweep:refill-empty": (_refill_empty_machine, st.text("01", max_size=16)),
+    "sweep:lower": (_lower_machine, st.text("01", max_size=16)),
+    "sweep:push-reads-top": (_push_reads_top_machine, st.text("01", max_size=16)),
     # Machines whose runs copy input runs onto a queue in bulk.
     "copy:alternate": (_copy_alternate_machine, st.text("abc", max_size=14)),
     "copy:context": (_copy_context_machine, st.text("abc", max_size=14)),
@@ -520,6 +592,12 @@ _EDGE_ROWS = [
     ("copy:context", "abcabbcabba"),
     ("copy:context", "bbcaabbacbbaab"),
     ("lprime", gen_lprime(2, 5).render()),
+    ("sweep:copy-gather-fault", "0110100111010"),
+    ("sweep:refill-empty", "011010011101"),
+    ("sweep:lower", "01101111111111111"),
+    ("sweep:push-reads-top", "0110100111010"),
+    # tk:1 copies, gathers and refills runs of 11 bits (111 steps).
+    ("tk:1", "11011011001$0$0$0$0$1$1$1$0$0$0$0$1$"),
 ]
 
 
@@ -547,12 +625,16 @@ def test_sweep_edges_resume_as_runs(name, word):
 @pytest.mark.parametrize("name, word, kind, first", [
     ("sweep:rotate-all", "ab", "rotate", 3),
     ("echo:queue", "aaaaaaa", "copy", 2),
-    ("sweep:tape-right", "0", "sweep", 6),
+    ("sweep:tape-right", "0", "sweep", 6 + machine._RENT),
+    ("sweep:copy-gather-fault", "0110100111010", "map", 2 + machine._RENT),
 ])
 def test_bulk_helpers_run_only_with_room(name, word, kind, first, monkeypatch):
-    """On a warm executor, step ``first`` is the first whose new view
-    continues its sweep.  Its bulk helper is called once, when the run
-    has room for a step after it, and never for zero steps."""
+    """On a warm executor, step ``first`` is the first that may take the
+    rest of its sweep at once: the first whose new view continues a
+    rotation or a copy, and a tape sweep's after its rent of single steps
+    (the sweeps above start at steps 6 and 2).  Its bulk helper is called
+    once, when the run has room for a step after it, and never for zero
+    steps."""
     ex = machine.Executor(MACHINES[name][0]())
     ex.run(word)
     calls = core.count_bulk_calls(ex, monkeypatch)
@@ -560,6 +642,32 @@ def test_bulk_helpers_run_only_with_room(name, word, kind, first, monkeypatch):
         calls.clear()
         assert ex.run(word, max_steps=limit).steps == limit
         assert calls == ({kind: 1} if limit > first else {}), limit
+
+
+@pytest.mark.parametrize("name, word, kinds", [
+    ("sweep:copy-gather-fault", "0110100111010", {"consume", "push"}),
+    ("sweep:refill-empty", "011010011101", {"consume+push", "keep", "pop"}),
+    ("sweep:lower", "01101111111111111", {"consume", "write"}),
+])
+def test_tape_sweeps_take_steps_in_bulk(name, word, kinds, monkeypatch):
+    """On a warm executor, each kind of tape sweep in the run takes steps in
+    bulk: one whose cells stay, one that writes, and one that also consumes
+    the input symbol, pushes or pops."""
+    ex = machine.Executor(MACHINES[name][0]())
+    ex.run(word)
+    took, sweep = set(), machine._sweep
+
+    def counted(walk, cells, head, by, blank, pd, pop, push, w, pos, steps, limit):
+        res = sweep(walk, cells, head, by, blank, pd, pop, push, w, pos, steps, limit)
+        if res[0] > steps:
+            took.add("+".join(kind for kind, on in (
+                ("keep", type(walk) is set), ("consume", w is not None),
+                ("push", pd is not None and not pop), ("pop", pop)) if on) or "write")
+        return res
+
+    monkeypatch.setattr(machine, "_sweep", counted)
+    assert ex.run(word).steps == reference_run(MACHINES[name][0](), word).steps
+    assert took == kinds
 
 
 def test_input_runs_are_counted_only_when_the_next_symbol_copies():

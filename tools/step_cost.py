@@ -22,10 +22,11 @@ measures the compile layer: a fresh tk:3 executor's first pass over the
 ``COLD_WORDS`` words of ``gen_fk_cases(COLD_WORDS, SEED, 3)``, which
 compiles each observation on its first look-up, divided by its second pass,
 which finds them all cached; each pass is the fastest of ``REPEAT`` fresh
-executors', all in this process.  ``step_us`` is the cost of one ``step``
-call, in µs: the fastest of ``REPEAT`` passes that step a configuration of
-``gen_lprime(6, SEED)`` from its start to its halt (255 steps), over the
-steps.  ``trace_file_ns_per_step`` is the fastest of ``REPEAT`` traced
+executors', all in this process.  ``warm_fk_us`` is that warm pass in µs per
+run: batch-like words, whose tape sweeps are a few steps long.  ``step_us``
+is the cost of one ``step`` call, in µs: the fastest of ``REPEAT`` passes
+that step a configuration of ``gen_lprime(6, SEED)`` from its start to its
+halt (255 steps), over the steps.  ``trace_file_ns_per_step`` is the fastest of ``REPEAT`` traced
 tk:3 runs on its word, each written through ``Trace.write`` into an
 ``io.StringIO``, over the run's steps.  ``timing_checks_us`` is the fastest
 of ``REPEAT`` passes of ``analysis.lprime_timing``'s checks (the cycle
@@ -137,8 +138,9 @@ def short_run_costs(repeat: int) -> dict:
     return out
 
 
-def cold_over_warm(repeat: int) -> float:
-    """A fresh tk:3 executor's first pass over the fk words over its second."""
+def cold_over_warm(repeat: int) -> tuple[float, float]:
+    """A fresh tk:3 executor's first pass over the fk words over its second,
+    and the second in µs per run."""
     words = [case.word for case in gen_fk_cases(COLD_WORDS, SEED, 3)]
     passes = ([], [])
     for _ in range(repeat):
@@ -148,7 +150,8 @@ def cold_over_warm(repeat: int) -> float:
             for word in words:
                 run_word(word)
             times.append(time.perf_counter() - t)
-    return round(min(passes[0]) / min(passes[1]), 3)
+    return (round(min(passes[0]) / min(passes[1]), 3),
+            round(1e6 * min(passes[1]) / len(words), 3))
 
 
 def step_us(repeat: int) -> float:
@@ -231,11 +234,12 @@ def main() -> int:
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
     runs = run_costs(REPEAT)
     short = short_run_costs(REPEAT)
+    cold, warm = cold_over_warm(REPEAT)
     result = {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
               "repeat": REPEAT, "runs": runs, "short_run_us": short,
               "short_run_over_plain_step": round(
                   1e3 * short["ab0c0"] / runs["lprime"]["plain_ns_per_step"], 2),
-              "cold_over_warm": cold_over_warm(REPEAT),
+              "cold_over_warm": cold, "warm_fk_us": warm,
               "step_us": step_us(REPEAT),
               "trace_file_ns_per_step": trace_file_ns_per_step(REPEAT),
               "timing_checks_us": timing_checks_us(REPEAT),
@@ -250,7 +254,7 @@ def main() -> int:
         print(f"lprime short run {word!r}: {us} µs")
     print(f"an 'ab0c0' run costs {result['short_run_over_plain_step']} plain lprime steps")
     print(f"a cold tk:3 pass over {COLD_WORDS} fk words costs {result['cold_over_warm']} "
-          f"warm passes")
+          f"warm passes; a warm pass, {result['warm_fk_us']} µs per run")
     print(f"a step() call of lprime costs {result['step_us']} µs")
     print(f"a traced tk:3 run written as a trace file costs "
           f"{result['trace_file_ns_per_step']} ns/step")
