@@ -47,12 +47,17 @@ NO_SYMBOL = "-"
 # used as a storage symbol.
 EMPTY = "empty"
 BLANK = "_"
+MAX_TRACKS = 64   # the most tracks a tape may have: a rule spells each cell in full
 _CHUNK = 1 << 14                  # steps a trace file is written in at a time
 _SILENT = re.compile(rb"\x00+")   # a run of steps that consume no input
 
 # Characters that would collide with the machine file format or the reserved
 # observation tokens; alphabets must avoid them.
 FORBIDDEN_SYMBOLS = frozenset("*-_|, \t\n")
+
+
+def _symbols_ok(alphabet: frozenset[str]) -> bool:
+    return all(len(s) == 1 for s in alphabet) and FORBIDDEN_SYMBOLS.isdisjoint(alphabet)
 
 
 class Kind(str, Enum):
@@ -150,8 +155,9 @@ class StorageSpec(_StorageFields):
                              f"is only allowed for tapes")
         if tracks < 1:
             raise ValueError(f"storage {ident!r}: tracks must be >= 1")
-        bad = set(alphabet) & FORBIDDEN_SYMBOLS
-        if bad or any(len(s) != 1 for s in alphabet):
+        if tracks > MAX_TRACKS:
+            raise ValueError(f"storage {ident!r}: tracks must be <= {MAX_TRACKS}")
+        if not _symbols_ok(alphabet):
             raise ValueError(f"storage {ident!r}: alphabet must be "
                              f"single characters outside {sorted(FORBIDDEN_SYMBOLS)}")
         return super().__new__(cls, ident, kind, alphabet, tracks)
@@ -255,6 +261,9 @@ def validate_spec(spec: MachineSpec) -> ValidationReport:
         v("duplicate state names")
     if spec.start not in states:
         v(f"start state {spec.start!r} not declared")
+    for name, alphabet in (("input", spec.input_alphabet), ("output", spec.output_alphabet)):
+        if not _symbols_ok(alphabet):
+            v(f"{name} alphabet must be single characters outside {sorted(FORBIDDEN_SYMBOLS)}")
     idents = [s.ident for s in spec.storages]
     if len(set(idents)) != len(idents):
         v("duplicate storage identifiers")
@@ -637,6 +646,9 @@ def _sweep(walk: set | dict, cells: list, head: int, by: int, blank: str, pd: li
 # ``headj`` and ``blankj``; its effect code and argument in an action are
 # ``cj`` and ``aj``.  Per storage kind, its new object, its lines at the start
 # of a run, its branch in a step and what a resumed loop writes back.  A
+# tape's branch is one body for all its codes: the write, the move (a right
+# move appends a blank past the end, a left move faults at cell 0) and the new
+# view, after which a sweep adds only its rent and its bulk call.  A
 # marker line ``@name`` becomes the lines ``_WORD`` or ``_CONFIG`` (where a
 # loop starts, and what it writes back), ``_WATCH`` and ``_TRACE`` give
 # ``name``, or nothing.  Every loop stops (halt, step limit, fault) in the
@@ -701,19 +713,19 @@ if c{j}:
         raise ExecutionFault(_fault(ex.spec.storages[{j}]))""",
     Kind.TAPE: """\
 if c{j}:
-    if c{j} >= {_SWEEP_R}:   # a sweep: the step, then, once it has paid its rent, the rest
-        if a{j} is not None:
-            @write
-            cells{j}[head{j}] = a{j}
-        if c{j} == {_SWEEP_R}:
-            head{j} += 1
-            if head{j} == len(cells{j}):
-                cells{j}.append(blank{j})
-        elif head{j}:
-            head{j} -= 1
-        else:
+    if a{j} is not None:
+        cells{j}[head{j}] = a{j}
+        @write
+    if c{j} == {_RIGHT} or c{j} == {_SWEEP_R}:
+        head{j} += 1
+        if head{j} == len(cells{j}):
+            cells{j}.append(blank{j})
+    elif c{j} != {_WRITE}:
+        if head{j} == 0:
             raise ExecutionFault(_fault(ex.spec.storages[{j}]))
-        v{j} = cells{j}[head{j}]
+        head{j} -= 1
+    v{j} = cells{j}[head{j}]
+    if c{j} >= {_SWEEP_R}:   # a sweep: its rent, then the rest at once
         if state is not last:
             last, due = state, steps + {_RENT}
         elif steps >= due and steps + 1 < limit:
@@ -723,26 +735,7 @@ if c{j}:
                 blank{j}, {pd}, word if consume else None, pos, steps, limit)
             view, v{j} = padded[pos], cells{j}[head{j}]
             @swept
-            @moved
-    elif c{j} == {_RIGHT}:
-        if a{j} is not None:
-            @write
-            cells{j}[head{j}] = a{j}
-        head{j} += 1
-        if head{j} == len(cells{j}):
-            cells{j}.append(blank{j})
-        v{j} = cells{j}[head{j}]
-    elif c{j} == {_LEFT}:
-        if a{j} is not None:
-            @write
-            cells{j}[head{j}] = a{j}
-        if head{j} == 0:
-            raise ExecutionFault(_fault(ex.spec.storages[{j}]))
-        head{j} -= 1
-        v{j} = cells{j}[head{j}]
-    else:
-        @write
-        cells{j}[head{j}] = v{j} = a{j}""",
+            @moved""",
 }
 _LOOP_NEW = {Kind.QUEUE: "deque()", Kind.PUSHDOWN: "[]", Kind.TAPE: "ex._factories[{j}]()"}
 _LOOP_FINAL = {**dict.fromkeys(Kind, ""), Kind.TAPE: "s{j}.head = head{j}"}
@@ -811,13 +804,13 @@ _CONFIG = {"enter": """\
 word, output, state, pos, steps = cfg.input, cfg.output, cfg.state, cfg.input_pos, cfg.steps
 """,
            "exit": "cfg.state, cfg.input_pos, cfg.steps = state, pos, steps\n"}
-_TAPE_DELTA = "(a{j} != blank{j}) - (v{j} != blank{j})"   # a write's change of the length
 _PEAK = "if l{j} > m{j}:\n    m{j}, p{j} = l{j}, steps\n"       # raised in step pj
 # A watched run keeps storage j's peak in mj (a push reads len(), a tape keeps
-# its count in lj); its result undoes a peak a faulting step raised (by one).
+# its count in lj, changed by the action row's change per write or per step of
+# a bulk sweep); its result undoes a peak a faulting step raised (by one).
 _WATCH = {"setup": "l{j} = m{j} = len(s{j})\np{j} = -1\n",
           "grow": "if (l{j} := len(s{j})) > m{j}:\n    m{j}, p{j} = l{j}, steps\n",
-          "write": f"l{{j}} += {_TAPE_DELTA}\n" + _PEAK,
+          "write": "l{j} += (change[{j} + 1] ^ 128) - 128\n" + _PEAK,
           "moved": "l{j} += (steps - before) * ((change[{j} + 1] ^ 128) - 128)\n" + _PEAK}
 # A traced run appends each step's action (its last slot is its trace row) and
 # tracks no lengths; a bulk step appends it once per step it took.
@@ -841,7 +834,8 @@ def _run_loop(layout: tuple[Kind, ...], acceptance: Acceptance,
     :class:`RunResult` of the steps from the word's start.  A faulting step
     keeps what it did before the fault (input consumed, earlier storages
     changed) but not its new state or its step: neither ``cfg`` nor the
-    result counts it."""
+    result counts it.  A tape's steps, sweeps included, run one body that
+    writes, moves and reads the new view (see ``_LOOP_APPLY``)."""
     extras = [extra for on, extra in ((True, _CONFIG if resume else _WORD),
                                       (watch, _WATCH), (traced, _TRACE)) if on]
 
@@ -901,12 +895,13 @@ class Executor:
     rotation or copy while the new view is among them.  A tape sweep's keys
     keep their actions and share the context's walk (``_walks``, by action),
     from such views to what each step writes and pushes; a run takes
-    ``_RENT`` steps of a sweep singly, about one :func:`_sweep` call's cost,
-    then the rest at once.  A run is one call of a loop generated for the
-    layout and the acceptance kind, with the run's state in its locals (the
-    plain loop built with the executor, the others on first use); :func:`step`
-    enters it from a :class:`Configuration`.  Every loop returns a
-    :class:`RunResult`.  One executor serves any number of runs of its spec.
+    ``_RENT`` steps of a sweep singly, each in the tape's one step body as a
+    plain move, about one :func:`_sweep` call's cost, then the rest at once.
+    A run is one call of a loop generated for the layout and the acceptance
+    kind, with the run's state in its locals (the plain loop built with the
+    executor, the others on first use); :func:`step` enters it from a
+    :class:`Configuration`.  Every loop returns a :class:`RunResult`.  One
+    executor serves any number of runs of its spec.
     """
 
     def __init__(self, spec: MachineSpec):
@@ -917,7 +912,8 @@ class Executor:
         self._cache: dict[tuple, tuple | None] = {}
         self._by_pattern: dict[str, list[tuple[tuple[int, ...], dict]]] = {}
         self._actions: dict[tuple, tuple] = {}
-        self._sweeps: dict[tuple, tuple] = {}   # a sweep's context: its action or walk
+        # A sweep's context: a queue's shared action, or a tape's walk.
+        self._sweeps: dict[tuple, tuple | set | dict] = {}
         self._walks: dict[int, set | dict] = {}   # a tape sweep's action (by id): its walk
         self._post = spec.mode is Mode.POST
         self._layout = tuple(s.kind for s in spec.storages)

@@ -11,6 +11,7 @@ import pytest
 
 from qmlab import analysis, oracles
 from qmlab.cli import QUADRATIC_MAX_EXP, SUITE_K_MAX, VERIFY_FLAGS, main
+from qmlab.machine import MAX_TRACKS
 from qmlab.oracles import read_batch
 
 
@@ -168,6 +169,13 @@ class TestRun:
         (["run", "--machine", "invalid.qm", "--input", "0"],
          "error: invalid machine file: start state 'b' not declared"),
         (["run", "--machine", "malformed.qm", "--input", "0"], "error: line 2: "),
+        # A reserved symbol would read as end of input, or split a trace line.
+        (["run", "--machine", "input-dash.qm", "--input", "a-a"],
+         "error: invalid machine file: input alphabet must be single characters outside"),
+        (["run", "--machine", "output-comma.qm", "--input", "a", "--trace", "t.csv"],
+         "error: invalid machine file: output alphabet must be single characters outside"),
+        (["run", "--machine", "wide-tape.qm", "--input", "a"],
+         f"error: line 6: storage 't': tracks must be <= {MAX_TRACKS}"),
         (["run", "--machine", "latin1.qm", "--input", "0"], "codec can't decode"),
         (["run", "--machine", ".", "--input", "0"], "Is a directory"),
         (["run", "--machine", "lprime", "--batch", "missing.tsv"], "No such file"),
@@ -179,7 +187,8 @@ class TestRun:
         (["run", "--machine", "mk:1", "--dump-spec", "missing/mk1.qm"], "No such file"),
         (["bench", "--machine", "mk:1", "--min-exp", "3", "--max-exp", "6",
           "--out", "missing/b.csv"], "No such file"),
-    ], ids=["invalid-machine", "malformed-machine", "non-utf8-machine", "directory-machine",
+    ], ids=["invalid-machine", "malformed-machine", "input-dash-machine",
+            "output-comma-machine", "wide-tape-machine", "non-utf8-machine", "directory-machine",
             "run-missing-batch", "verify-missing-batch", "gen-out", "run-trace",
             "run-dump-spec", "bench-out"])
     def test_file_error_is_one_line_exit_three(self, capsys, monkeypatch, tmp_path, argv,
@@ -187,6 +196,13 @@ class TestRun:
         (tmp_path / "invalid.qm").write_text(
             "name: bad\nstates: a\nstart: b\ninput_alphabet: 01\noutput_alphabet:\n")
         (tmp_path / "malformed.qm").write_text("name: bad\nno header here\n")
+        for name, inputs, outputs, storage in (
+                ("input-dash", "a-", "", "q queue a"), ("output-comma", "a", "a,", "q queue a"),
+                ("wide-tape", "a", "", "t tape a tracks=1000000000")):
+            (tmp_path / f"{name}.qm").write_text(
+                f"name: {name}\nstates: s\nstart: s\ninput_alphabet: {inputs}\n"
+                f"output_alphabet: {outputs}\nstorage: {storage}\n"
+                "acceptance: final_states(s)\ns | a | * -> s | y | - | -\n")
         (tmp_path / "latin1.qm").write_bytes("name: b\xe4d\n".encode("latin-1"))
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 3

@@ -17,6 +17,7 @@ from qmlab import machine
 from qmlab.analysis import lprime_timing
 from qmlab.machine import (
     EMPTY,
+    FORBIDDEN_SYMBOLS,
     NO_SYMBOL,
     WILDCARD,
     Acceptance,
@@ -344,6 +345,19 @@ class TestValidator:
             in validate_spec(spec).violations
         assert validate_spec(simple_machine(Kind.QUEUE, rule, finals=("t",), states=("s", "t"),
                                             acceptance=Acceptance.FINAL_STATES)).ok
+
+    @pytest.mark.parametrize("field, symbols", [
+        ("input", "a-"), ("output", "a,"), ("input", "a_"), ("output", "a*"), ("output", ["ab"]),
+    ])
+    def test_reserved_symbols_in_input_and_output_alphabets_flagged(self, field, symbols):
+        # As a storage's symbols, they must be single characters outside the
+        # reserved ones: a "-" would read as end of input, a "," split a trace line.
+        spec = simple_machine(Kind.QUEUE, Rule("s", "a", (WILDCARD,), "s", consume=True,
+                                               ops=(NO_OP,)), states=("s",))
+        assert validate_spec(spec).ok
+        bad = spec._replace(**{f"{field}_alphabet": frozenset(symbols)})
+        assert validate_spec(bad).violations == [
+            f"{field} alphabet must be single characters outside {sorted(FORBIDDEN_SYMBOLS)}"]
 
     def test_tracks_only_on_tapes(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 from qmlab.analysis import Check, LprimeTiming, ScanResult
 from qmlab.growth import GrowthReport
 from qmlab.machine import (
+    MAX_TRACKS,
     Acceptance,
     Configuration,
     Kind,
@@ -103,6 +104,9 @@ def test_storage_spec_rejects_tracks_on_a_queue():
         StorageSpec("q", Kind.QUEUE, frozenset("a"), tracks=2)
     with pytest.raises(ValueError, match="tracks must be >= 1"):
         StorageSpec("t", Kind.TAPE, frozenset("a"), tracks=0)
+    assert StorageSpec("t", Kind.TAPE, frozenset("a"), tracks=MAX_TRACKS).tracks == MAX_TRACKS
+    with pytest.raises(ValueError, match=f"tracks must be <= {MAX_TRACKS}"):
+        StorageSpec("t", Kind.TAPE, frozenset("a"), tracks=MAX_TRACKS + 1)
     with pytest.raises(ValueError, match="alphabet must be single characters"):
         StorageSpec("p", Kind.PUSHDOWN, frozenset(["ab"]))
     assert StorageSpec("t", Kind.TAPE, frozenset("a"), 2).blank_cell == "__"

@@ -382,6 +382,19 @@ def _push_reads_top_machine():
         for b in "01" for top, push in ((EMPTY, "0"), ("0", "1"), ("1", "0"))), finals=("g",))
 
 
+def _behind(kind, build):
+    """``build()``'s machine behind an idle storage of ``kind``: every rule
+    reads it through a wildcard and keeps it, so the machine's own storages
+    are numbered from 1."""
+    spec = build()
+    idle = TapeOp() if kind is Kind.TAPE else NO_OP
+    return spec._replace(
+        name=f"{kind.value}+{spec.name}",
+        storages=(StorageSpec("i", kind, frozenset("01")), *spec.storages),
+        rules=tuple(r._replace(storage_pats=(WILDCARD, *r.storage_pats), ops=(idle, *r.ops))
+                    for r in spec.rules))
+
+
 def _lprime_words():
     member = st.builds(lambda k, seed: gen_lprime(k, seed).render(),
                        st.integers(0, 3), st.integers(0, 2**32))
@@ -429,6 +442,15 @@ MACHINES = {
     "sweep:refill-empty": (_refill_empty_machine, st.text("01", max_size=16)),
     "sweep:lower": (_lower_machine, st.text("01", max_size=16)),
     "sweep:push-reads-top": (_push_reads_top_machine, st.text("01", max_size=16)),
+    # The same sweeps with the tape and its pushdown at storages 1 and 2, and
+    # a tape behind a second tape.
+    "idle:queue+gather-fault": (lambda: _behind(Kind.QUEUE, _gather_fault_machine),
+                                st.text("01", max_size=12)),
+    "idle:pushdown+refill-empty": (lambda: _behind(Kind.PUSHDOWN, _refill_empty_machine),
+                                   st.text("01", max_size=12)),
+    "idle:queue+lower": (lambda: _behind(Kind.QUEUE, _lower_machine),
+                         st.text("01", max_size=12)),
+    "idle:tape+lower": (lambda: _behind(Kind.TAPE, _lower_machine), st.text("01", max_size=12)),
     # Machines whose runs copy input runs onto a queue in bulk.
     "copy:alternate": (_copy_alternate_machine, st.text("abc", max_size=14)),
     "copy:context": (_copy_context_machine, st.text("abc", max_size=14)),
@@ -596,6 +618,10 @@ _EDGE_ROWS = [
     ("sweep:refill-empty", "011010011101"),
     ("sweep:lower", "01101111111111111"),
     ("sweep:push-reads-top", "0110100111010"),
+    ("idle:queue+gather-fault", "011010011101"),
+    ("idle:pushdown+refill-empty", "011010011101"),
+    ("idle:queue+lower", "011111111111"),
+    ("idle:tape+lower", "011111111111"),
     # tk:1 copies, gathers and refills runs of 11 bits (111 steps).
     ("tk:1", "11011011001$0$0$0$0$1$1$1$0$0$0$0$1$"),
 ]
@@ -648,6 +674,10 @@ def test_bulk_helpers_run_only_with_room(name, word, kind, first, monkeypatch):
     ("sweep:copy-gather-fault", "0110100111010", {"consume", "push"}),
     ("sweep:refill-empty", "011010011101", {"consume+push", "keep", "pop"}),
     ("sweep:lower", "01101111111111111", {"consume", "write"}),
+    ("idle:queue+gather-fault", "011010011101", {"consume", "push"}),
+    ("idle:pushdown+refill-empty", "011010011101", {"consume+push", "keep", "pop"}),
+    ("idle:queue+lower", "011111111111", {"consume", "write"}),
+    ("idle:tape+lower", "011111111111", {"consume", "write"}),
 ])
 def test_tape_sweeps_take_steps_in_bulk(name, word, kinds, monkeypatch):
     """On a warm executor, each kind of tape sweep in the run takes steps in
