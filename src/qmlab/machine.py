@@ -34,7 +34,7 @@ from array import array
 from collections import deque
 from enum import Enum
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, compress, islice, repeat, takewhile
+from itertools import accumulate, compress, cycle, islice, repeat, takewhile
 from operator import itemgetter, truth
 from sys import intern
 from typing import NamedTuple
@@ -528,7 +528,14 @@ _SWEEP_R = 12         # tape: as _RIGHT
 _SWEEP_L = 13         # tape: as _LEFT
 _COPY = 14            # non-empty queue: consume the input symbol and append it
 _SWEEPS = {_POPLEFT_APPEND: _ROTATE, _RIGHT: _SWEEP_R, _LEFT: _SWEEP_L, _APPEND: _COPY}
-_RENT = 8             # single steps of a tape sweep before the rest goes in bulk
+# _HALVE tags the keep of a halving pass, a two-state cycle over one queue in
+# which neither step emits or changes another storage: the keep (state s to t)
+# pops the front and pushes it back, the drop (t to s) pops it and may consume
+# the input symbol.  Its arg is the pass's context, the list [the (input view,
+# front) pairs compiled to the keep, those compiled to the drop, the drop's
+# action, the keep's action, their match] (see _pass_match and _halve).
+_HALVE = 15           # queue: as _POPLEFT_APPEND, whose push is the front
+_RENT = 8             # single steps of a tape sweep or a halving pass before bulk
 
 
 def _swept(action: list, key: tuple, layout: tuple, masks: list) -> tuple | None:
@@ -551,6 +558,21 @@ def _swept(action: list, key: tuple, layout: tuple, masks: list) -> tuple | None
     if len(moved) == 1 and code in (_POPLEFT_APPEND, _APPEND) and (
             code == _APPEND) == action[1] and arg == key[1 if action[1] else 2 + j]:
         return j, _SWEEPS[code], None
+    return None
+
+
+def _paired(action: list, key: tuple) -> int | None:
+    """For an action that changes its state and emits nothing, if it may be a
+    step of a halving pass: the queue whose front it pops and drops (maybe
+    consuming the input symbol) or pushes back (consuming none), keeping
+    every other storage."""
+    moved = [j for j, code in enumerate(action[3:-1:2]) if code]
+    if len(moved) == 1:
+        j = moved[0]
+        code = action[3 + 2 * j]
+        if code == _POPLEFT or code == _POPLEFT_APPEND and not action[1] and (
+                action[4 + 2 * j] == key[2 + j]):
+            return j
     return None
 
 
@@ -600,6 +622,50 @@ def _rotate(queue: deque, members: dict, steps: int, limit: int) -> int:
         run = limit - steps - 1
     queue.rotate(-run)
     return steps + run
+
+
+def _pass_match(drops: set, keeps: set):
+    """The ``match`` of a halving pass's longest proven run of steps, each two
+    characters, its input view and its front: a drop whose pair is in
+    ``drops`` and then one in ``keeps``, over and over."""
+    def pairs(members: set) -> str:
+        fronts: dict[str, str] = {}
+        for view, front in sorted(members):
+            fronts[view] = fronts.get(view, "") + re.escape(front)
+        return "|".join(f"{re.escape(view)}[{f}]" for view, f in fronts.items()) or "(?!)"
+
+    drop = f"(?:{pairs(drops)})"
+    return re.compile(f"(?:{drop}(?:{pairs(keeps)}))*{drop}?").match
+
+
+def _halve(queue: deque, context: list, padded: str, pos: int, steps: int, limit: int):
+    """The rest of a halving pass at once, after a kept front (``steps`` done
+    before it): while the run is short of ``limit`` after the current step, a
+    step drops the front and the next keeps it, each while its input view and
+    front are a pair the ``context`` has for it.  It reads the fronts in
+    windows that grow fourfold up to 4,096 steps (so a long pass holds little
+    at once), never past the queue's length, and stops at the end of the
+    input if a drop consumes.  Returns ``steps`` plus the steps it took, and
+    the input position."""
+    by, match = context[2][1], context[4]
+    room, n = limit - steps - 1, 64
+    while w := min(n, room, len(queue), 2 * (len(padded) - 1 - pos) if by else room):
+        views = [None] * (2 * w)   # per step, its input view and its front
+        views[1::2] = islice(queue, w)
+        if by:   # a drop reads the symbol at pos, its keep the next one
+            views[::4] = padded[pos:pos + (w + 1) // 2]
+            views[2::4] = padded[pos + 1:pos + 1 + w // 2]
+        else:
+            views[::2] = padded[pos] * w
+        took = match("".join(views)).end() // 2
+        for _ in repeat(None, took):
+            queue.popleft()
+        queue.extend(views[3:2 * took:4])   # the kept fronts
+        steps, pos, room = steps + took, pos + by * ((took + 1) // 2), room - took
+        if took < w or took & 1:
+            break
+        n = min(4 * n, 4096)
+    return steps, pos
 
 
 def _sweep(walk: set | dict, cells: list, head: int, by: int, blank: str, pd: list | None,
@@ -653,12 +719,16 @@ def _sweep(walk: set | dict, cells: list, head: int, by: int, blank: str, pd: li
 # loop starts, and what it writes back), ``_WATCH`` and ``_TRACE`` give
 # ``name``, or nothing.  Every loop stops (halt, step limit, fault) in the
 # same lines and returns a RunResult.  A bulk branch runs only with room for
-# a step, a tape sweep's only after ``_RENT`` single steps in its state; in a
-# trace, ``@swept`` adds the steps it took.  The dead ``if False`` block
+# a step and once the next step's picking views are proven to continue it; a
+# tape sweep's only after ``_RENT`` single steps in its state, a halving
+# pass's after ``_RENT`` single steps of its pass (``keep_at`` is the step of
+# its next keep, ``keep_due`` the step its rent is paid).  In a trace,
+# ``@swept`` adds the steps it took, and ``@halved`` a pass's drops and keeps
+# in turn.  The dead ``if False`` block
 # numbers a step's locals first (CPython numbers them as met; past 256, each
 # use costs more).
 _LOOP_SETUP = {
-    Kind.QUEUE: "v{j} = s{j}[0] if s{j} else EMPTY\n@setup",
+    Kind.QUEUE: "v{j} = s{j}[0] if s{j} else EMPTY\nkeep_at = -1\n@setup",
     Kind.PUSHDOWN: "v{j} = s{j}[-1] if s{j} else EMPTY\n@setup",
     Kind.TAPE: "cells{j}, head{j}, blank{j} = s{j}.cells, s{j}.head, s{j}.blank\n"
                "v{j}, last = cells{j}[head{j}], None\n@setup",
@@ -685,6 +755,20 @@ if c{j}:
         s{j}.popleft()
         s{j}.append(a{j})
         v{j} = s{j}[0]
+    elif c{j} == {_HALVE}:   # a kept front, then, past the rent, the rest of the pass
+        s{j}.rotate(-1)
+        if steps - keep_at:   # no keep two steps before: a new pass
+            keep_due = steps + {_RENT}
+        elif steps >= keep_due and steps + 1 < limit and (view, s{j}[0]) in a{j}[1]:
+            before = steps
+            steps, pos = _halve(s{j}, a{j}, padded, pos, steps, limit)
+            view = padded[pos]
+            @halved
+            if (steps - before) & 1:   # it ended on a drop
+                action = a{j}[2]
+                next_state = action[0]
+        keep_at = steps + 2
+        v{j} = s{j}[0] if s{j} else EMPTY
     elif c{j} == {_ROTATE}:   # the step, then the rest of the sweep at once
         s{j}.rotate(-1)
         if s{j}[0] in a{j} and steps + 1 < limit:
@@ -728,10 +812,11 @@ if c{j}:
     if c{j} >= {_SWEEP_R}:   # a sweep: its rent, then the rest at once
         if state is not last:
             last, due = state, steps + {_RENT}
-        elif steps >= due and steps + 1 < limit:
+        elif steps >= due and steps + 1 < limit and (  # the next step's picking views
+                {pick}) in (walk := ex._walks[id(action)]):
             before = steps
             steps, head{j}, pos, {push} = _sweep(
-                ex._walks[id(action)], cells{j}, head{j}, 1 if c{j} == {_SWEEP_R} else -1,
+                walk, cells{j}, head{j}, 1 if c{j} == {_SWEEP_R} else -1,
                 blank{j}, {pd}, word if consume else None, pos, steps, limit)
             view, v{j} = padded[pos], cells{j}[head{j}]
             @swept
@@ -808,15 +893,17 @@ _PEAK = "if l{j} > m{j}:\n    m{j}, p{j} = l{j}, steps\n"       # raised in step
 # A watched run keeps storage j's peak in mj (a push reads len(), a tape keeps
 # its count in lj, changed by the action row's change per write or per step of
 # a bulk sweep); its result undoes a peak a faulting step raised (by one).
+_CHANGE = "((change[{j} + 1] ^ 128) - 128)"   # storage j's change of length, signed
 _WATCH = {"setup": "l{j} = m{j} = len(s{j})\np{j} = -1\n",
           "grow": "if (l{j} := len(s{j})) > m{j}:\n    m{j}, p{j} = l{j}, steps\n",
-          "write": "l{j} += (change[{j} + 1] ^ 128) - 128\n" + _PEAK,
-          "moved": "l{j} += (steps - before) * ((change[{j} + 1] ^ 128) - 128)\n" + _PEAK}
+          "write": f"l{{j}} += {_CHANGE}\n" + _PEAK,
+          "moved": f"l{{j}} += (steps - before) * {_CHANGE}\n" + _PEAK}
 # A traced run appends each step's action (its last slot is its trace row) and
 # tracks no lengths; a bulk step appends it once per step it took.
 _TRACE = {"begin": "trace = Trace(ex._storage_ids, tuple(map(len, ({stores}))))\n"
                    "add_action, add_actions = trace.actions.append, trace.actions.extend\n",
           "swept": "add_actions(repeat(action, steps - before))\n",
+          "halved": "add_actions(islice(cycle((action, a{j}[2])), steps - before))\n",
           "step": "add_action(action)\n"}
 _MARKER = re.compile(r"^( *)@(\w+)\n?", re.M)
 
@@ -848,10 +935,14 @@ def _run_loop(layout: tuple[Kind, ...], acceptance: Acceptance,
             globals(), j=j, **partner(j))), indent) for j, kind in enumerate(layout))
 
     def partner(j: int) -> dict:   # a tape sweep's pushdown, whose branch pushes the last push
-        if layout[j + 1:j + 2] == (Kind.PUSHDOWN,):
+        pick = f"(view, v{j}) if consume else v{j}"   # as _sweep's walk keys them
+        if layout[j + 1:j + 2] == (Kind.PUSHDOWN,):   # a pop's next top is the one below
+            below = f"*s{j + 1}[-2:-1]"
             return {"pd": f"s{j + 1} if change[{j + 2}] else None, change[{j + 2}] == 255, "
-                          f"a{j + 1}", "push": f"a{j + 1}"}
-        return {"pd": "None, False, None", "push": "_"}
+                          f"a{j + 1}", "push": f"a{j + 1}",
+                    "pick": f"((view, v{j}, {below}) if consume else (v{j}, {below})) "
+                            f"if change[{j + 2}] == 255 else {pick}"}
+        return {"pd": "None, False, None", "push": "_", "pick": pick}
 
     js = range(len(layout))
     source = expand(_LOOP).format(
@@ -897,6 +988,12 @@ class Executor:
     from such views to what each step writes and pushes; a run takes
     ``_RENT`` steps of a sweep singly, each in the tape's one step body as a
     plain move, about one :func:`_sweep` call's cost, then the rest at once.
+    A halving pass (see :func:`_paired`) is a keep and a drop of one queue's
+    front in turn.  Its context is either step's key less the input view and
+    the queue's, plus both states in the keep's order; its keys share one
+    keep action, tagged ``_HALVE``, and the first drop action, and it holds
+    the (input view, front) pairs compiled to each.  A run takes ``_RENT``
+    steps of a pass singly, then the rest at once (:func:`_halve`).
     A run is one call of a loop generated for the layout and the acceptance
     kind, with the run's state in its locals (the plain loop built with the
     executor, the others on first use); :func:`step` enters it from a
@@ -989,9 +1086,32 @@ class Executor:
             action = self._cache[key] = tuple(action)
             self._walks[id(action)] = walk
             return action
+        context = None
+        if rule.next_state != state and rule.emit is None and (
+                j := _paired(action, key)) is not None:
+            # A halving pass's: the key less the input view and the queue's,
+            # with both states in the keep's order.
+            keep = action[3 + 2 * j] == _POPLEFT_APPEND
+            context = self._sweeps.setdefault(
+                (state, rule.next_state)[::1 if keep else -1] + key[2:2 + j] + key[3 + j:]
+                + (j, _HALVE), [set(), set(), None, None, None])
+            if keep:   # its keys share one action, whose argument is the context
+                context[0].add((key[1], key[2 + j]))
+                context[4] = _pass_match(context[1], context[0])
+                if context[3] is None:
+                    action[3 + 2 * j:5 + 2 * j] = _HALVE, context
+                    context[3] = tuple(action)
+                action = self._cache[key] = context[3]
+                return action
         # Equal actions are one object: many keys share a few actions.
         action = tuple(action)
         action = self._cache[key] = self._actions.setdefault(action, action)
+        if context is not None:   # a drop: the context's first, unless it faults
+            if context[2] is None:
+                context[2] = action
+            if action is context[2] and not (rule.consume and key[1] == NO_SYMBOL):
+                context[1].add((key[1], key[2 + j]))
+                context[4] = _pass_match(context[1], context[0])
         return action
 
     # -- running -----------------------------------------------------------

@@ -91,8 +91,8 @@ def stepped_lines(spec, word, max_steps=None):
 def count_bulk_calls(ex, monkeypatch) -> Counter:
     """Counts, by kind, the calls of ``machine._rotate``, ``machine._sweep``
     (``sweep`` for a tape sweep whose cells stay, ``map`` for one that
-    writes, consumes, pushes or pops) and the ``match`` of each copy context
-    ``ex`` has compiled so far."""
+    writes, consumes, pushes or pops), ``machine._halve`` (``halve``) and the
+    ``match`` of each copy context ``ex`` has compiled so far."""
     calls = Counter()
 
     def counted(kind, fn):
@@ -104,6 +104,7 @@ def count_bulk_calls(ex, monkeypatch) -> Counter:
     monkeypatch.setattr(machine, "_rotate", counted("rotate", machine._rotate))
     monkeypatch.setattr(machine, "_sweep", counted(
         lambda walk, *_: "sweep" if type(walk) is set else "map", machine._sweep))
+    monkeypatch.setattr(machine, "_halve", counted("halve", machine._halve))
     for action in ex._sweeps.values():
         for code, members in zip(action[3:-1:2], action[4::2]) if type(action) is tuple else ():
             if code == _COPY:   # each view maps to the context's one match
@@ -437,8 +438,9 @@ class TestRun:
     @pytest.mark.parametrize("name, word, bulk", [
         ("anbn:quadratic", "a" * 20 + "b" * 20, {"rotate"}),
         ("tk:1", "11011011001$0$0$0$0$1$1$1$0$0$0$0$1$", {"sweep", "map"}),
-        ("lprime", gen_lprime(6, 1).render(), {"rotate", "copy"}),
-        ("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render(), {"copy"})])
+        ("lprime", gen_lprime(6, 1).render(), {"rotate", "copy", "halve"}),
+        ("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render(), {"copy"}),
+        ("anbn:linear", "a" * 20 + "b" * 20, {"halve"})])
     def test_traced_runs_take_as_many_bulk_steps_as_plain_runs(self, name, word, bulk,
                                                                monkeypatch):
         # Counted on one warm executor: _rotate, _sweep and the copy
@@ -454,10 +456,11 @@ class TestRun:
         assert calls == plain and set(plain) == bulk
 
     @pytest.mark.parametrize("name, word, bulk", [
-        ("lprime", gen_lprime(6, 1).render(), {"rotate", "copy"}),
+        ("lprime", gen_lprime(6, 1).render(), {"rotate", "copy", "halve"}),
         ("anbn:quadratic", "a" * 8 + "b" * 8, {"rotate"}),
         ("tk:1", "11011011001$0$0$0$0$1$1$1$0$0$0$0$1$", {"sweep", "map"}),
-        ("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render(), {"copy"})])
+        ("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render(), {"copy"}),
+        ("anbn:linear", "a" * 20 + "b" * 20, {"halve"})])
     def test_step_calls_no_bulk_helper(self, name, word, bulk, monkeypatch):
         # step() runs its loop to one step past the configuration's, so no
         # bulk branch has room for a step: it calls neither _rotate, _sweep
@@ -477,14 +480,19 @@ class TestRun:
     @pytest.mark.parametrize("name, word", [("lprime", gen_lprime(6, 1).render()),
                                             ("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render()),
                                             ("tk:1", "10$0$1$1$0$1$1$"),
-                                            ("anbn:quadratic", "a" * 20 + "b" * 20)])
+                                            ("anbn:quadratic", "a" * 20 + "b" * 20),
+                                            ("anbn:linear", "a" * 20 + "b" * 20)])
     def test_one_observation_cache(self, name, word):
         # Plain, traced and watched runs read one cache: once a plain run has
         # compiled a word's keys, the other two compile none.  Every action
         # carries its row for the trace, and a queue sweep context's action is
         # the one the cache holds for each of its keys.  A tape sweep's keys
         # keep their own actions, with the context's code and row, and share
-        # its walk, each of whose views some key gave.
+        # its walk, each of whose views some key gave.  A halving pass's
+        # context (keep state s, drop state t, the other storages' views)
+        # holds the (input view, front) pairs whose keys gave its keep and its
+        # drop: every keep key holds its one keep action, s to t, and every
+        # drop key its drop action, t to s, and its match is of those pairs.
         ex = Executor(builtin(name))
         ex.run(word)
         keys = set(ex._cache)
@@ -498,6 +506,17 @@ class TestRun:
         uses, sweeps = Counter(map(id, ex._cache.values())), set(_SWEEPS.values())
         assert ex._sweeps
         for context, shared in ex._sweeps.items():
+            if type(shared) is list:
+                keeps, drops, drop, keep, match = shared
+                s, t, *rest, j, code = context
+                assert code == machine._HALVE and (keep is None or keep[3 + 2 * j] == code)
+                for pairs, state, action in ((keeps, s, keep), (drops, t, drop)):
+                    for view, front in pairs:
+                        assert ex._cache[(state, view, *rest[:j], front, *rest[j:])] is action
+                assert keep is None or (uses[id(keep)] == len(keeps) and keep[0] == t)
+                assert drop is None or drop[0] == s
+                assert match.__self__.pattern == machine._pass_match(drops, keeps).__self__.pattern
+                continue
             if type(shared) is tuple:
                 members = next(a for c, a in zip(shared[3:-1:2], shared[4::2]) if c in sweeps)
                 assert uses[id(shared)] == len(members)
@@ -508,6 +527,25 @@ class TestRun:
             assert 0 < len(shared) <= len(its_keys)
             for key in its_keys:
                 assert ex._cache[key][3 + 2 * j] == code and ex._cache[key][-1] == row
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_traced_lprime_takes_its_halving_passes_in_bulk(self, seed, monkeypatch):
+        # A traced gen_lprime(15, seed) run takes at least 95 % of its
+        # compare and rotate steps in _halve (the rest: each pass's rent).
+        ex, word, took = Executor(builtin("lprime")), gen_lprime(15, seed).render(), []
+        halve = machine._halve
+
+        def count(queue, context, padded, pos, steps, limit):
+            res = halve(queue, context, padded, pos, steps, limit)
+            took.append(res[0] - steps)
+            return res
+
+        ex.run(word)
+        monkeypatch.setattr(machine, "_halve", count)
+        res = ex.run(word, trace=True)
+        passes = sum(action[0] in ("compare", "rotate") for action in res.trace.actions)
+        assert passes == 65536 and sum(took) >= 0.95 * passes
+        assert res.accepted and len(res.trace) == res.steps == ex.run(word).steps
 
     def test_empty_input_needs_epsilon_flag(self):
         spec = echo_machine(Kind.QUEUE)

@@ -20,6 +20,7 @@ generated valid specs.
 import io
 import itertools
 import timeit
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -52,6 +53,7 @@ from qmlab.machine import (
     storage_length_series,
     validate_spec,
 )
+from qmlab.analysis import sized_fk_instance
 from qmlab.machines import builtin
 from qmlab.oracles import FK_CLAUSES, LPRIME_CLAUSES, gen_lk, gen_lprime, mutate_negative
 
@@ -382,6 +384,44 @@ def _push_reads_top_machine():
         for b in "01" for top, push in ((EMPTY, "0"), ("0", "1"), ("1", "0"))), finals=("g",))
 
 
+def _halve_wrap_machine():
+    # Queues the input up to a c, then halves the queue: a kept front, then a
+    # dropped one that consumes an input symbol, for as long as the input
+    # lasts, so a long tail goes round the whole queue again and again.  A
+    # front is kept only under an a or at the end of the input, where the
+    # next drop faults: a b there halts the run.
+    rules = [Rule("w", ch, (WILDCARD,), "w", consume=True, ops=(QueueOp(push=ch),))
+             for ch in "ab"]
+    rules.append(Rule("w", "c", (WILDCARD,), "k", consume=True, ops=(NO_OP,)))
+    rules += [Rule("k", symbol, (ch,), "d", ops=(QueueOp(pop=True, push=ch),))
+              for symbol in ("a", NO_SYMBOL) for ch in "ab"]
+    rules += [Rule("d", WILDCARD, (ch,), "k", consume=True, ops=(QueueOp(pop=True),))
+              for ch in "ab"]
+    return core.simple_machine(Kind.QUEUE, *rules, alphabet="abc", storage_alphabet="ab",
+                               states=("w", "k", "d"))
+
+
+def _halve_mixed_machine():
+    # halve:wrap, but a dropped b consumes no input: the pass has two drop
+    # actions, and only the first that a run meets goes in bulk.
+    spec = _halve_wrap_machine()
+    return spec._replace(name="halve-mixed", rules=tuple(
+        r._replace(consume=False) if (r.state, r.storage_pats) == ("d", ("b",)) else r
+        for r in spec.rules))
+
+
+def _halve_silent_machine():
+    # Post mode: halves the queue round and round, keeping an a or b and
+    # dropping the next front without reading input, until it is empty; a
+    # dropped b is emitted, which ends the pass.
+    rules = [Rule("k", NO_SYMBOL, (ch,), "d", ops=(QueueOp(pop=True, push=ch),))
+             for ch in "ab"]
+    rules += [Rule("d", NO_SYMBOL, ("a",), "k", ops=(QueueOp(pop=True),)),
+              Rule("d", NO_SYMBOL, ("b",), "k", ops=(QueueOp(pop=True),), emit="b")]
+    return core.simple_machine(Kind.QUEUE, *rules, mode=Mode.POST, output="b",
+                               states=("k", "d"), epsilon_accept=True)
+
+
 def _behind(kind, build):
     """``build()``'s machine behind an idle storage of ``kind``: every rule
     reads it through a wildcard and keeps it, so the machine's own storages
@@ -402,6 +442,14 @@ def _lprime_words():
         lambda k, clause, seed: mutate_negative(gen_lprime(k, seed), clause, seed + 1),
         st.integers(1, 3), st.sampled_from(LPRIME_CLAUSES), st.integers(0, 2**32))
     return st.one_of(st.text("01abc", max_size=14), member, negative)
+
+
+def _lprime_flipped(k, seed, i):
+    """``gen_lprime(k, seed)`` with the ``i``-th letter after its prefix
+    flipped: a negative that the ``i + 1``-th drop of the first pass rejects."""
+    inst = gen_lprime(k, seed)
+    word, at = inst.render(), inst.prefix_length + i
+    return word[:at] + "ab"[word[at] == "a"] + word[at + 1:]
 
 
 def _fk_words(k):
@@ -451,6 +499,12 @@ MACHINES = {
     "idle:queue+lower": (lambda: _behind(Kind.QUEUE, _lower_machine),
                          st.text("01", max_size=12)),
     "idle:tape+lower": (lambda: _behind(Kind.TAPE, _lower_machine), st.text("01", max_size=12)),
+    # Machines whose runs take halving passes in bulk, once past their rent.
+    "halve:wrap": (_halve_wrap_machine, st.text("abc", max_size=40)),
+    "halve:silent": (_halve_silent_machine, st.text("ab", max_size=40)),
+    "halve:mixed": (_halve_mixed_machine, st.text("abc", max_size=40)),
+    "idle:pushdown+halve-wrap": (lambda: _behind(Kind.PUSHDOWN, _halve_wrap_machine),
+                                 st.text("abc", max_size=40)),
     # Machines whose runs copy input runs onto a queue in bulk.
     "copy:alternate": (_copy_alternate_machine, st.text("abc", max_size=14)),
     "copy:context": (_copy_context_machine, st.text("abc", max_size=14)),
@@ -624,6 +678,21 @@ _EDGE_ROWS = [
     ("idle:tape+lower", "011111111111"),
     # tk:1 copies, gathers and refills runs of 11 bits (111 steps).
     ("tk:1", "11011011001$0$0$0$0$1$1$1$0$0$0$0$1$"),
+    # Halving passes longer than their rent: an lprime member whose first pass
+    # is 16 steps (83 steps), a negative whose mismatch stops a bulk window
+    # (after 8 of its 16 steps), anbn:linear, and passes that go round the
+    # whole queue, to the end of the input or to an empty queue, with drops
+    # that consume the input symbol, none, or either.
+    ("lprime", gen_lprime(4, 1).render()),
+    ("lprime", _lprime_flipped(5, 1, 9)),
+    ("anbn:linear", "a" * 16 + "b" * 16),
+    ("halve:wrap", "ab" * 10 + "c" + "a" * 14),
+    ("halve:wrap", "ab" * 10 + "c" + "a" * 12 + "baaa"),
+    ("halve:wrap", "ab" * 6 + "c" + "a" * 30),
+    ("halve:mixed", "ab" * 10 + "c" + "a" * 14),
+    ("idle:pushdown+halve-wrap", "ab" * 10 + "c" + "a" * 12 + "baaa"),
+    ("halve:silent", "ab" * 12),
+    ("halve:silent", "a" * 17 + "b"),
 ]
 
 
@@ -653,6 +722,7 @@ def test_sweep_edges_resume_as_runs(name, word):
     ("echo:queue", "aaaaaaa", "copy", 2),
     ("sweep:tape-right", "0", "sweep", 6 + machine._RENT),
     ("sweep:copy-gather-fault", "0110100111010", "map", 2 + machine._RENT),
+    ("halve:silent", "a" * 24, "halve", 1 + machine._RENT),
 ])
 def test_bulk_helpers_run_only_with_room(name, word, kind, first, monkeypatch):
     """On a warm executor, step ``first`` is the first that may take the
@@ -668,6 +738,34 @@ def test_bulk_helpers_run_only_with_room(name, word, kind, first, monkeypatch):
         calls.clear()
         assert ex.run(word, max_steps=limit).steps == limit
         assert calls == ({kind: 1} if limit > first else {}), limit
+
+
+@pytest.mark.parametrize("name, word, bulk", [
+    ("tk:3", sized_fk_instance(3, 2**13, 1).render(), True),
+    ("lprime", gen_lprime(9, 1).render(), True),
+    ("anbn:linear", "a" * 300 + "b" * 300, True),
+    ("halve:silent", "a" * 40 + "b" * 8, True),
+    # The pass's rent is paid at the end of the input, where its drop faults.
+    ("halve:wrap", "ab" * 6 + "c" + "a" * 4, False),
+])
+def test_bulk_helpers_never_run_for_zero_steps(name, word, bulk, monkeypatch):
+    """On a fresh executor too, where a sweep or a pass past its rent may
+    meet a view that no key has given yet, each bulk call takes a step."""
+    taken = Counter()
+
+    def counted(fn, at):   # the steps a helper took, from its result's first slot
+        def count(*args):
+            res = fn(*args)
+            taken[(res[0] if type(res) is tuple else res) - args[at]] += 1
+            return res
+        return count
+
+    monkeypatch.setattr(machine, "_rotate", counted(machine._rotate, 2))
+    monkeypatch.setattr(machine, "_sweep", counted(machine._sweep, 10))
+    monkeypatch.setattr(machine, "_halve", counted(machine._halve, 4))
+    ex = machine.Executor(MACHINES[name][0]())
+    assert ex.run(word).steps == ex.run(word).steps
+    assert bool(taken) == bulk and 0 not in taken
 
 
 @pytest.mark.parametrize("name, word, kinds", [

@@ -33,6 +33,9 @@ of ``REPEAT`` passes of ``analysis.lprime_timing``'s checks (the cycle
 starts, the queue length before each and the prefix's delay) on a held
 traced run of ``gen_lprime(12, SEED)``, each on a fresh ``Trace`` of its
 actions, so that the columns the checks read are built in the time.
+``halving_share`` is the share of a plain run of ``gen_lprime(12, SEED)``'s
+halving-pass steps (its ``compare`` and ``rotate`` steps, counted in a traced
+run of the word) that ``machine._halve`` takes in bulk, on a warm executor.
 ``bits`` is the fastest
 ``SplitMix64(seed).bits(n)`` call, in µs per 1,000 bits, for each ``n``.
 ``import_ms`` is the start-up cost of the command line: the fastest of
@@ -61,6 +64,7 @@ import timeit
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from qmlab import machine  # noqa: E402
 from qmlab.analysis import lprime_cycle_starts, sized_fk_instance  # noqa: E402
 from qmlab.machine import (Executor, RunResult, Trace, Verdict, executor_for,  # noqa: E402
                            minimal_delay, step)
@@ -198,6 +202,26 @@ def timing_checks_us(repeat: int) -> float:
     return round(1e6 * best(checks, repeat), 1)
 
 
+def halving_share() -> float:
+    """The share of a plain lprime run's compare and rotate steps that
+    ``machine._halve`` takes."""
+    ex, word, took = Executor(builtin("lprime")), gen_lprime(12, SEED).render(), []
+    halve = machine._halve
+
+    def count(queue, context, padded, pos, steps, limit):
+        res = halve(queue, context, padded, pos, steps, limit)
+        took.append(res[0] - steps)
+        return res
+
+    passes = sum(a[0] in ("compare", "rotate") for a in ex.run(word, trace=True).trace.actions)
+    machine._halve = count
+    try:
+        ex.run(word)
+    finally:
+        machine._halve = halve
+    return round(sum(took) / passes, 4)
+
+
 def python(code: str) -> subprocess.CompletedProcess:
     """A fresh interpreter running ``code``, which imports qmlab from ``src/``
     and writes no bytecode."""
@@ -243,6 +267,7 @@ def main() -> int:
               "step_us": step_us(REPEAT),
               "trace_file_ns_per_step": trace_file_ns_per_step(REPEAT),
               "timing_checks_us": timing_checks_us(REPEAT),
+              "halving_share": halving_share(),
               "bits_us_per_1000": bit_costs(REPEAT),
               "import_ms": import_ms(REPEAT),
               "start_modules": start_modules(),
@@ -259,6 +284,8 @@ def main() -> int:
     print(f"a traced tk:3 run written as a trace file costs "
           f"{result['trace_file_ns_per_step']} ns/step")
     print(f"lprime_timing's checks on a k = 12 trace cost {result['timing_checks_us']} µs")
+    print(f"a plain k = 12 lprime run takes {result['halving_share']} of its halving-pass "
+          f"steps in bulk")
     for n, us in result["bits_us_per_1000"].items():
         print(f"bits({n}): {us} µs per 1,000 bits")
     print(f"import qmlab.cli adds {result['import_ms']} ms to a process's start and loads "
