@@ -36,7 +36,7 @@ from enum import Enum
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, compress, cycle, islice, repeat, takewhile
 from operator import itemgetter, truth
-from sys import intern
+from sys import intern, maxsize
 from typing import NamedTuple
 
 WILDCARD = "*"
@@ -516,63 +516,80 @@ _POP_EMPTY = 7        # pop on an empty queue or pushdown: faults
 _WRITE = 8            # tape write, head stays; view := arg
 _RIGHT = 9            # tape: write arg unless None, then move right
 _LEFT = 10            # tape: write arg unless None, then move left (faults at cell 0)
-# The sweep codes tag a self-loop of a plain action that runs take in bulk:
-# the state stays, nothing is emitted and only this storage changes (and a
-# tape's pushdown), as below.  A queue's arg is a dict whose keys are the views
-# (the input's for _COPY, else this storage's) that compile to the same step
-# with the rest of the key the same; a run stays in bulk while the new view is
-# in it (see _rotate and the _COPY branch of _LOOP_APPLY, where each maps to a
-# regex's match).  A tape's arg is its write (see _sweep).
+# The bulk codes tag a step that runs take in bulk (see _bulk): a rotation's,
+# a copy's or a tape sweep's, each a self-loop, or a halving pass's keep.  Its
+# context is one _Bulk record, a queue code's arg; a tape's arg is its write.
 _ROTATE = 11          # queue: pop the front and push it back
 _SWEEP_R = 12         # tape: as _RIGHT
 _SWEEP_L = 13         # tape: as _LEFT
 _COPY = 14            # non-empty queue: consume the input symbol and append it
 _SWEEPS = {_POPLEFT_APPEND: _ROTATE, _RIGHT: _SWEEP_R, _LEFT: _SWEEP_L, _APPEND: _COPY}
-# _HALVE tags the keep of a halving pass, a two-state cycle over one queue in
-# which neither step emits or changes another storage: the keep (state s to t)
-# pops the front and pushes it back, the drop (t to s) pops it and may consume
-# the input symbol.  Its arg is the pass's context, the list [the (input view,
-# front) pairs compiled to the keep, those compiled to the drop, the drop's
-# action, the keep's action, their match] (see _pass_match and _halve).
 _HALVE = 15           # queue: as _POPLEFT_APPEND, whose push is the front
 _RENT = 8             # single steps of a tape sweep or a halving pass before bulk
 
 
-def _swept(action: list, key: tuple, layout: tuple, masks: list) -> tuple | None:
-    """For an action that keeps its state and emits nothing, if runs take it
-    in bulk: its storage, its sweep code and, for a tape, the code of the
-    pushdown after it.  It may rotate a queue, or consume the input symbol and
-    append it to a non-empty queue; or move a tape's head, maybe consuming
-    input, and pop from that pushdown or push if no rule of the state reads it."""
+class _Bulk(dict):
+    """A bulk context.  Its keys are the views that compiled keys proved to
+    pick its next step (a rotation's fronts, a copy's input symbols, a tape
+    sweep's input view, cell and popped top as it reads them, a halving
+    pass's drop (input view, front) pairs), each mapped to what that step
+    leaves (a tape sweep's cell, with its push) or to ``None``.  ``action``
+    is the one action its queue keys share (a pass's keep), whose arg it is;
+    a pass's ``keeps`` holds its keep's pairs and ``drop`` its first drop
+    action, the only one it takes; ``match`` is a copy's or a pass's regex
+    match over its members, compiled again as they grow; a tape sweep
+    ``stays`` if its cells do."""
+    __slots__ = ("keeps", "match", "action", "drop", "stays")
+
+    def __init__(self, code: int, leaves):
+        self.keeps = set() if code == _HALVE or code == _POPLEFT else None
+        self.match = self.action = self.drop = None
+        self.stays = leaves is None and (code == _SWEEP_R or code == _SWEEP_L)
+
+
+def _bulk(action: list, key: tuple, layout: tuple, masks: list) -> tuple | None:
+    """For an action that emits nothing, if runs may take it in bulk: its
+    storage, its bulk code, its context's key, the views that pick it and
+    what it leaves (see _Bulk).  A self-loop may rotate a queue, or consume
+    the input symbol and append it to a non-empty queue; or move a tape's
+    head, maybe consuming input, and pop from the pushdown after it or push
+    if no rule of the state reads it.  Its context's key is its key less the
+    views that pick it or that it sets, plus the storage, the code, the row
+    and, for a tape, whether its cells stay.  An action that changes its
+    state may be a step of a halving pass, a two-state cycle over one queue
+    that keeps every other storage: its keep (code _HALVE, state s to t) pops
+    the front and pushes it back, its drop (code _POPLEFT, t to s) pops it and
+    may consume the input symbol.  The pass's key is either step's key less
+    the input view and the queue's, plus both states in the keep's order."""
     moved = [j for j, code in enumerate(action[3:-1:2]) if code]
     if not moved:
         return None
     j = moved[0]
     code, arg = action[3 + 2 * j:5 + 2 * j]
+    state, consume = key[0], action[1]
+    if action[0] != state:
+        if len(moved) == 1 and (code == _POPLEFT or code == _POPLEFT_APPEND and not consume
+                                and arg == key[2 + j]):
+            keep = code == _POPLEFT_APPEND
+            return (j, _HALVE if keep else code, (state, action[0])[::1 if keep else -1]
+                    + key[2:2 + j] + key[3 + j:] + (j, _HALVE), (key[1], key[2 + j]), None)
+        return None
     if code == _RIGHT or code == _LEFT:
         other = _KEEP if len(moved) == 1 else action[5 + 2 * j] if moved[1:] == [j + 1] else None
         if other == _KEEP or other == _POP or other == _APPEND_SET and layout[
                 j + 1] is Kind.PUSHDOWN and not any(mask[2 + j] for mask, _ in masks):
-            return j, _SWEEPS[code], other
+            cell = arg or key[2 + j]
+            stays = other == _KEEP and not consume and cell == key[2 + j]
+            pick = key[1:2] * consume + key[2 + j:3 + j + (other == _POP)]
+            return (j, _SWEEPS[code], key[:2 - consume] + key[2:2 + j]
+                    + key[3 + j + (other != _KEEP):] + (j, _SWEEPS[code], action[-1], stays),
+                    pick if pick[1:] else pick[0], None if stays else
+                    (cell, action[6 + 2 * j]) if other == _APPEND_SET else cell)
         return None
     if len(moved) == 1 and code in (_POPLEFT_APPEND, _APPEND) and (
-            code == _APPEND) == action[1] and arg == key[1 if action[1] else 2 + j]:
-        return j, _SWEEPS[code], None
-    return None
-
-
-def _paired(action: list, key: tuple) -> int | None:
-    """For an action that changes its state and emits nothing, if it may be a
-    step of a halving pass: the queue whose front it pops and drops (maybe
-    consuming the input symbol) or pushes back (consuming none), keeping
-    every other storage."""
-    moved = [j for j, code in enumerate(action[3:-1:2]) if code]
-    if len(moved) == 1:
-        j = moved[0]
-        code = action[3 + 2 * j]
-        if code == _POPLEFT or code == _POPLEFT_APPEND and not action[1] and (
-                action[4 + 2 * j] == key[2 + j]):
-            return j
+            code == _APPEND) == consume and arg == key[i := 1 if consume else 2 + j]:
+        code = _SWEEPS[code]
+        return j, code, key[:i] + key[i + 1:] + (j, code, action[-1]), key[i], None
     return None
 
 
@@ -612,19 +629,19 @@ def _fault(storage: StorageSpec) -> str:
     return f"pop on empty {storage.kind.value} {storage.ident!r}"
 
 
-def _rotate(queue: deque, members: dict, steps: int, limit: int) -> int:
+def _rotate(queue: deque, bulk: _Bulk, steps: int, limit: int) -> int:
     """The rest of a rotation sweep at once: while ``queue``'s front is in
-    ``members`` and the run is short of ``limit`` after the current step
+    ``bulk`` and the run is short of ``limit`` after the current step
     (``steps`` done before it), one more step moves the front to the back.
     Returns ``steps`` plus the steps it took."""
-    run = len(list(takewhile(members.__contains__, islice(queue, limit - steps - 1))))
+    run = len(list(takewhile(bulk.__contains__, islice(queue, limit - steps - 1))))
     if run == len(queue):   # every symbol rotates: the sweep runs to the limit
         run = limit - steps - 1
     queue.rotate(-run)
     return steps + run
 
 
-def _pass_match(drops: set, keeps: set):
+def _pass_match(drops, keeps: set):
     """The ``match`` of a halving pass's longest proven run of steps, each two
     characters, its input view and its front: a drop whose pair is in
     ``drops`` and then one in ``keeps``, over and over."""
@@ -638,16 +655,16 @@ def _pass_match(drops: set, keeps: set):
     return re.compile(f"(?:{drop}(?:{pairs(keeps)}))*{drop}?").match
 
 
-def _halve(queue: deque, context: list, padded: str, pos: int, steps: int, limit: int):
+def _halve(queue: deque, bulk: _Bulk, padded: str, pos: int, steps: int, limit: int):
     """The rest of a halving pass at once, after a kept front (``steps`` done
     before it): while the run is short of ``limit`` after the current step, a
     step drops the front and the next keeps it, each while its input view and
-    front are a pair the ``context`` has for it.  It reads the fronts in
-    windows that grow fourfold up to 4,096 steps (so a long pass holds little
-    at once), never past the queue's length, and stops at the end of the
-    input if a drop consumes.  Returns ``steps`` plus the steps it took, and
+    front are a pair that ``bulk`` has for it (a key, or one of its keeps).
+    It reads the fronts in windows that grow fourfold up to 4,096 steps (so a
+    long pass holds little at once), never past the queue's length, and stops
+    at the end of the input if a drop consumes.  Returns ``steps`` plus the steps it took, and
     the input position."""
-    by, match = context[2][1], context[4]
+    by, match = bulk.drop[1], bulk.match
     room, n = limit - steps - 1, 64
     while w := min(n, room, len(queue), 2 * (len(padded) - 1 - pos) if by else room):
         views = [None] * (2 * w)   # per step, its input view and its front
@@ -668,21 +685,21 @@ def _halve(queue: deque, context: list, padded: str, pos: int, steps: int, limit
     return steps, pos
 
 
-def _sweep(walk: set | dict, cells: list, head: int, by: int, blank: str, pd: list | None,
+def _sweep(walk: _Bulk, cells: list, head: int, by: int, blank: str, pd: list | None,
            pop: bool, push: str | None, word: str | None, pos: int, steps: int, limit: int):
     """The rest of a tape sweep by ``by`` (1 or -1) at once: one more step
     while the run is short of ``limit`` after the current step and the views
     that pick it (the symbol at ``pos`` of ``word`` if given, the cell under
-    the head, with ``pop`` the top under ``pd``'s) are in ``walk``: cells that
-    stay, or a map to the cell each step leaves, or to it and what it pushes
-    after ``push``.  It stops at cell 0 and returns ``steps``, the head,
-    ``pos`` and the push that the caller makes."""
+    the head, with ``pop`` the top under ``pd``'s) are in ``walk``, which
+    maps them to the cell the step leaves, or to it and what it pushes after
+    ``push``, unless its cells stay.  It stops at cell 0 and returns
+    ``steps``, the head, ``pos`` and the push that the caller makes."""
     room, n = limit - steps - 1, 16
     while room:   # in windows of views that grow fourfold
         n = min(n, room)
         ahead = (cells[head:head + n] + [blank] * (head + n - len(cells)) if by > 0
                  else cells[max(head - n, 0) + 1:head + 1][::-1])
-        if walk.__class__ is set:
+        if walk.stays:
             took = len(list(takewhile(walk.__contains__, ahead)))
         else:
             views = ([word[pos:pos + n]] if word is not None else []) + [ahead] + (
@@ -719,12 +736,12 @@ def _sweep(walk: set | dict, cells: list, head: int, by: int, blank: str, pd: li
 # loop starts, and what it writes back), ``_WATCH`` and ``_TRACE`` give
 # ``name``, or nothing.  Every loop stops (halt, step limit, fault) in the
 # same lines and returns a RunResult.  A bulk branch runs only with room for
-# a step and once the next step's picking views are proven to continue it; a
-# tape sweep's only after ``_RENT`` single steps in its state, a halving
-# pass's after ``_RENT`` single steps of its pass (``keep_at`` is the step of
-# its next keep, ``keep_due`` the step its rent is paid).  In a trace,
-# ``@swept`` adds the steps it took, and ``@halved`` a pass's drops and keeps
-# in turn.  The dead ``if False`` block
+# a step and once the next step's picking views are keys of its _Bulk record
+# (``aj``, or a tape's ``walk``); a tape sweep's only after ``_RENT`` single
+# steps in its state, a halving pass's after ``_RENT`` single steps of its
+# pass (``keep_at`` is the step of its next keep, ``keep_due`` the step its
+# rent is paid).  In a trace, ``@swept`` adds the steps it took, and
+# ``@halved`` a pass's drops and keeps in turn.  The dead ``if False`` block
 # numbers a step's locals first (CPython numbers them as met; past 256, each
 # use costs more).
 _LOOP_SETUP = {
@@ -739,7 +756,7 @@ if c{j}:
     if c{j} == {_COPY}:   # the step, then the rest of the input run at once
         s{j}.append(word[pos - 1])
         if view in a{j} and steps + 1 < limit:   # one bounded match counts the rest
-            end = a{j}[view](word, pos, pos + limit - steps - 1).end()
+            end = a{j}.match(word, pos, pos + limit - steps - 1).end()
             s{j}.extend(word[pos:end])
             before = steps
             steps, pos, view = steps + end - pos, end, padded[end]
@@ -759,13 +776,13 @@ if c{j}:
         s{j}.rotate(-1)
         if steps - keep_at:   # no keep two steps before: a new pass
             keep_due = steps + {_RENT}
-        elif steps >= keep_due and steps + 1 < limit and (view, s{j}[0]) in a{j}[1]:
+        elif steps >= keep_due and steps + 1 < limit and (view, s{j}[0]) in a{j}:
             before = steps
             steps, pos = _halve(s{j}, a{j}, padded, pos, steps, limit)
             view = padded[pos]
             @halved
             if (steps - before) & 1:   # it ended on a drop
-                action = a{j}[2]
+                action = a{j}.drop
                 next_state = action[0]
         keep_at = steps + 2
         v{j} = s{j}[0] if s{j} else EMPTY
@@ -874,7 +891,7 @@ _WORD = {"enter": """\
 alphabet = ex.spec.input_alphabet
 if not alphabet.issuperset(word):
     raise InputSymbolError.first(word, alphabet)
-limit = 64 * (len(word) + 1) ** 2 if max_steps is None else max_steps
+limit = 64 * (len(word) + 1) ** 2 if max_steps is None else min(max_steps, maxsize)
 {stores} = {new}
 if ex._post:
     s0.extend(word)
@@ -903,7 +920,7 @@ _WATCH = {"setup": "l{j} = m{j} = len(s{j})\np{j} = -1\n",
 _TRACE = {"begin": "trace = Trace(ex._storage_ids, tuple(map(len, ({stores}))))\n"
                    "add_action, add_actions = trace.actions.append, trace.actions.extend\n",
           "swept": "add_actions(repeat(action, steps - before))\n",
-          "halved": "add_actions(islice(cycle((action, a{j}[2])), steps - before))\n",
+          "halved": "add_actions(islice(cycle((action, a{j}.drop)), steps - before))\n",
           "step": "add_action(action)\n"}
 _MARKER = re.compile(r"^( *)@(\w+)\n?", re.M)
 
@@ -978,22 +995,14 @@ class Executor:
     ``Trace._columns``).  Plain, watched and traced runs all read this one cache.
     The rule is found by one dict lookup per wildcard mask of the state's
     patterns, the most specific mask first.  Equal actions are one object.  A
-    self-loop that runs take in bulk (see :func:`_swept`) gets a sweep code in
-    its storage's slot.  Its context is its key less the views that pick its
-    steps or that it sets, plus the storage, the code and the row.  A queue's
-    keys share the context's action, whose argument holds the views compiled
-    to it (so only views proven to give that step); a run takes the rest of a
-    rotation or copy while the new view is among them.  A tape sweep's keys
-    keep their actions and share the context's walk (``_walks``, by action),
-    from such views to what each step writes and pushes; a run takes
-    ``_RENT`` steps of a sweep singly, each in the tape's one step body as a
-    plain move, about one :func:`_sweep` call's cost, then the rest at once.
-    A halving pass (see :func:`_paired`) is a keep and a drop of one queue's
-    front in turn.  Its context is either step's key less the input view and
-    the queue's, plus both states in the keep's order; its keys share one
-    keep action, tagged ``_HALVE``, and the first drop action, and it holds
-    the (input view, front) pairs compiled to each.  A run takes ``_RENT``
-    steps of a pass singly, then the rest at once (:func:`_halve`).
+    step that runs take in bulk (see :func:`_bulk`) gets a bulk code in its
+    storage's slot, and its context in ``_sweeps`` is one :class:`_Bulk`
+    record of the views compiled keys proved.  A queue's keys share the
+    record's action, whose argument is the record; a tape sweep's keys keep
+    their own actions, so a single step costs a plain move, and find the
+    record through ``_walks``, by action.  A run takes the rest of a rotation
+    or a copy at once while the next view is a member, and a tape sweep or a
+    halving pass after ``_RENT`` single steps, about one bulk call's cost.
     A run is one call of a loop generated for the layout and the acceptance
     kind, with the run's state in its locals (the plain loop built with the
     executor, the others on first use); :func:`step` enters it from a
@@ -1010,8 +1019,8 @@ class Executor:
         self._by_pattern: dict[str, list[tuple[tuple[int, ...], dict]]] = {}
         self._actions: dict[tuple, tuple] = {}
         # A sweep's context: a queue's shared action, or a tape's walk.
-        self._sweeps: dict[tuple, tuple | set | dict] = {}
-        self._walks: dict[int, set | dict] = {}   # a tape sweep's action (by id): its walk
+        self._sweeps: dict[tuple, _Bulk] = {}   # a bulk context's key: its record
+        self._walks: dict[int, _Bulk] = {}   # a tape sweep's action (by id): its record
         self._post = spec.mode is Mode.POST
         self._layout = tuple(s.kind for s in spec.storages)
         self._run = _run_loop(self._layout, spec.acceptance)
@@ -1046,7 +1055,8 @@ class Executor:
                 index.setdefault(mask, {}).setdefault(
                     tuple(compress((rule.input_pat, *rule.storage_pats), mask)), rule)
             self._by_pattern[state] = sorted(index.items(), reverse=True)
-        for mask, rules in self._by_pattern[state]:   # the most specific mask first
+        masks = self._by_pattern[state]
+        for mask, rules in masks:   # the most specific mask first
             rule = rules.get(tuple(compress(key[1:], mask)))
             if rule is not None:
                 break
@@ -1058,60 +1068,40 @@ class Executor:
             action += code, arg
             row.append(change)
         action.append(bytes(row))
-        if rule.next_state == state and rule.emit is None and (
-                swept := _swept(action, key, self._layout, self._by_pattern[state])):
-            (j, sweep, other), consume = swept, rule.consume
-            if other is None:   # a queue's: its context is the key less the view it goes over
-                i = 1 if consume else 2 + j
-                action[3 + 2 * j:5 + 2 * j] = sweep, {}
-                action = self._cache[key] = self._sweeps.setdefault(
-                    (*key[:i], *key[i + 1:], j, sweep, action[-1]), tuple(action))
-                members = action[4 + 2 * j]
-                members[key[i]] = None
-                if sweep == _COPY:   # each maps to the match of a stretch of them
-                    members.update(dict.fromkeys(members, re.compile(
-                        f"[{re.escape(''.join(members))}]*").match))
+        if rule.emit is None and (found := _bulk(action, key, self._layout, masks)):
+            j, code, context, pick, leaves = found
+            bulk = self._sweeps.get(context)
+            if bulk is None:
+                bulk = self._sweeps[context] = _Bulk(code, leaves)
+            if code == _POPLEFT:   # a pass's drop: its first, where it cannot fault
+                action = tuple(action)
+                action = self._cache[key] = self._actions.setdefault(action, action)
+                bulk.drop = bulk.drop or action
+                if action is bulk.drop and not (rule.consume and key[1] == NO_SYMBOL):
+                    bulk[pick] = None
+                    bulk.match = _pass_match(bulk, bulk.keeps)
                 return action
-            # A tape's: the key less the views that pick the step or that it sets.
-            cell, action[3 + 2 * j] = action[4 + 2 * j] or key[2 + j], sweep
-            keeps = other == _KEEP and not consume and cell == key[2 + j]
-            walk = self._sweeps.setdefault(key[:2 - consume] + key[2:2 + j] + key[
-                3 + j + (other != _KEEP):] + (j, sweep, action[-1], keeps), set() if keeps else {})
-            pick = key[1:2] * consume + key[2 + j:3 + j + (other == _POP)]
-            if keeps:
-                walk.add(cell)
-            else:   # the cell the step leaves, and what it pushes
-                walk[pick if pick[1:] else pick[0]] = (
-                    (cell, action[6 + 2 * j]) if other == _APPEND_SET else cell)
-            action = self._cache[key] = tuple(action)
-            self._walks[id(action)] = walk
+            action[3 + 2 * j] = code
+            if code == _SWEEP_R or code == _SWEEP_L:   # its keys keep their actions
+                bulk[pick] = leaves
+                action = self._cache[key] = tuple(action)
+                self._walks[id(action)] = bulk
+                return action
+            if code == _HALVE:
+                bulk.keeps.add(pick)
+                bulk.match = _pass_match(bulk, bulk.keeps)
+            else:
+                bulk[pick] = None
+                if code == _COPY:
+                    bulk.match = re.compile(f"[{re.escape(''.join(bulk))}]*").match
+            if bulk.action is None:   # its keys share one action, whose arg is the record
+                action[4 + 2 * j] = bulk
+                bulk.action = tuple(action)
+            action = self._cache[key] = bulk.action
             return action
-        context = None
-        if rule.next_state != state and rule.emit is None and (
-                j := _paired(action, key)) is not None:
-            # A halving pass's: the key less the input view and the queue's,
-            # with both states in the keep's order.
-            keep = action[3 + 2 * j] == _POPLEFT_APPEND
-            context = self._sweeps.setdefault(
-                (state, rule.next_state)[::1 if keep else -1] + key[2:2 + j] + key[3 + j:]
-                + (j, _HALVE), [set(), set(), None, None, None])
-            if keep:   # its keys share one action, whose argument is the context
-                context[0].add((key[1], key[2 + j]))
-                context[4] = _pass_match(context[1], context[0])
-                if context[3] is None:
-                    action[3 + 2 * j:5 + 2 * j] = _HALVE, context
-                    context[3] = tuple(action)
-                action = self._cache[key] = context[3]
-                return action
         # Equal actions are one object: many keys share a few actions.
         action = tuple(action)
         action = self._cache[key] = self._actions.setdefault(action, action)
-        if context is not None:   # a drop: the context's first, unless it faults
-            if context[2] is None:
-                context[2] = action
-            if action is context[2] and not (rule.consume and key[1] == NO_SYMBOL):
-                context[1].add((key[1], key[2 + j]))
-                context[4] = _pass_match(context[1], context[0])
         return action
 
     # -- running -----------------------------------------------------------

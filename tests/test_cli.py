@@ -48,6 +48,20 @@ class TestRun:
         assert code == 4 and "steps=0 " in out
 
     @pytest.mark.parametrize("argv", [
+        ["run", "--machine", "mk:3", "--input", "0101"],
+        ["verify", "--suite", "lprime", "--batch", "{batch}"],
+    ])
+    def test_huge_max_steps_is_no_limit(self, capsys, tmp_path, argv):
+        # A --max-steps past sys.maxsize gives the verdict line and exit code
+        # of sys.maxsize, and no traceback.
+        batch = tmp_path / "lprime.tsv"
+        oracles.write_batch(str(batch), oracles.gen_lprime_cases(40, 1, k_max=4))
+        argv = [arg.format(batch=batch) for arg in argv] + ["--max-steps"]
+        want = invoke(capsys, *argv, str(sys.maxsize))
+        assert invoke(capsys, *argv, "99999999999999999999999") == want
+        assert want[1].count("\n") == 1 and capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [
         ["run", "--machine", "lprime", "--input", "ab0c0ab", "--max-steps", "-3"],
         ["verify", "--suite", "pi", "--k-max", "2", "--max-steps", "-1"],
     ])

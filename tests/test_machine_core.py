@@ -3,6 +3,7 @@
 import itertools
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -103,13 +104,11 @@ def count_bulk_calls(ex, monkeypatch) -> Counter:
 
     monkeypatch.setattr(machine, "_rotate", counted("rotate", machine._rotate))
     monkeypatch.setattr(machine, "_sweep", counted(
-        lambda walk, *_: "sweep" if type(walk) is set else "map", machine._sweep))
+        lambda walk, *_: "sweep" if walk.stays else "map", machine._sweep))
     monkeypatch.setattr(machine, "_halve", counted("halve", machine._halve))
-    for action in ex._sweeps.values():
-        for code, members in zip(action[3:-1:2], action[4::2]) if type(action) is tuple else ():
-            if code == _COPY:   # each view maps to the context's one match
-                members.update(dict.fromkeys(members, counted(
-                    "copy", next(iter(members.values())))))
+    for bulk in ex._sweeps.values():
+        if bulk.action and _COPY in bulk.action[3:-1:2]:
+            bulk.match = counted("copy", bulk.match)
     return calls
 
 
@@ -408,6 +407,20 @@ class TestRun:
         res = run(spec, "a", max_steps=10)
         assert res.verdict is Verdict.STEP_LIMIT and res.steps == 10
 
+    @pytest.mark.parametrize("name, word", [("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render()),
+                                            ("lprime", gen_lprime(6, 1).render()),
+                                            ("anbn:quadratic", "a" * 20 + "b" * 20)])
+    def test_step_limit_past_maxsize(self, name, word):
+        # No run takes sys.maxsize steps, so a larger limit is that one: its
+        # copies, rotations and passes count no further than it.
+        ex = Executor(builtin(name))
+        for mode in ({}, {"watch_lengths": True}, {"trace": True}):
+            huge, most = (ex.run(word, max_steps=limit, **mode) for limit in (2**70, sys.maxsize))
+            if huge.trace is not None:
+                assert huge.trace.to_lines() == most.trace.to_lines()
+                huge.trace = most.trace
+            assert huge.accepted and huge == most
+
     @pytest.mark.parametrize("name, word", [("anbn:quadratic", "a" * 20 + "b" * 20),
                                             ("tk:1", "10$0$1$1$0$1$1$")])
     def test_traced_runs_take_sweeps_in_bulk(self, name, word):
@@ -485,14 +498,13 @@ class TestRun:
     def test_one_observation_cache(self, name, word):
         # Plain, traced and watched runs read one cache: once a plain run has
         # compiled a word's keys, the other two compile none.  Every action
-        # carries its row for the trace, and a queue sweep context's action is
-        # the one the cache holds for each of its keys.  A tape sweep's keys
-        # keep their own actions, with the context's code and row, and share
-        # its walk, each of whose views some key gave.  A halving pass's
-        # context (keep state s, drop state t, the other storages' views)
-        # holds the (input view, front) pairs whose keys gave its keep and its
-        # drop: every keep key holds its one keep action, s to t, and every
-        # drop key its drop action, t to s, and its match is of those pairs.
+        # carries its row for the trace.  Every bulk context is one _Bulk
+        # record, whose members each compiled key proved: a queue's keys share
+        # the record's action, as many as it has members (a halving pass's
+        # keeps), and a tape sweep's keys keep their own actions, with the
+        # context's code and row, and map to it by action.  A halving pass's
+        # keep pairs give its keep action (s to t) and its drop pairs its drop
+        # action (t to s), and a record's match is the one its members give.
         ex = Executor(builtin(name))
         ex.run(word)
         keys = set(ex._cache)
@@ -503,30 +515,52 @@ class TestRun:
         for action in filter(None, ex._cache.values()):
             row = action[-1]
             assert type(row) is bytes and len(row) == k + 1 and row[0] == action[1]
-        uses, sweeps = Counter(map(id, ex._cache.values())), set(_SWEEPS.values())
+        keys_of, codes = {}, {*_SWEEPS.values(), machine._HALVE}
+        for key, action in ex._cache.items():
+            bulk = action and ex._walks.get(id(action), next(
+                (arg for arg in action[4:-1:2] if type(arg) is machine._Bulk), None))
+            if bulk is not None:
+                keys_of.setdefault(id(bulk), []).append(key)
         assert ex._sweeps
-        for context, shared in ex._sweeps.items():
-            if type(shared) is list:
-                keeps, drops, drop, keep, match = shared
+        for context, bulk in ex._sweeps.items():
+            assert type(bulk) is machine._Bulk
+            picks, its_keys = set(), keys_of.get(id(bulk), ())
+            for key in its_keys:
+                action = ex._cache[key]
+                j = next(j for j, code in enumerate(action[3:-1:2]) if code in codes)
+                code, row = action[3 + 2 * j], action[-1]
+                if bulk.action is not None:   # a queue's keys share its action
+                    assert action is bulk.action
+                    picks.add((key[1], key[2 + j]) if code == machine._HALVE
+                              else key[1] if code == _COPY else key[2 + j])
+                    continue
+                assert context[-4:-1] == (j, code, row) and context[-1] == bulk.stays
+                pick = key[1:2] * row[0] + key[2 + j:3 + j + (row[j + 2:j + 3] == b"\xff")]
+                pick = pick if pick[1:] else pick[0]
+                cell = action[4 + 2 * j] or key[2 + j]
+                picks.add(pick)
+                assert bulk[pick] == (None if bulk.stays else (cell, action[6 + 2 * j])
+                                      if row[j + 2:j + 3] == b"\x01" else cell)
+            if bulk.keeps is not None:   # a halving pass's
                 s, t, *rest, j, code = context
-                assert code == machine._HALVE and (keep is None or keep[3 + 2 * j] == code)
-                for pairs, state, action in ((keeps, s, keep), (drops, t, drop)):
+                assert code == machine._HALVE and picks == bulk.keeps
+                assert len(its_keys) == len(bulk.keeps) and set(bulk.values()) <= {None}
+                for pairs, state, action in ((bulk.keeps, s, bulk.action), (bulk, t, bulk.drop)):
                     for view, front in pairs:
                         assert ex._cache[(state, view, *rest[:j], front, *rest[j:])] is action
-                assert keep is None or (uses[id(keep)] == len(keeps) and keep[0] == t)
-                assert drop is None or drop[0] == s
-                assert match.__self__.pattern == machine._pass_match(drops, keeps).__self__.pattern
-                continue
-            if type(shared) is tuple:
-                members = next(a for c, a in zip(shared[3:-1:2], shared[4::2]) if c in sweeps)
-                assert uses[id(shared)] == len(members)
-                continue
-            j, code, row = context[-4:-1]
-            its_keys = [key for key, action in ex._cache.items()
-                        if action and ex._walks.get(id(action)) is shared]
-            assert 0 < len(shared) <= len(its_keys)
-            for key in its_keys:
-                assert ex._cache[key][3 + 2 * j] == code and ex._cache[key][-1] == row
+                assert bulk.action is None or bulk.action[0] == t
+                assert bulk.drop is None or bulk.drop[0] == s
+                match = machine._pass_match(bulk, bulk.keeps)
+            elif bulk.action:   # a rotation's or a copy's
+                assert picks == set(bulk) and len(its_keys) == len(bulk)
+                assert set(bulk.values()) == {None}
+                match = (re.compile(f"[{re.escape(''.join(bulk))}]*").match
+                         if _COPY in bulk.action[3:-1:2] else None)
+            else:   # a tape sweep's
+                assert bulk and set(bulk) == picks
+                match = None
+            pattern = match and match.__self__.pattern
+            assert pattern == (bulk.match and bulk.match.__self__.pattern)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_traced_lprime_takes_its_halving_passes_in_bulk(self, seed, monkeypatch):

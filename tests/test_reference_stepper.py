@@ -375,6 +375,16 @@ def _lower_machine():
         _tape_rule("f", WILDCARD, "_", WILDCARD, "f", "D", "R"), finals=("f",))
 
 
+def _mixed_rows_machine():
+    # Copies the input between two marks, a 0 as a blank and a 1 as a 1, then
+    # writes D over them leftwards: each of these sweeps raises the tape's
+    # length on some cells and keeps it on others, so its keys differ in
+    # their rows, and so in their contexts.
+    return _tape_pushdown_machine(
+        "mixed-rows", *_copy("g", cell=lambda b: "_" if b == "0" else b, end="m"),
+        *(_tape_rule("g", WILDCARD, c, WILDCARD, "g", "D", "L") for c in "_1"), finals=("g",))
+
+
 def _push_reads_top_machine():
     # Gathers leftwards as _gather_fault_machine does, but pushes a bit that
     # depends on the top it reads: the top it sets picks its next step, so
@@ -420,6 +430,28 @@ def _halve_silent_machine():
               Rule("d", NO_SYMBOL, ("b",), "k", ops=(QueueOp(pop=True),), emit="b")]
     return core.simple_machine(Kind.QUEUE, *rules, mode=Mode.POST, output="b",
                                states=("k", "d"), epsilon_accept=True)
+
+
+def _halve_two_queues_machine():
+    # Queues the input on two queues up to a c, then, in one pair of states,
+    # keeps a front and drops the next one, which consumes the input symbol:
+    # the first queue's under an a, the second's under a b.  So the two
+    # queues' passes have contexts that differ only in the queue they take.
+    rules = [Rule("w", ch, (WILDCARD, WILDCARD), "w", consume=True,
+                  ops=(QueueOp(push=ch), QueueOp(push=ch))) for ch in "ab"]
+    rules.append(Rule("w", "c", (WILDCARD, WILDCARD), "k", consume=True, ops=(NO_OP, NO_OP)))
+    for symbol, order in (("a", 1), ("b", -1)):
+        for ch in "ab":
+            keep, drop = (QueueOp(pop=True, push=ch), NO_OP), (QueueOp(pop=True), NO_OP)
+            pats = (ch, WILDCARD)[::order]
+            rules += [Rule("k", symbol, pats, "d", ops=keep[::order]),
+                      Rule("d", symbol, pats, "k", consume=True, ops=drop[::order])]
+    return MachineSpec(
+        name="halve-two-queues", states=("w", "k", "d"), start="w",
+        input_alphabet=frozenset("abc"), output_alphabet=frozenset("01"),
+        storages=(StorageSpec("q", Kind.QUEUE, frozenset("ab")),
+                  StorageSpec("r", Kind.QUEUE, frozenset("ab"))),
+        rules=tuple(rules), acceptance=Acceptance.FINAL_STATES, finals=frozenset({"k"}))
 
 
 def _behind(kind, build):
@@ -490,6 +522,7 @@ MACHINES = {
     "sweep:refill-empty": (_refill_empty_machine, st.text("01", max_size=16)),
     "sweep:lower": (_lower_machine, st.text("01", max_size=16)),
     "sweep:push-reads-top": (_push_reads_top_machine, st.text("01", max_size=16)),
+    "sweep:mixed-rows": (_mixed_rows_machine, st.text("01", max_size=16)),
     # The same sweeps with the tape and its pushdown at storages 1 and 2, and
     # a tape behind a second tape.
     "idle:queue+gather-fault": (lambda: _behind(Kind.QUEUE, _gather_fault_machine),
@@ -503,6 +536,7 @@ MACHINES = {
     "halve:wrap": (_halve_wrap_machine, st.text("abc", max_size=40)),
     "halve:silent": (_halve_silent_machine, st.text("ab", max_size=40)),
     "halve:mixed": (_halve_mixed_machine, st.text("abc", max_size=40)),
+    "halve:two-queues": (_halve_two_queues_machine, st.text("abc", max_size=40)),
     "idle:pushdown+halve-wrap": (lambda: _behind(Kind.PUSHDOWN, _halve_wrap_machine),
                                  st.text("abc", max_size=40)),
     # Machines whose runs copy input runs onto a queue in bulk.
@@ -672,6 +706,7 @@ _EDGE_ROWS = [
     ("sweep:refill-empty", "011010011101"),
     ("sweep:lower", "01101111111111111"),
     ("sweep:push-reads-top", "0110100111010"),
+    ("sweep:mixed-rows", "0110100111010"),
     ("idle:queue+gather-fault", "011010011101"),
     ("idle:pushdown+refill-empty", "011010011101"),
     ("idle:queue+lower", "011111111111"),
@@ -690,6 +725,7 @@ _EDGE_ROWS = [
     ("halve:wrap", "ab" * 10 + "c" + "a" * 12 + "baaa"),
     ("halve:wrap", "ab" * 6 + "c" + "a" * 30),
     ("halve:mixed", "ab" * 10 + "c" + "a" * 14),
+    ("halve:two-queues", "abbaab" * 3 + "c" + "a" * 12 + "b" * 12 + "ab"),
     ("idle:pushdown+halve-wrap", "ab" * 10 + "c" + "a" * 12 + "baaa"),
     ("halve:silent", "ab" * 12),
     ("halve:silent", "a" * 17 + "b"),
@@ -789,7 +825,7 @@ def test_tape_sweeps_take_steps_in_bulk(name, word, kinds, monkeypatch):
         res = sweep(walk, cells, head, by, blank, pd, pop, push, w, pos, steps, limit)
         if res[0] > steps:
             took.add("+".join(kind for kind, on in (
-                ("keep", type(walk) is set), ("consume", w is not None),
+                ("keep", walk.stays), ("consume", w is not None),
                 ("push", pd is not None and not pop), ("pop", pop)) if on) or "write")
         return res
 
@@ -805,7 +841,7 @@ def test_input_runs_are_counted_only_when_the_next_symbol_copies():
     run of a and b after the first symbol (a first push), of length 2 or
     more."""
     spec, word = _copy_alternate_machine(), "abab" + "cab" * 5 + "cbbacac"
-    ex = executor_for(spec)
+    ex = machine.Executor(spec)   # not the shared executor: its match gets wrapped
     ex.run(word)   # compiles every key
     calls = []
 
@@ -815,11 +851,9 @@ def test_input_runs_are_counted_only_when_the_next_symbol_copies():
             return match(w, pos, end)
         return count
 
-    for action in ex._sweeps.values():
-        for code, members in zip(action[3:-1:2], action[4::2]):
-            if code == _COPY:   # each view maps to the context's one match
-                members.update(dict.fromkeys(members, counted(members[next(iter(members))],
-                                                              members)))
+    for bulk in ex._sweeps.values():
+        if bulk.action and _COPY in bulk.action[3:-1:2]:
+            bulk.match = counted(bulk.match, bulk)
     assert ex.run(word).steps == reference_run(spec, word).steps
     assert calls == [True] * 7
 

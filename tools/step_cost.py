@@ -23,7 +23,13 @@ measures the compile layer: a fresh tk:3 executor's first pass over the
 compiles each observation on its first look-up, divided by its second pass,
 which finds them all cached; each pass is the fastest of ``REPEAT`` fresh
 executors', all in this process.  ``warm_fk_us`` is that warm pass in µs per
-run: batch-like words, whose tape sweeps are a few steps long.  ``step_us``
+run: batch-like words, whose tape sweeps are a few steps long.
+``compile_us`` is the compile layer's cost per key: fresh tk:3, mk:3 and
+lprime executors make a cold pass over the batch workload's kind of words
+(tk:3 and mk:3 over ``gen_fk_cases(COLD_WORDS, SEED)``, lprime over
+``gen_lprime_cases(COLD_LPRIME, SEED, k_max=4)``) and then a warm one; the
+fastest cold pass of ``REPEAT`` less the fastest warm one, over the keys a
+pass compiles, in µs.  ``step_us``
 is the cost of one ``step`` call, in µs: the fastest of ``REPEAT`` passes
 that step a configuration of ``gen_lprime(6, SEED)`` from its start to its
 halt (255 steps), over the steps.  ``trace_file_ns_per_step`` is the fastest of ``REPEAT`` traced
@@ -69,7 +75,7 @@ from qmlab.analysis import lprime_cycle_starts, sized_fk_instance  # noqa: E402
 from qmlab.machine import (Executor, RunResult, Trace, Verdict, executor_for,  # noqa: E402
                            minimal_delay, step)
 from qmlab.machines import builtin  # noqa: E402
-from qmlab.oracles import SplitMix64, gen_fk_cases, gen_lprime  # noqa: E402
+from qmlab.oracles import SplitMix64, gen_fk_cases, gen_lprime, gen_lprime_cases  # noqa: E402
 
 SEED = 1
 BIT_COUNTS = (64, 1024, 8192)
@@ -77,6 +83,7 @@ REPEAT = 7
 SHORT_WORDS = ("a", "ab0c0", "ab0c0ab")   # 1, 5 and 14 steps
 SHORT_BATCH = 2000
 COLD_WORDS = 600   # as many fk words as the batch workload replays
+COLD_LPRIME = 1500   # and as many lprime words as it verifies
 LAZY_MODULES = ("multiprocessing", "dataclasses", "inspect")
 
 
@@ -142,20 +149,37 @@ def short_run_costs(repeat: int) -> dict:
     return out
 
 
+def cold_and_warm(runs: list[tuple[str, list[str]]], repeat: int) -> tuple[float, float, int]:
+    """The fastest first and second passes of fresh executors, one per
+    machine of ``runs``, over its words, in seconds, and the keys a pass
+    compiles."""
+    passes, keys = ([], []), 0
+    for _ in range(repeat):
+        run_words = [(Executor(builtin(name)).run, words) for name, words in runs]
+        for times in passes:
+            t = time.perf_counter()
+            for run_word, words in run_words:
+                for word in words:
+                    run_word(word)
+            times.append(time.perf_counter() - t)
+        keys = sum(len(run_word.__self__._cache) for run_word, _ in run_words)
+    return min(passes[0]), min(passes[1]), keys
+
+
 def cold_over_warm(repeat: int) -> tuple[float, float]:
     """A fresh tk:3 executor's first pass over the fk words over its second,
     and the second in µs per run."""
     words = [case.word for case in gen_fk_cases(COLD_WORDS, SEED, 3)]
-    passes = ([], [])
-    for _ in range(repeat):
-        run_word = Executor(builtin("tk:3")).run
-        for times in passes:
-            t = time.perf_counter()
-            for word in words:
-                run_word(word)
-            times.append(time.perf_counter() - t)
-    return (round(min(passes[0]) / min(passes[1]), 3),
-            round(1e6 * min(passes[1]) / len(words), 3))
+    cold, warm, _ = cold_and_warm([("tk:3", words)], repeat)
+    return round(cold / warm, 3), round(1e6 * warm / len(words), 3)
+
+
+def compile_us(repeat: int) -> float:
+    """µs per key that a cold batch-like pass compiles, beyond a warm pass."""
+    fk = [case.word for case in gen_fk_cases(COLD_WORDS, SEED)]
+    lp = [case.word for case in gen_lprime_cases(COLD_LPRIME, SEED, k_max=4)]
+    cold, warm, keys = cold_and_warm([("tk:3", fk), ("mk:3", fk), ("lprime", lp)], repeat)
+    return round(1e6 * (cold - warm) / keys, 3)
 
 
 def step_us(repeat: int) -> float:
@@ -264,6 +288,7 @@ def main() -> int:
               "short_run_over_plain_step": round(
                   1e3 * short["ab0c0"] / runs["lprime"]["plain_ns_per_step"], 2),
               "cold_over_warm": cold, "warm_fk_us": warm,
+              "compile_us": compile_us(REPEAT),
               "step_us": step_us(REPEAT),
               "trace_file_ns_per_step": trace_file_ns_per_step(REPEAT),
               "timing_checks_us": timing_checks_us(REPEAT),
@@ -280,6 +305,7 @@ def main() -> int:
     print(f"an 'ab0c0' run costs {result['short_run_over_plain_step']} plain lprime steps")
     print(f"a cold tk:3 pass over {COLD_WORDS} fk words costs {result['cold_over_warm']} "
           f"warm passes; a warm pass, {result['warm_fk_us']} µs per run")
+    print(f"a cold batch-like pass costs {result['compile_us']} µs per compiled key")
     print(f"a step() call of lprime costs {result['step_us']} µs")
     print(f"a traced tk:3 run written as a trace file costs "
           f"{result['trace_file_ns_per_step']} ns/step")
