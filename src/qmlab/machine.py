@@ -31,10 +31,11 @@ import re
 import struct
 import textwrap
 from array import array
+from bisect import bisect_right
 from collections import deque
 from enum import Enum
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, compress, cycle, islice, repeat, takewhile
+from itertools import accumulate, compress, islice, repeat, takewhile
 from operator import itemgetter, truth
 from sys import intern, maxsize
 from typing import NamedTuple
@@ -384,24 +385,31 @@ class StepRecord(NamedTuple):
 
 
 class Trace:
-    """A run's completed steps as the compiled actions they applied:
-    ``actions[i]`` is step ``i + 1``'s, or its bulk sweep's first step's, of
-    the same row (see :class:`Executor`; a step that faults adds none), and
+    """A run's completed steps as entries of the compiled actions they
+    applied (see :class:`Executor`; a step that faults adds none).  Slot
+    ``i`` of ``actions`` is one step of its action, unless ``runs[i]`` is
+    ``(n, cycle)``: one bulk call's ``n`` steps (0 if a tape sweep stopped at
+    cell 0 at once), which apply ``cycle``'s actions in turn (its action, or
+    a halving pass's keep and drop), the first of which is ``actions[i]``.
     ``initial`` holds the storage lengths before step 1.  Each action's row
     holds whether the step consumed an input symbol, then each storage's
-    change of length.  The rows' columns are sliced on first read and kept;
-    ``consumed`` (``consumed[i]`` is 0 or 1 for step ``i + 1``),
-    :meth:`lengths_of` and :meth:`length_after` each read one.  :meth:`write`
-    renders the file.  ``records`` is the trace itself; ``perfbench/tracer.py``
-    reads it."""
+    change of length; the rows' columns, one byte per slot, are kept once
+    read.  ``consumed`` (``consumed[i]`` is 0 or 1 for step ``i + 1``)
+    repeats each run's bytes; :meth:`lengths_of` and :meth:`length_after`
+    read the slots that change a storage, which a scan of its column finds.
+    :meth:`write` renders a run's lines by one format.  ``records`` is the
+    trace itself; ``perfbench/tracer.py`` reads it."""
 
     def __init__(self, storage_ids: tuple[str, ...], initial: tuple[int, ...]):
         self.storage_ids = storage_ids
         self.initial = initial
         self.actions: list[tuple] = []
+        self.runs: dict[int, tuple[int, tuple]] = {}
+        self._changes: dict[int, list[tuple]] = {}   # per storage, as _changes_of
 
     def __len__(self) -> int:
-        return len(self.actions)
+        runs = self.runs
+        return len(self.actions) + sum(map(itemgetter(0), runs.values())) - len(runs)
 
     @property
     def records(self) -> Trace:
@@ -409,7 +417,7 @@ class Trace:
 
     @cached_property
     def _columns(self) -> list[bytes]:
-        """The rows of the steps' actions (``k + 1`` bytes each) by column:
+        """The rows of the slots' actions (``k + 1`` bytes each) by column:
         whether a step consumed, then each storage's change of length (1,
         255 for -1, or 0)."""
         buf, width = io.BytesIO(), len(self.storage_ids) + 1
@@ -417,9 +425,23 @@ class Trace:
         rows = buf.getvalue()
         return [rows[c::width] for c in range(width)]
 
-    @property
+    @cached_property
+    def _ends(self) -> array:
+        """The steps done after each slot."""
+        counts = array("q", [1]) * len(self.actions)
+        for i, (n, _) in self.runs.items():
+            counts[i] = n
+        return array("q", accumulate(counts))
+
+    @cached_property
     def consumed(self) -> bytes:
-        return self._columns[0]
+        column, pieces, done = self._columns[0], [], 0
+        for i, (n, cycle) in self.runs.items():
+            each = column[i:i + 1] if len(cycle) == 1 else bytes(map(itemgetter(1), cycle))
+            pieces += column[done:i], (each * n)[:n]
+            done = i + 1
+        pieces.append(column[done:])
+        return b"".join(pieces)
 
     def _index(self, storage: str) -> int:
         try:
@@ -428,40 +450,88 @@ class Trace:
             raise ValueError(f"unknown storage {storage!r}; trace covers "
                              f"{self.storage_ids}") from None
 
+    def _changes_of(self, j: int) -> list[tuple]:
+        """The slots that change storage ``j``, each as the steps before it,
+        the length before it, its steps and its cycle's changes of the
+        length, between two that take no step: at the start and at the end."""
+        if j not in self._changes:
+            ends, length, found = self._ends, self.initial[j], [(0, self.initial[j], 0, [0])]
+            column, runs = self._columns[j + 1], self.runs
+            for i in sorted({*map(_start, _CHANGED.finditer(column)),
+                             *(i for i, (_, cycle) in runs.items() if cycle[1:])}):
+                if i in runs:
+                    n, cycle = runs[i]
+                    changes = [(action[-1][j + 1] ^ 128) - 128 for action in cycle]
+                    found.append((ends[i] - n, length, n, changes))
+                    length += _changed(changes, n)
+                else:   # a single step
+                    found.append((ends[i] - 1, length, 1, (d := (column[i] ^ 128) - 128,)))
+                    length += d
+            self._changes[j] = found + [(len(self), length, 0, [0])]
+        return self._changes[j]
+
     def lengths_of(self, storage: str) -> array:
-        """The length of ``storage`` after each step: the running sum of its
-        changes."""
-        j, n = self._index(storage), len(self)
-        column = accumulate(array("b", self._columns[j + 1]), initial=self.initial[j])
-        return array("q", struct.pack(f"{n + 1}q", *column))[1:]
+        """The length of ``storage`` after each step: repeated up to a slot
+        that changes it, and over the slot, a progression per action."""
+        pieces, since = [], 0   # the next length holds from step since + 1
+        for start, length, n, changes in self._changes_of(self._index(storage)):
+            pieces.append(array("q", [length]) * (start - since))
+            since, m, by = start, len(changes), sum(changes)
+            if n > 1 or m > 1:   # else the length after the step holds from it
+                part = array("q", bytes(8 * n))
+                for p in range(m):
+                    count, first = len(range(p, n, m)), length + sum(changes[:p + 1])
+                    part[p::m] = array("q", struct.pack(f"{count}q", *(range(
+                        first, first + by * count, by) if by else repeat(first, count))))
+                pieces.append(part)
+                since += n
+        return array("q", b"".join(pieces))
 
     def length_after(self, storage: str, step: int) -> int:
-        """The length of ``storage`` after step ``step`` (0: before step 1),
-        counted from its changes."""
+        """The length of ``storage`` after step ``step`` (0: before step 1):
+        its length before the last slot that changes it and starts by
+        ``step`` (found by bisection), plus that slot's changes up to it."""
         j = self._index(storage)
         if not 0 <= step <= len(self):
             raise ValueError(f"step {step} outside trace of {len(self)} steps")
-        changes = self._columns[j + 1]
-        return self.initial[j] + changes.count(1, 0, step) - changes.count(255, 0, step)
+        slots = self._changes_of(j)
+        start, length, n, changes = slots[bisect_right(slots, step, key=itemgetter(0)) - 1]
+        return length + _changed(changes, min(step - start, n))
 
     def write(self, fh) -> None:
         """Write the trace in its file format to ``fh``, ``_CHUNK`` steps at a
-        time: each distinct action's text is rendered once, and the lengths
-        only after a step that changes one."""
+        time: each distinct action's text is rendered once, the lengths only
+        after a step that changes one, and a run's lines in a chunk by one
+        format over their steps and changing lengths."""
         fh.write(f"step,state,consumed,{','.join(f'len({i})' for i in self.storage_ids)},emit\n")
         lengths, texts, lens = list(self.initial), {}, ",".join(map(str, self.initial))
-        for start in range(0, len(self), _CHUNK):
-            lines = []
-            for i, action in enumerate(self.actions[start:start + _CHUNK], start + 1):
-                head, tail, changes = texts.get(id(action)) or texts.setdefault(id(action), (
-                    f"{action[0]},{'y' if action[1] else 'n'},", f",{action[2] or ''}\n",
-                    _length_changes(action[-1])))
-                if changes:
-                    for j, d in changes:
-                        lengths[j] += d
-                    lens = ",".join(map(str, lengths))
-                lines.append(f"{i},{head}{lens}{tail}")
-            fh.write("".join(lines))
+        lines, room, step, done, actions = [], _CHUNK, 1, 0, self.actions
+        for i in [*self.runs, len(actions)]:   # the single steps before run i, then run i
+            n, cycle = self.runs.get(i, (0, ()))
+            for cycle, n in ((actions[done:i], i - done), (cycle, n)):
+                while n:
+                    take = min(n, room)
+                    if take <= len(cycle):   # one line per action
+                        for step, action in enumerate(cycle[:take], step):
+                            head, tail, changes = texts.get(id(action)) or texts.setdefault(
+                                id(action), (f"{action[0]},{'y' if action[1] else 'n'},",
+                                             f",{action[2] or ''}\n", _length_changes(action[-1])))
+                            if changes:
+                                for j, d in changes:
+                                    lengths[j] += d
+                                lens = ",".join(map(str, lengths))
+                            lines.append(f"{step},{head}{lens}{tail}")
+                        step += 1
+                    else:
+                        lines.append(_run_text(cycle, take, step, lengths))
+                        step, lens = step + take, ",".join(map(str, lengths))
+                    turn = take % len(cycle)   # the rest starts at this action
+                    n, room, cycle = n - take, room - take, cycle[turn:] + cycle[:turn]
+                    if not room:
+                        fh.write("".join(lines))
+                        lines, room = [], _CHUNK
+            done = i + 1
+        fh.write("".join(lines))
 
     def to_lines(self) -> list[str]:
         """The trace in its file format, one step per line, as written."""
@@ -469,9 +539,41 @@ class Trace:
         return buf.getvalue().split("\n")[:-1]
 
 
+_CHANGED = re.compile(rb"[^\x00]")   # a slot that changes a storage's length
+_start = re.Match.start
+
+
+def _changed(changes, n: int) -> int:
+    """The change of ``n`` steps that take ``changes`` in turn."""
+    return n // len(changes) * sum(changes) + sum(changes[:n % len(changes)])
+
+
 def _length_changes(row: bytes) -> list[tuple[int, int]]:
     """The storages a step's trace row changes, each with its change (1 or -1)."""
     return [(j, d) for j, d in enumerate(array("b", row)[1:]) if d]
+
+
+def _run_text(cycle: tuple, n: int, step: int, lengths: list[int]) -> str:
+    """The file lines of ``n`` steps from ``step`` on, which apply
+    ``cycle``'s actions in turn from ``lengths``, by one ``%``-format over
+    the steps and the lengths that change; ``lengths`` is advanced past
+    them."""
+    m, changes = len(cycle), [array("b", action[-1])[1:] for action in cycle]
+    by = [sum(c) for c in zip(*changes)]   # per storage, its change per cycle
+    width, after, templates = 1 + len(by) - by.count(0), list(lengths), []
+    values = [0] * (n * width)
+    for p, (action, change) in enumerate(zip(cycle, changes)):
+        after = [x + d for x, d in zip(after, change)]
+        head = f"{action[0]},{'y' if action[1] else 'n'},".replace("%", "%%")
+        lens = ",".join("%d" if d else str(x) for x, d in zip(after, by))
+        templates.append(f"%d,{head}{lens},{(action[2] or '').replace('%', '%%')}\n")
+        count = len(range(p, n, m))
+        for c, column in enumerate([range(step + p, step + n, m)] + [
+                range(x, x + d * count, d) for x, d in zip(after, by) if d]):
+            values[p * width + c::m * width] = column
+    for j, column in enumerate(zip(*changes)):
+        lengths[j] += _changed(column, n)
+    return ("".join(templates) * (n // m) + "".join(templates[:n % m])) % tuple(values)
 
 
 class RunResult(_Record):
@@ -740,8 +842,8 @@ def _sweep(walk: _Bulk, cells: list, head: int, by: int, blank: str, pd: list | 
 # (``aj``, or a tape's ``walk``); a tape sweep's only after ``_RENT`` single
 # steps in its state, a halving pass's after ``_RENT`` single steps of its
 # pass (``keep_at`` is the step of its next keep, ``keep_due`` the step its
-# rent is paid).  In a trace, ``@swept`` adds the steps it took, and
-# ``@halved`` a pass's drops and keeps in turn.  The dead ``if False`` block
+# rent is paid).  In a trace, ``@swept`` and ``@halved`` add the steps a
+# bulk call took as one entry.  The dead ``if False`` block
 # numbers a step's locals first (CPython numbers them as met; past 256, each
 # use costs more).
 _LOOP_SETUP = {
@@ -916,11 +1018,14 @@ _WATCH = {"setup": "l{j} = m{j} = len(s{j})\np{j} = -1\n",
           "write": f"l{{j}} += {_CHANGE}\n" + _PEAK,
           "moved": f"l{{j}} += (steps - before) * {_CHANGE}\n" + _PEAK}
 # A traced run appends each step's action (its last slot is its trace row) and
-# tracks no lengths; a bulk step appends it once per step it took.
+# tracks no lengths.  A bulk call's steps are one entry, a run of the step's
+# action (or of a pass's keep and drop in turn) added before the action that
+# ends the step: the two hold the step and the call's steps in order.
 _TRACE = {"begin": "trace = Trace(ex._storage_ids, tuple(map(len, ({stores}))))\n"
-                   "add_action, add_actions = trace.actions.append, trace.actions.extend\n",
-          "swept": "add_actions(repeat(action, steps - before))\n",
-          "halved": "add_actions(islice(cycle((action, a{j}.drop)), steps - before))\n",
+                   "add_action, runs = trace.actions.append, trace.runs\n",
+          "swept": "runs[len(trace.actions)] = steps - before, (action,)\nadd_action(action)\n",
+          "halved": "runs[len(trace.actions)] = steps - before, (action, a{j}.drop)\n"
+                    "add_action(action)\n",
           "step": "add_action(action)\n"}
 _MARKER = re.compile(r"^( *)@(\w+)\n?", re.M)
 

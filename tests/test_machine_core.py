@@ -3,6 +3,7 @@
 import itertools
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -63,13 +64,26 @@ def contents(cfg, j):
     return tuple(s)
 
 
+def step_actions(trace):
+    """The trace's action of each step: a slot's own, or its run's actions
+    in turn, one per step of the run."""
+    actions = []
+    for i, action in enumerate(trace.actions):
+        n, cycle = trace.runs.get(i, (1, (action,)))
+        assert n >= 0 and cycle[0] is action
+        actions += itertools.islice(itertools.cycle(cycle), n)
+    return actions
+
+
 def steps_of(trace):
     """The trace's steps as :class:`StepRecord` objects, built from its
-    actions and columns."""
+    actions, one per step, and its columns."""
     columns = [trace.lengths_of(i) for i in trace.storage_ids]
+    actions = step_actions(trace)
+    assert len(actions) == len(trace) == len(trace.consumed)
     return [StepRecord(i, action[0], bool(consumed), tuple(c[i - 1] for c in columns),
                        action[2])
-            for i, (action, consumed) in enumerate(zip(trace.actions, trace.consumed), 1)]
+            for i, (action, consumed) in enumerate(zip(actions, trace.consumed), 1)]
 
 
 def stepped_lines(spec, word, max_steps=None):
@@ -425,26 +439,26 @@ class TestRun:
                                             ("tk:1", "10$0$1$1$0$1$1$")])
     def test_traced_runs_take_sweeps_in_bulk(self, name, word):
         # A traced run on a fresh executor compiles sweep codes into the one
-        # cache, and still records one action per step.
+        # cache, and still records each step's action.
         spec = builtin(name)
         ex = Executor(spec)
         traced = ex.run(word, trace=True)
         sweeps = set(_SWEEPS.values())
         assert any(sweeps & set(a[3:-1:2]) for a in ex._cache.values() if a)
-        assert len(traced.trace.actions) == traced.steps == ex.run(word).steps
+        assert len(step_actions(traced.trace)) == traced.steps == ex.run(word).steps
         assert traced.trace.to_lines() == stepped_lines(spec, word)
 
     @pytest.mark.parametrize("name, word", [("lprime", gen_lprime(6, 1).render()),
                                             ("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render())])
     def test_traced_runs_take_input_runs_in_bulk(self, name, word):
         # A traced run on a fresh executor compiles copy codes into the one
-        # cache, and still records one action per step.
+        # cache, and still records each step's action.
         spec = builtin(name)
         ex = Executor(spec)
         traced = ex.run(word, trace=True)
         assert any(_COPY in a[3:-1:2] for a in ex._cache.values() if a)
         plain = ex.run(word)
-        assert len(traced.trace.actions) == traced.steps == plain.steps
+        assert len(step_actions(traced.trace)) == traced.steps == plain.steps
         assert traced.trace.consumed.count(1) == plain.input_consumed == len(word)
         assert traced.trace.to_lines() == stepped_lines(spec, word)
 
@@ -577,7 +591,7 @@ class TestRun:
         ex.run(word)
         monkeypatch.setattr(machine, "_halve", count)
         res = ex.run(word, trace=True)
-        passes = sum(action[0] in ("compare", "rotate") for action in res.trace.actions)
+        passes = sum(action[0] in ("compare", "rotate") for action in step_actions(res.trace))
         assert passes == 65536 and sum(took) >= 0.95 * passes
         assert res.accepted and len(res.trace) == res.steps == ex.run(word).steps
 
@@ -793,6 +807,69 @@ class TestTraceChecks:
         assert lines[0] == "step,state,consumed,len(s),emit"
         assert lines[1] == "1,go,y,1,"
         assert lines[-1].endswith(",n,0,b")
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_entry_readers_match_the_trace_one_action_per_step(self, seed, monkeypatch):
+        """A random list of entries (single steps, runs of one action and
+        keep/drop runs of odd and even counts, 0 included, over two storages
+        whose lengths rise, fall and stay) reads as the same trace with one
+        action per step, and as values counted step by step."""
+        rng = random.Random(seed)
+
+        def action():
+            consume, changes = rng.randrange(2), [rng.choice((-1, 0, 1)) for _ in "pq"]
+            return (rng.choice(("s", "t", "u%d")), bool(consume), rng.choice((None, None, "a")),
+                    0, None, 0, None, bytes((consume, *(d & 255 for d in changes))))
+
+        tr = Trace(("p", "q"), (rng.randrange(4), rng.randrange(4)))
+        for _ in range(rng.randrange(10)):
+            kind = rng.randrange(3)   # a single step, a run of one action, of a keep and a drop
+            cycle = (action(), action())[:kind or 1]
+            if kind:
+                tr.runs[len(tr.actions)] = rng.randrange(12), cycle
+            tr.actions.append(cycle[0])
+        steps = step_actions(tr)
+        expanded = Trace(tr.storage_ids, tr.initial)
+        expanded.actions = steps
+        after, lines = [list(tr.initial)], ["step,state,consumed,len(p),len(q),emit"]
+        for n, a in enumerate(steps, 1):
+            after.append([x + (d ^ 128) - 128 for x, d in zip(after[-1], a[-1][1:])])
+            lines.append(f"{n},{a[0]},{'y' if a[1] else 'n'},{after[-1][0]},{after[-1][1]},"
+                         f"{a[2] or ''}")
+        consumed = bytes(a[1] for a in steps)
+        for trace in (tr, expanded):
+            assert len(trace) == len(steps)
+            assert trace.consumed == consumed
+            for j, i in enumerate(trace.storage_ids):
+                assert list(trace.lengths_of(i)) == [x[j] for x in after[1:]]
+                assert [trace.length_after(i, n) for n in range(len(steps) + 1)] == [
+                    x[j] for x in after]
+            for start, end in itertools.combinations_with_replacement(
+                    range(1, len(steps) + 1), 2):
+                silent = consumed[start - 1:end].split(b"\x01")
+                assert minimal_delay(trace, (start, end)) == max(map(len, silent))
+            for chunk in (1, 2, 3, 7, machine._CHUNK):
+                monkeypatch.setattr(machine, "_CHUNK", chunk)
+                assert trace.to_lines() == lines, chunk
+
+    @pytest.mark.parametrize("name, word", [
+        ("anbn:quadratic", "a" * 256 + "b" * 256), ("lprime", gen_lprime(12, 1).render()),
+        ("tk:1", "11011011001$0$0$0$0$1$1$1$0$0$0$0$1$"),
+        ("mk:3", gen_lk(3, (9, 9, 9), 3, 1).render()), ("anbn:linear", "a" * 20 + "b" * 20)])
+    def test_traced_runs_hold_an_entry_per_single_step_and_bulk_call(self, name, word,
+                                                                      monkeypatch):
+        """On a fresh executor (warmed by one plain run, so that each copy
+        context exists and its matches are counted), a traced run holds one
+        slot per step it took singly and one run per bulk call; anbn:quadratic
+        and lprime hold fewer than one slot per ten steps."""
+        ex = Executor(builtin(name))
+        ex.run(word)
+        calls = count_bulk_calls(ex, monkeypatch)
+        res = ex.run(word, trace=True)
+        tr, bulk = res.trace, sum(calls.values())
+        assert bulk and len(tr.runs) == bulk and len(tr) == res.steps
+        assert len(tr.actions) == res.steps - sum(n for n, _ in tr.runs.values()) + bulk
+        assert name not in ("anbn:quadratic", "lprime") or 10 * len(tr.actions) < res.steps
 
 
 def test_unpickled_spec_hashes_like_a_fresh_one_in_another_process():

@@ -42,6 +42,9 @@ actions, so that the columns the checks read are built in the time.
 ``halving_share`` is the share of a plain run of ``gen_lprime(12, SEED)``'s
 halving-pass steps (its ``compare`` and ``rotate`` steps, counted in a traced
 run of the word) that ``machine._halve`` takes in bulk, on a warm executor.
+``trace_entries`` holds, for the lprime, tk:3 and anbn:quadratic words, a
+traced run's entries (its slots: one per step taken singly, one per bulk
+call) and its steps; the counts are deterministic.
 ``bits`` is the fastest
 ``SplitMix64(seed).bits(n)`` call, in µs per 1,000 bits, for each ``n``.
 ``import_ms`` is the start-up cost of the command line: the fastest of
@@ -66,6 +69,7 @@ import subprocess
 import sys
 import time
 import timeit
+from itertools import cycle, islice
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -217,13 +221,21 @@ def timing_checks_us(repeat: int) -> float:
 
     def checks() -> None:
         trace = Trace(held.storage_ids, held.initial)
-        trace.actions = held.actions
+        trace.actions, trace.runs = held.actions, held.runs
         for start in lprime_cycle_starts(trace, inst.prefix_length):
             trace.length_after("q", start - 1)
         minimal_delay(trace, (1, inst.prefix_length))
 
     checks()
     return round(1e6 * best(checks, repeat), 1)
+
+
+def step_actions(trace: Trace):
+    """The trace's action of each step: a slot's own, or its run's actions
+    in turn."""
+    for i, action in enumerate(trace.actions):
+        n, actions = trace.runs.get(i, (1, (action,)))
+        yield from islice(cycle(actions), n)
 
 
 def halving_share() -> float:
@@ -237,13 +249,23 @@ def halving_share() -> float:
         took.append(res[0] - steps)
         return res
 
-    passes = sum(a[0] in ("compare", "rotate") for a in ex.run(word, trace=True).trace.actions)
+    trace = ex.run(word, trace=True).trace
+    passes = sum(a[0] in ("compare", "rotate") for a in step_actions(trace))
     machine._halve = count
     try:
         ex.run(word)
     finally:
         machine._halve = halve
     return round(sum(took) / passes, 4)
+
+
+def trace_entries() -> dict:
+    """A traced run's entries and steps for three of the machines' words."""
+    out = {}
+    for name in ("lprime", "tk:3", "anbn:quadratic"):
+        trace = Executor(builtin(name)).run(words()[name], trace=True).trace
+        out[name] = {"entries": len(trace.actions), "steps": len(trace)}
+    return out
 
 
 def python(code: str) -> subprocess.CompletedProcess:
@@ -293,6 +315,7 @@ def main() -> int:
               "trace_file_ns_per_step": trace_file_ns_per_step(REPEAT),
               "timing_checks_us": timing_checks_us(REPEAT),
               "halving_share": halving_share(),
+              "trace_entries": trace_entries(),
               "bits_us_per_1000": bit_costs(REPEAT),
               "import_ms": import_ms(REPEAT),
               "start_modules": start_modules(),
@@ -312,6 +335,8 @@ def main() -> int:
     print(f"lprime_timing's checks on a k = 12 trace cost {result['timing_checks_us']} µs")
     print(f"a plain k = 12 lprime run takes {result['halving_share']} of its halving-pass "
           f"steps in bulk")
+    for name, r in result["trace_entries"].items():
+        print(f"a traced {name} run holds {r['entries']} entries for {r['steps']} steps")
     for n, us in result["bits_us_per_1000"].items():
         print(f"bits({n}): {us} µs per 1,000 bits")
     print(f"import qmlab.cli adds {result['import_ms']} ms to a process's start and loads "
