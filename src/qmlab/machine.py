@@ -36,6 +36,7 @@ from collections import deque
 from enum import Enum
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, compress, islice, repeat, takewhile
+from math import prod
 from operator import itemgetter, truth
 from sys import intern, maxsize
 from typing import NamedTuple
@@ -388,9 +389,9 @@ class Trace:
     """A run's completed steps as entries of the compiled actions they
     applied (see :class:`Executor`; a step that faults adds none).  Slot
     ``i`` of ``actions`` is one step of its action, unless ``runs[i]`` is
-    ``(n, cycle)``: one bulk call's ``n`` steps (0 if a tape sweep stopped at
-    cell 0 at once), which apply ``cycle``'s actions in turn (its action, or
-    a halving pass's keep and drop), the first of which is ``actions[i]``.
+    ``(n, cycle)``: one bulk call's ``n`` steps, which apply ``cycle``'s
+    actions in turn (its action, or a halving pass's keep and drop), the
+    first of which is ``actions[i]``.
     ``initial`` holds the storage lengths before step 1.  Each action's row
     holds whether the step consumed an input symbol, then each storage's
     change of length; the rows' columns, one byte per slot, are kept once
@@ -627,7 +628,9 @@ _SWEEP_L = 13         # tape: as _LEFT
 _COPY = 14            # non-empty queue: consume the input symbol and append it
 _SWEEPS = {_POPLEFT_APPEND: _ROTATE, _RIGHT: _SWEEP_R, _LEFT: _SWEEP_L, _APPEND: _COPY}
 _HALVE = 15           # queue: as _POPLEFT_APPEND, whose push is the front
+_CYCLE = 16           # a serving round's last step (see _cycles): as _POPLEFT_APPEND or _RIGHT
 _RENT = 8             # single steps of a tape sweep or a halving pass before bulk
+_SERVE_RENT = 16      # serving rounds taken singly before each bulk call
 
 
 class _Bulk(dict):
@@ -825,27 +828,80 @@ def _sweep(walk: _Bulk, cells: list, head: int, by: int, blank: str, pd: list | 
     return steps, head, pos, push
 
 
+class _Cycle(dict):
+    """A serving cycle's macro table: a round's reads to its emits and leaves (qmlab.macro)."""
+    __slots__ = ("states", "flags", "touch", "reads", "width", "tape")
+
+
+def _cycles(by_state: dict, spec: MachineSpec) -> dict:
+    """A rule table's serving cycles by last state: cycles of states with no
+    self-loop whose rules agree on consuming and touch (pattern on or act on)
+    one storage at most, each one's next its one such successor; over a tape
+    the last step moves right, or over queues, one of which it pops and
+    pushes; and whose rounds read 2^16 keys at most (mk:5's, tk:4's do not)."""
+    stores, steps, tags = spec.storages, {}, {}
+    for state, rules in by_state.items():   # what each state touches, consumes and goes to
+        if state in (nexts := {r[3] for r in rules}):   # no cycle state loops: most states do
+            continue
+        pats, flags, ops = zip(*map(itemgetter(2, 4, 5), rules))
+        touched = [j for j, (pat, op) in enumerate(zip(zip(*pats), zip(*ops)))
+                   if pat.count(WILDCARD) < len(rules) or not {*op} <= {NO_OP, TAPE_STAY}]
+        if len(touched) < 2 and len({*flags}) == 1:
+            steps[state] = (*touched, None)[0], flags[0], nexts
+    succ = {s: min(to) for s, (_, _, n) in steps.items() if len(to := n & steps.keys()) == 1}
+    for s in list(succ):
+        path = []
+        while s in succ:
+            path.append(s)
+            s = succ.pop(s)
+        path = path[path.index(s) if s in path else len(path):]
+        used = sorted({steps[t][0] for t in path} - {None})
+        tape = len(used) == 1 and stores[used[0]].kind is Kind.TAPE
+        ends = [i for i, t in enumerate(path) if (any(
+            r.ops[used[0]].move == "R" for r in by_state[t]) if tape else steps[t][0] is not None)]
+        if tape and len(ends) != 1 or not tape and {stores[j].kind for j in used} != {Kind.QUEUE}:
+            continue
+        cycle = _Cycle()
+        cycle.states = (*path[ends[-1] + 1:], *path[:ends[-1] + 1])
+        cycle.touch, cycle.flags = zip(*(steps[t][:2] for t in cycle.states))
+        cycle.reads = [(j, 1 if tape else cycle.touch.count(j)) for j in used]
+        cycle.tape, cycle.width = used[0] if tape else None, sum(cycle.flags) + 1 - cycle.flags[-1]
+        if len(spec.input_alphabet) ** sum(cycle.flags) * prod(
+                (len(stores[j].alphabet) + tape) ** (n * stores[j].tracks)
+                for j, n in cycle.reads) <= 1 << 16:
+            tags[cycle.states[-1]] = cycle
+    return tags
+
+
+def _serve(*args):
+    """Whole serving rounds at once: :func:`qmlab.macro.serve`, loaded by the first call."""
+    from .macro import serve
+    return serve(*args)
+
+
 # The run loop, as a template specialised by :func:`_run_loop` to a storage
 # layout, to where a run starts and to what it observes.  Storage j lives in
 # locals: its object ``sj``, its view ``vj`` and, for a tape, its ``cellsj``,
 # ``headj`` and ``blankj``; its effect code and argument in an action are
 # ``cj`` and ``aj``.  Per storage kind, its new object, its lines at the start
 # of a run, its branch in a step and what a resumed loop writes back.  A
-# tape's branch is one body for all its codes: the write, the move (a right
-# move appends a blank past the end, a left move faults at cell 0) and the new
-# view, after which a sweep adds only its rent and its bulk call.  A
+# queue's branch tests its plain pops and pushes first, a tape's its plain
+# moves and writes: the write, then the move (a right move appends a blank
+# past the end, a left move faults at cell 0) and the new view, after which
+# a sweep or a serving round's end adds only its rent and its bulk call.  A
 # marker line ``@name`` becomes the lines ``_WORD`` or ``_CONFIG`` (where a
-# loop starts, and what it writes back), ``_WATCH`` and ``_TRACE`` give
-# ``name``, or nothing.  Every loop stops (halt, step limit, fault) in the
-# same lines and returns a RunResult.  A bulk branch runs only with room for
-# a step and once the next step's picking views are keys of its _Bulk record
-# (``aj``, or a tape's ``walk``); a tape sweep's only after ``_RENT`` single
-# steps in its state, a halving pass's after ``_RENT`` single steps of its
-# pass (``keep_at`` is the step of its next keep, ``keep_due`` the step its
-# rent is paid).  In a trace, ``@swept`` and ``@halved`` add the steps a
-# bulk call took as one entry.  The dead ``if False`` block
-# numbers a step's locals first (CPython numbers them as met; past 256, each
-# use costs more).
+# loop starts, and what it writes back), ``_WATCH``, ``_TRACE`` and
+# ``_SERVE`` give ``name``, or nothing.  Every loop stops (halt, step limit,
+# fault) in the same lines and returns a RunResult.  A bulk branch runs only
+# with room for a step and once the next step's picking views are keys of
+# its _Bulk record (``aj``, or a tape's ``walk``); a tape sweep's only after
+# ``_RENT`` single steps in its state and off cell 0 if leftward, a halving
+# pass's after ``_RENT`` single steps of its pass (``keep_at``, the step of
+# its next keep; ``keep_due``, when its rent is paid), a serving round's end
+# (``_CYCLE``) after ``_SERVE_RENT`` of them since the last call
+# (``served``).  In a trace, ``@swept`` and ``@halved`` add a bulk call's
+# steps as one entry.  The dead ``if False`` block numbers a step's locals
+# first (CPython numbers them as met; past 256, each use costs more).
 _LOOP_SETUP = {
     Kind.QUEUE: "v{j} = s{j}[0] if s{j} else EMPTY\nkeep_at = -1\n@setup",
     Kind.PUSHDOWN: "v{j} = s{j}[-1] if s{j} else EMPTY\n@setup",
@@ -855,7 +911,22 @@ _LOOP_SETUP = {
 _LOOP_APPLY = {
     Kind.QUEUE: """\
 if c{j}:
-    if c{j} == {_COPY}:   # the step, then the rest of the input run at once
+    if c{j} < {_POP}:   # a plain pop, push or both (the queue codes below _POP)
+        if c{j} == {_POPLEFT}:
+            s{j}.popleft()
+            v{j} = s{j}[0] if s{j} else EMPTY
+        elif c{j} == {_POPLEFT_APPEND}:
+            s{j}.popleft()
+            s{j}.append(a{j})
+            v{j} = s{j}[0]
+        elif c{j} == {_APPEND}:
+            s{j}.append(a{j})
+            @grow
+        else:   # _APPEND_SET
+            s{j}.append(a{j})
+            v{j} = a{j}
+            @grow
+    elif c{j} == {_COPY}:   # the step, then the rest of the input run at once
         s{j}.append(word[pos - 1])
         if view in a{j} and steps + 1 < limit:   # one bounded match counts the rest
             end = a{j}.match(word, pos, pos + limit - steps - 1).end()
@@ -864,16 +935,6 @@ if c{j}:
             steps, pos, view = steps + end - pos, end, padded[end]
             @swept
         @grow
-    elif c{j} == {_APPEND}:
-        s{j}.append(a{j})
-        @grow
-    elif c{j} == {_POPLEFT}:
-        s{j}.popleft()
-        v{j} = s{j}[0] if s{j} else EMPTY
-    elif c{j} == {_POPLEFT_APPEND}:
-        s{j}.popleft()
-        s{j}.append(a{j})
-        v{j} = s{j}[0]
     elif c{j} == {_HALVE}:   # a kept front, then, past the rent, the rest of the pass
         s{j}.rotate(-1)
         if steps - keep_at:   # no keep two steps before: a new pass
@@ -895,10 +956,11 @@ if c{j}:
             steps = _rotate(s{j}, a{j}, steps, limit)
             @swept
         v{j} = s{j}[0]
-    elif c{j} == {_APPEND_SET}:
+    elif c{j} == {_CYCLE}:   # a pop and push ending a serving round: past the rent, whole rounds
+        s{j}.popleft()
         s{j}.append(a{j})
-        v{j} = a{j}
-        @grow
+        v{j} = s{j}[0]
+        @serve
     else:
         raise ExecutionFault(_fault(ex.spec.storages[{j}]))""",
     Kind.PUSHDOWN: """\
@@ -919,20 +981,33 @@ if c{j}:
     if a{j} is not None:
         cells{j}[head{j}] = a{j}
         @write
-    if c{j} == {_RIGHT} or c{j} == {_SWEEP_R}:
-        head{j} += 1
-        if head{j} == len(cells{j}):
-            cells{j}.append(blank{j})
-    elif c{j} != {_WRITE}:
-        if head{j} == 0:
-            raise ExecutionFault(_fault(ex.spec.storages[{j}]))
-        head{j} -= 1
-    v{j} = cells{j}[head{j}]
-    if c{j} >= {_SWEEP_R}:   # a sweep: its rent, then the rest at once
-        if state is not last:
-            last, due = state, steps + {_RENT}
-        elif steps >= due and steps + 1 < limit and (  # the next step's picking views
-                {pick}) in (walk := ex._walks[id(action)]):
+    if c{j} < {_SWEEP_R}:   # a plain move or a write in place
+        if c{j} == {_RIGHT}:
+            head{j} += 1
+            if head{j} == len(cells{j}):
+                cells{j}.append(blank{j})
+        elif c{j} == {_LEFT}:
+            if head{j} == 0:
+                raise ExecutionFault(_fault(ex.spec.storages[{j}]))
+            head{j} -= 1
+        v{j} = cells{j}[head{j}]
+    else:   # a sweep's step or a serving round's end: the move, then its rent and bulk call
+        if c{j} == {_SWEEP_L}:
+            if head{j} == 0:
+                raise ExecutionFault(_fault(ex.spec.storages[{j}]))
+            head{j} -= 1
+        else:
+            head{j} += 1
+            if head{j} == len(cells{j}):
+                cells{j}.append(blank{j})
+        v{j} = cells{j}[head{j}]
+        if state is not last:   # a sweep's first step, or a round's end (its state never sweeps)
+            if c{j} == {_CYCLE}:
+                @serve
+            else:
+                last, due = state, steps + {_RENT}
+        elif steps >= due and steps + 1 < limit and (head{j} or c{j} == {_SWEEP_R}) and (
+                {pick}) in (walk := ex._walks[id(action)]):  # the next step's picking views
             before = steps
             steps, head{j}, pos, {push} = _sweep(
                 walk, cells{j}, head{j}, 1 if c{j} == {_SWEEP_R} else -1,
@@ -955,7 +1030,7 @@ def run_loop(ex, {params}):
 {setup}
     @begin
     emit_ = output.append
-    view = padded[pos]
+    view, served = padded[pos], 0
     try:
         while steps < limit:
             try:
@@ -1026,7 +1101,16 @@ _TRACE = {"begin": "trace = Trace(ex._storage_ids, tuple(map(len, ({stores}))))\
           "swept": "runs[len(trace.actions)] = steps - before, (action,)\nadd_action(action)\n",
           "halved": "runs[len(trace.actions)] = steps - before, (action, a{j}.drop)\n"
                     "add_action(action)\n",
-          "step": "add_action(action)\n"}
+          "step": "add_action(action)\n", "serve": "pass\n"}
+# Past the rent, with room for a round and its input, whole rounds at once (not traced).
+_SERVE = {"serve": """\
+served += 1
+if served >= {_SERVE_RENT} and steps + len((cycle := ex._walks[id(action)]).states) < limit and (
+        pos + cycle.width <= n + 1):
+    {sync}steps, pos, emit, {vs} = _serve(ex, cycle, ({stores}), ({vs}), padded, pos, steps,
+                                         limit, output, emit)
+    view, served = padded[pos], 0{load}
+"""}
 _MARKER = re.compile(r"^( *)@(\w+)\n?", re.M)
 
 
@@ -1045,8 +1129,8 @@ def _run_loop(layout: tuple[Kind, ...], acceptance: Acceptance,
     changed) but not its new state or its step: neither ``cfg`` nor the
     result counts it.  A tape's steps, sweeps included, run one body that
     writes, moves and reads the new view (see ``_LOOP_APPLY``)."""
-    extras = [extra for on, extra in ((True, _CONFIG if resume else _WORD),
-                                      (watch, _WATCH), (traced, _TRACE)) if on]
+    extras = [extra for on, extra in ((True, _CONFIG if resume else _WORD), (watch, _WATCH),
+                                      (traced, _TRACE), (not traced, _SERVE)) if on]
 
     def expand(template: str) -> str:   # each marker line, as its extra lines
         return _MARKER.sub(lambda m: textwrap.indent(
@@ -1054,7 +1138,10 @@ def _run_loop(layout: tuple[Kind, ...], acceptance: Acceptance,
 
     def lines(parts: dict, indent: str) -> str:   # the effect codes are literals
         return "\n".join(textwrap.indent(expand(parts[kind]).format_map(dict(
-            globals(), j=j, **partner(j))), indent) for j, kind in enumerate(layout))
+            globals(), j=j, stores="".join(f"s{i}, " for i in js), vs="".join(
+                f"v{i}, " for i in js), sync=f"s{j}.head = head{j}; " * (kind is Kind.TAPE),
+            load=f"; head{j} = s{j}.head" * (kind is Kind.TAPE), **partner(j))), indent)
+            for j, kind in enumerate(layout))
 
     def partner(j: int) -> dict:   # a tape sweep's pushdown, whose branch pushes the last push
         pick = f"(view, v{j}) if consume else v{j}"   # as _sweep's walk keys them
@@ -1108,6 +1195,9 @@ class Executor:
     record through ``_walks``, by action.  A run takes the rest of a rotation
     or a copy at once while the next view is a member, and a tape sweep or a
     halving pass after ``_RENT`` single steps, about one bulk call's cost.
+    A serving cycle's (see :func:`_cycles`) last step gets code ``_CYCLE``
+    and finds its macro table through ``_walks``; plain and watched runs take
+    whole rounds at once (see :func:`_serve`) after ``_SERVE_RENT`` rounds.
     A run is one call of a loop generated for the layout and the acceptance
     kind, with the run's state in its locals (the plain loop built with the
     executor, the others on first use); :func:`step` enters it from a
@@ -1133,6 +1223,10 @@ class Executor:
                                 else deque if s.kind is Kind.QUEUE else list
                                 for s in spec.storages)
         self._storage_ids = tuple(s.ident for s in spec.storages)
+
+    @cached_property
+    def _tags(self) -> dict:   # a serving cycle by its last state, found on first compile
+        return _cycles(self.rules_by_state, self.spec)
 
     # -- configuration -----------------------------------------------------
 
@@ -1173,7 +1267,13 @@ class Executor:
             action += code, arg
             row.append(change)
         action.append(bytes(row))
-        if rule.emit is None and (found := _bulk(action, key, self._layout, masks)):
+        cycle = self._tags.get(state)
+        if cycle is not None and action[0] == cycle.states[0] and action[
+                3 + 2 * cycle.touch[-1]] == (_POPLEFT_APPEND if cycle.tape is None else _RIGHT):
+            action[3 + 2 * cycle.touch[-1]] = _CYCLE   # a serving round's last step
+            action = self._actions.setdefault(action := tuple(action), action)
+            self._walks[id(action)] = cycle
+        elif rule.emit is None and (found := _bulk(action, key, self._layout, masks)):
             j, code, context, pick, leaves = found
             bulk = self._sweeps.get(context)
             if bulk is None:

@@ -49,6 +49,7 @@ from qmlab.machine import (
     _SWEEPS,
     _Tape,
 )
+from qmlab.analysis import sized_fk_instance
 from qmlab.machines import builtin
 from qmlab.oracles import gen_lk, gen_lprime
 
@@ -106,8 +107,9 @@ def stepped_lines(spec, word, max_steps=None):
 def count_bulk_calls(ex, monkeypatch) -> Counter:
     """Counts, by kind, the calls of ``machine._rotate``, ``machine._sweep``
     (``sweep`` for a tape sweep whose cells stay, ``map`` for one that
-    writes, consumes, pushes or pops), ``machine._halve`` (``halve``) and the
-    ``match`` of each copy context ``ex`` has compiled so far."""
+    writes, consumes, pushes or pops), ``machine._halve`` (``halve``),
+    ``machine._serve`` (``serve``) and the ``match`` of each copy context
+    ``ex`` has compiled so far."""
     calls = Counter()
 
     def counted(kind, fn):
@@ -120,6 +122,7 @@ def count_bulk_calls(ex, monkeypatch) -> Counter:
     monkeypatch.setattr(machine, "_sweep", counted(
         lambda walk, *_: "sweep" if walk.stays else "map", machine._sweep))
     monkeypatch.setattr(machine, "_halve", counted("halve", machine._halve))
+    monkeypatch.setattr(machine, "_serve", counted("serve", machine._serve))
     for bulk in ex._sweeps.values():
         if bulk.action and _COPY in bulk.action[3:-1:2]:
             bulk.match = counted("copy", bulk.match)
@@ -490,8 +493,9 @@ class TestRun:
         ("anbn:linear", "a" * 20 + "b" * 20, {"halve"})])
     def test_step_calls_no_bulk_helper(self, name, word, bulk, monkeypatch):
         # step() runs its loop to one step past the configuration's, so no
-        # bulk branch has room for a step: it calls neither _rotate, _sweep
-        # nor a copy context's match.  A plain run of the word calls them.
+        # bulk branch has room for a step: it calls neither _rotate, _sweep,
+        # _halve, _serve nor a copy context's match.  A plain run of the word
+        # calls them.
         spec = builtin(name)
         ex = Executor(spec)
         ex.run(word)   # compiles every key that stepping the word meets
@@ -595,6 +599,32 @@ class TestRun:
         assert passes == 65536 and sum(took) >= 0.95 * passes
         assert res.accepted and len(res.trace) == res.steps == ex.run(word).steps
 
+    @pytest.mark.parametrize("name", ["mk:3", "tk:3"])
+    def test_serving_rounds_go_in_bulk(self, name, monkeypatch):
+        # Plain and watched runs of sized_fk_instance(k, 2**13, 1) on a warm
+        # executor take at least 90 % of their serving rounds' steps (the
+        # steps along the serving cycle, counted in a traced run) in _serve;
+        # the rest are the rent of single rounds before a call.
+        ex, word = Executor(builtin(name)), sized_fk_instance(3, 2**13, 1).render()
+        cycle = next(iter(ex._tags.values()))
+        after = dict(zip(cycle.states, cycle.states[1:] + cycle.states[:1]))
+        trace = ex.run(word, trace=True).trace
+        actions = step_actions(trace)
+        serving = sum(after.get(a[0]) == b[0] for a, b in zip(actions, actions[1:]))
+        assert serving > len(trace) // 5
+        serve, took = machine._serve, []
+
+        def count(*args):
+            res = serve(*args)
+            took.append(res[0] - args[6])
+            return res
+
+        monkeypatch.setattr(machine, "_serve", count)
+        for mode in ({}, {"watch_lengths": True}):
+            took.clear()
+            assert ex.run(word, **mode).steps == len(trace)
+            assert sum(took) >= 0.9 * serving, (mode, sum(took), serving)
+
     def test_empty_input_needs_epsilon_flag(self):
         spec = echo_machine(Kind.QUEUE)
         assert run(spec, "").verdict is Verdict.REJECT
@@ -677,7 +707,7 @@ def test_loop_hooks_are_the_extras_keys():
     templates = (machine._LOOP, *machine._LOOP_SETUP.values(), *machine._LOOP_APPLY.values())
     hooks = {m[2] for template in templates for m in machine._MARKER.finditer(template)}
     assert hooks == set().union(machine._WORD, machine._CONFIG, machine._WATCH,
-                                machine._TRACE)
+                                machine._TRACE, machine._SERVE)
 
 
 class TestTraceChecks:

@@ -1,8 +1,10 @@
 """Differential test: the executor's run loop against a naive reference.
 
 The reference below follows the README's "Machine model" section and nothing
-else: it scans every rule of the spec on every step, keeps the most specific
-applicable one (componentwise, input most significant) and has no cache.
+else: it scans every rule of the current state on every step, keeps the most
+specific applicable one (componentwise, input most significant) and has no
+cache.  It runs a word once to its default limit, keeping the configuration
+after every step, and a run cut at a smaller limit is that run's prefix.
 Plain, watched and traced ``Executor.run`` and the public ``step`` API must
 each agree with it on verdict, output, steps, input consumed, fault text,
 halt reason, per-step records and peak storage lengths, and ``step`` must
@@ -19,6 +21,7 @@ generated valid specs.
 
 import io
 import itertools
+import random
 import timeit
 from collections import Counter
 from dataclasses import dataclass
@@ -75,6 +78,27 @@ class Reference:
 
 
 def reference_run(spec, word, max_steps=None) -> Reference:
+    limit = 64 * (len(word) + 1) ** 2 if max_steps is None else max_steps
+    if (spec, word) not in _FULL_RUNS or limit > 64 * (len(word) + 1) ** 2:
+        run = _reference_run(spec, word, limit)
+        if max_steps is None:   # kept, so that runs cut at smaller limits are its prefixes
+            _FULL_RUNS.clear() if len(_FULL_RUNS) > 16 else None
+            _FULL_RUNS[spec, word] = run
+        return run[0]
+    full, configs, initial = _FULL_RUNS[spec, word]
+    if max_steps is None or max_steps > full.steps or max_steps == full.steps and (
+            full.verdict is Verdict.STEP_LIMIT):
+        return full
+    rows = full.rows[:max_steps]
+    _, pos, _, output, _ = configs[max_steps]
+    return Reference(Verdict.STEP_LIMIT, output, max_steps, pos, None, rows,
+                     tuple(map(max, zip(initial, *(r[3] for r in rows)))), configs[max_steps])
+
+
+_FULL_RUNS: dict = {}   # (spec, word): a run to the default limit, with its configurations
+
+
+def _reference_run(spec, word, max_steps):
     post = spec.mode is Mode.POST
     stores = []
     for j, st_ in enumerate(spec.storages):
@@ -124,10 +148,17 @@ def reference_run(spec, word, max_steps=None) -> Reference:
         if rule.emit is not None:
             output.append(rule.emit)
 
+    def contents():
+        return tuple((tuple(s["cells"]), s["head"]) if isinstance(s, dict) else tuple(s)
+                     for s in stores)
+
     state, pos, output, records = spec.start, 0, [], []
-    peaks = lengths()
-    limit = 64 * (len(word) + 1) ** 2 if max_steps is None else max_steps
-    fault = None
+    initial = peaks = lengths()
+    limit, fault = max_steps, None
+    rules_of = {}
+    for rule in spec.rules:
+        rules_of.setdefault(rule.state, []).append(rule)
+    configs = [(state, pos, 0, "", contents())]
     while True:
         if len(records) >= limit:
             verdict = Verdict.STEP_LIMIT
@@ -135,9 +166,9 @@ def reference_run(spec, word, max_steps=None) -> Reference:
         obs = (NO_SYMBOL if post or pos >= len(word) else word[pos],) + tuple(
             view(j) for j in range(len(stores)))
         best = None
-        for rule in spec.rules:
+        for rule in rules_of.get(state, ()):
             pats = (rule.input_pat,) + rule.storage_pats
-            if rule.state == state and all(p in (WILDCARD, o) for p, o in zip(pats, obs)):
+            if all(p in (WILDCARD, o) for p, o in zip(pats, obs)):
                 rank = tuple(p != WILDCARD for p in pats)
                 if best is None or rank > best[0]:
                     best = (rank, rule)
@@ -154,10 +185,9 @@ def reference_run(spec, word, max_steps=None) -> Reference:
         now = lengths()
         peaks = tuple(map(max, peaks, now))
         records.append((len(records) + 1, state, rule.consume, now, rule.emit))
-    contents = tuple((tuple(s["cells"]), s["head"]) if isinstance(s, dict) else tuple(s)
-                     for s in stores)
+        configs.append((state, pos, len(records), "".join(output), contents()))
     return Reference(verdict, "".join(output), len(records), pos, fault, records, peaks,
-                     (state, pos, len(records), "".join(output), contents))
+                     (state, pos, len(records), "".join(output), contents())), configs, initial
 
 
 def _halt_verdict(spec, word, state, pos, lengths, output):
@@ -490,8 +520,15 @@ def _fk_words(k):
                      st.integers(1, 3), st.integers(0, 2**32))
     negative = st.builds(mutate_negative, inst, st.sampled_from(FK_CLAUSES),
                          st.integers(0, 2**32))
+    # Words with long serving runs: segments of up to 16 bits and 8 to 16 rows (more
+    # for small k), so that rounds pass the rent and go in bulk, and negatives of them.
+    long = st.builds(lambda f, m, seed: gen_lk(k, tuple(f), m, seed),
+                     st.lists(st.integers(1, 16), min_size=k, max_size=k),
+                     st.integers(8, max(16, 60 // (k + 1))), st.integers(0, 2**32))
     return st.one_of(st.text("01#$", max_size=16), inst.map(lambda i: i.render()),
-                     negative)
+                     negative, long.map(lambda i: i.render()),
+                     st.builds(mutate_negative, long, st.sampled_from(FK_CLAUSES),
+                               st.integers(0, 2**32)))
 
 
 _ANBN_WORDS = st.one_of(st.text("ab", max_size=10),
@@ -685,6 +722,9 @@ def test_resume_matches_run(name, data):
     check_resume(build(), data.draw(words, label="word"), data.draw(_LIMITS, label="max_steps"))
 
 
+_MK3, _TK3 = "101#010#110$", "1011001110100#0110100101101#1100101011010$"
+_ROWS = "101$011$110$000$111$100$010$001$110$101$011$111$000$010$" * 2   # 28 rounds
+
 _EDGE_ROWS = [
     ("sweep:rotate-all", "ab"),
     ("sweep:tape-right", ""),
@@ -729,6 +769,17 @@ _EDGE_ROWS = [
     ("idle:pushdown+halve-wrap", "ab" * 10 + "c" + "a" * 12 + "baaa"),
     ("halve:silent", "ab" * 12),
     ("halve:silent", "a" * 17 + "b"),
+    # Serving rounds past their rent, whose bulk call ends at the end of the
+    # input, in a round cut short, at a wrong bit or at a bit where a $ is
+    # due; and tk:3's at a blank track that sends check to a repair, then in
+    # a round cut short, at the end of the input, and at a wrong bit.
+    ("mk:3", _MK3 + _ROWS),
+    ("mk:3", _MK3 + _ROWS + "10"),
+    ("mk:3", _MK3 + _ROWS[:96] + "1#0$" + _ROWS[:8]),
+    ("mk:3", _MK3 + _ROWS[:100] + "0110$"),
+    ("tk:3", _TK3 + _ROWS[:96] + "10"),
+    ("tk:3", _TK3 + _ROWS[:96]),
+    ("tk:3", _TK3 + _ROWS[:84] + "10#1$"),
 ]
 
 
@@ -759,13 +810,16 @@ def test_sweep_edges_resume_as_runs(name, word):
     ("sweep:tape-right", "0", "sweep", 6 + machine._RENT),
     ("sweep:copy-gather-fault", "0110100111010", "map", 2 + machine._RENT),
     ("halve:silent", "a" * 24, "halve", 1 + machine._RENT),
+    ("mk:2", "1#0$" + "10$" * 30, "serve", 5 + 3 * machine._SERVE_RENT),
 ])
 def test_bulk_helpers_run_only_with_room(name, word, kind, first, monkeypatch):
     """On a warm executor, step ``first`` is the first that may take the
     rest of its sweep at once: the first whose new view continues a
     rotation or a copy, and a tape sweep's after its rent of single steps
-    (the sweeps above start at steps 6 and 2).  Its bulk helper is called
-    once, when the run has room for a step after it, and never for zero
+    (the sweeps above start at steps 6 and 2), and the end of a serving
+    round after its rent of round ends (round r ends at step 3 + 3r), with
+    room for a round (3 steps) after it.  Its bulk helper is called once,
+    when the run has room for a step (a round) after it, and never for zero
     steps."""
     ex = machine.Executor(MACHINES[name][0]())
     ex.run(word)
@@ -783,6 +837,8 @@ def test_bulk_helpers_run_only_with_room(name, word, kind, first, monkeypatch):
     ("halve:silent", "a" * 40 + "b" * 8, True),
     # The pass's rent is paid at the end of the input, where its drop faults.
     ("halve:wrap", "ab" * 6 + "c" + "a" * 4, False),
+    # A leftward sweep whose rent is paid at cell 0, where its next step faults.
+    ("idle:queue+gather-fault", "0000000000", True),
 ])
 def test_bulk_helpers_never_run_for_zero_steps(name, word, bulk, monkeypatch):
     """On a fresh executor too, where a sweep or a pass past its rent may
@@ -951,3 +1007,108 @@ def test_generated_spec_runs_match_reference(spec, word, max_steps):
 @given(spec=machine_specs(), word=st.text(_SYMBOLS, max_size=8))
 def test_generated_spec_steps_match_reference(spec, word):
     check_steps(spec, word, 60)
+
+
+# --------------------------------------------------------------------------
+# Generated serving cycles: a fill phase, then a cycle of 2 to 5 states over
+# one queue's front or one tape's cell, between idle storages, with exits on
+# some views and a random emit table.
+
+
+def cycle_specs(rng):
+    """A seeded spec with a planted serving cycle, a word long enough to pass
+    the rent and a step limit: ``random.Random`` ``rng`` draws them.  The
+    fill state queues or writes the input's a and b up to a c; a tape's is
+    then rewound to its mark m in cell 0.  Each cycle step consumes or not
+    and touches the storage (a queue's pop and push, a tape's rewrite) or,
+    one at least, nothing (a queue's) or moves right (a tape's last);
+    its rules read the input view and the front or cell; some steps exit
+    to a halting state on the input view c, and a tape's on its blank end.
+    Some consuming steps read any input symbol, so a round may consume past
+    the end; some tapes' rules also read and write blank cells, so a round
+    may change the tape's length; and a few of a tape's rules move left (or,
+    in the last step, stay), so that such rounds are not the cycle's."""
+    tape = rng.random() < 0.5
+    idle = [rng.choice(list(Kind)) for _ in range(rng.randint(0, 2))]
+    at = rng.randint(0, len(idle))
+    kinds = idle[:at] + [Kind.TAPE if tape else Kind.QUEUE] + idle[at:]
+    storages = tuple(StorageSpec(f"s{j}", kind, frozenset("abm" if j == at else "ab"),
+                                 rng.randint(1, 2) if kind is Kind.TAPE else 1)
+                     for j, kind in enumerate(kinds))
+    tracks = storages[at].tracks
+    lives = ["".join(c) for c in itertools.product("ab", repeat=tracks)]
+    cells = lives + [BLANK * tracks] * (rng.random() < 0.3)   # a cycle step's views
+    still = [TapeOp() if kind is Kind.TAPE else NO_OP for kind in kinds]
+
+    def rule(state, symbol, view, nxt, consume=False, op=None, emit=None):
+        pats, ops = [WILDCARD] * len(kinds), list(still)
+        pats[at] = view
+        if op is not None:
+            ops[at] = op
+        return Rule(state, symbol, tuple(pats), nxt, consume, tuple(ops), emit)
+
+    p = rng.randint(2, 5)
+    states = [f"c{i}" for i in range(p)]
+    rules = []
+    if tape:   # mark cell 0, write the fill, rewind to the mark
+        rules += [rule("f", WILDCARD, BLANK * tracks, "w", op=TapeOp("m" * tracks, "R"))]
+        rules += [rule("w", ch, WILDCARD, "w", True, TapeOp(ch * tracks, "R")) for ch in "ab"]
+        rules += [rule("w", "c", WILDCARD, "r", True, TapeOp(None, "L"))]
+        rules += [rule("r", WILDCARD, cell, "r", op=TapeOp(None, "L")) for cell in lives]
+        rules += [rule("r", WILDCARD, "m" * tracks, states[0], op=TapeOp(None, "R"))]
+    else:
+        rules += [rule("f", ch, WILDCARD, "f", True, QueueOp(push=ch)) for ch in "ab"]
+        rules += [rule("f", "c", WILDCARD, states[0], True)]
+    free = rng.randrange(p)   # a queue's step that touches nothing; the next touches it
+    for i, state in enumerate(states):
+        nxt, consume = states[(i + 1) % p], rng.random() < 0.7
+        symbols = "ab" if consume and rng.random() < 0.8 else (WILDCARD,)
+        touch = i != free and (i == (free + 1) % p or rng.random() < 0.8)
+        if consume and rng.random() < 0.5:   # an exit on the input view c
+            rules.append(rule(state, "c", WILDCARD, "x", True))
+        for symbol in symbols:
+            if tape or touch:
+                for view in (cells if tape else "ab"):
+                    move = ("R", "S") if i == p - 1 else ("S", "L")
+                    op = (TapeOp(rng.choice([None, *cells]), move[rng.random() < 0.1])
+                          if tape else QueueOp(pop=True, push=rng.choice("ab")))
+                    rules.append(rule(state, symbol, view, nxt, consume, op,
+                                      rng.choice([None, "0", "1"])))
+            else:
+                rules.append(rule(state, symbol, WILDCARD, nxt, consume, None,
+                                  rng.choice([None, "0", "1"])))
+    spec = MachineSpec(
+        name="cycle", states=("f", "w", "r", *states, "x"), start="f",
+        input_alphabet=frozenset("abc"), output_alphabet=frozenset("01"), storages=storages,
+        rules=tuple(rules), acceptance=rng.choice([Acceptance.OUTPUT_BIT,
+                                                   Acceptance.EMPTY_STORAGES]))
+    fill = "".join(rng.choice("ab") for _ in range(rng.randint(*(30, 60) if tape else (1, 6))))
+    word = fill + "c" + "".join(rng.choice("ab") for _ in range(rng.randint(40, 90)))
+    if rng.random() < 0.3:   # a late c: an exit, or no rule reads it
+        word += "c" + "".join(rng.choice("ab") for _ in range(rng.randint(0, 5)))
+    return spec, word, rng.choice([400, 400, rng.randint(0, 400)])
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_cycle_specs_match_reference_and_go_in_bulk(block):
+    """Every run of 50 seeded cycle specs (per block) matches the reference,
+    plain, watched, traced and entered from a configuration, and at least
+    half of the plain runs call ``_serve``."""
+    served = 0
+    for seed in range(50 * block, 50 * block + 50):
+        spec, word, limit = cycle_specs(random.Random(seed))
+        assert validate_spec(spec).ok, seed
+        ex, calls, serve = machine.Executor(spec), [], machine._serve
+
+        def count(*args):
+            calls.append(args)
+            return serve(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(machine, "_serve", count)
+            plain = ex.run(word, max_steps=limit)
+        served += bool(calls)
+        assert plain.steps == reference_run(spec, word, limit).steps, seed
+        check_runs(spec, word, limit)
+        check_resume(spec, word, limit)
+    assert served >= 25

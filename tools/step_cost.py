@@ -42,6 +42,12 @@ actions, so that the columns the checks read are built in the time.
 ``halving_share`` is the share of a plain run of ``gen_lprime(12, SEED)``'s
 halving-pass steps (its ``compare`` and ``rotate`` steps, counted in a traced
 run of the word) that ``machine._halve`` takes in bulk, on a warm executor.
+``serving_share`` is the smaller, over mk:3 and tk:3 on their words, of
+the share of a plain run's serving-round steps (its steps along the serving
+cycle, counted in a traced run of the word) that ``machine._serve`` takes
+in bulk, on a warm executor; ``serving_ns_per_step`` is, per machine, the
+time spent in ``_serve`` over the steps it took, in the fastest of
+``REPEAT`` plain runs.
 ``trace_entries`` holds, for the lprime, tk:3 and anbn:quadratic words, a
 traced run's entries (its slots: one per step taken singly, one per bulk
 call) and its steps; the counts are deterministic.
@@ -259,6 +265,40 @@ def halving_share() -> float:
     return round(sum(took) / passes, 4)
 
 
+def serving_share(repeat: int) -> tuple[float, dict]:
+    """The smaller share, over mk:3 and tk:3, of a plain run's serving-round
+    steps that ``machine._serve`` takes, and each one's ns per step taken."""
+    shares, costs, serve = [], {}, machine._serve
+    for name in ("mk:3", "tk:3"):
+        ex, word = Executor(builtin(name)), words()[name]
+        cycle = next(iter(ex._tags.values()))
+        after = dict(zip(cycle.states, cycle.states[1:] + cycle.states[:1]))
+        actions = list(step_actions(ex.run(word, trace=True).trace))
+        serving = sum(after.get(a[0]) == b[0] for a, b in zip(actions, actions[1:]))
+        took, spent = [], []
+
+        def count(*args):
+            t = time.perf_counter()
+            res = serve(*args)
+            spent.append(time.perf_counter() - t)
+            took.append(res[0] - args[6])
+            return res
+
+        machine._serve = count
+        try:
+            best_ns = []
+            for _ in range(repeat):
+                took.clear()
+                spent.clear()
+                ex.run(word)
+                best_ns.append(1e9 * sum(spent) / sum(took))
+        finally:
+            machine._serve = serve
+        shares.append(sum(took) / serving)
+        costs[name] = round(min(best_ns), 1)
+    return round(min(shares), 4), costs
+
+
 def trace_entries() -> dict:
     """A traced run's entries and steps for three of the machines' words."""
     out = {}
@@ -315,6 +355,7 @@ def main() -> int:
               "trace_file_ns_per_step": trace_file_ns_per_step(REPEAT),
               "timing_checks_us": timing_checks_us(REPEAT),
               "halving_share": halving_share(),
+              **dict(zip(("serving_share", "serving_ns_per_step"), serving_share(REPEAT))),
               "trace_entries": trace_entries(),
               "bits_us_per_1000": bit_costs(REPEAT),
               "import_ms": import_ms(REPEAT),
@@ -335,6 +376,8 @@ def main() -> int:
     print(f"lprime_timing's checks on a k = 12 trace cost {result['timing_checks_us']} µs")
     print(f"a plain k = 12 lprime run takes {result['halving_share']} of its halving-pass "
           f"steps in bulk")
+    print(f"plain mk:3 and tk:3 runs take at least {result['serving_share']} of their "
+          f"serving-round steps in bulk, at {result['serving_ns_per_step']} ns/step")
     for name, r in result["trace_entries"].items():
         print(f"a traced {name} run holds {r['entries']} entries for {r['steps']} steps")
     for n, us in result["bits_us_per_1000"].items():
