@@ -35,7 +35,7 @@ from bisect import bisect_right
 from collections import deque
 from enum import Enum
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, compress, islice, repeat, takewhile
+from itertools import accumulate, compress, count, islice, repeat, takewhile
 from math import prod
 from operator import itemgetter, truth
 from sys import intern, maxsize
@@ -130,10 +130,6 @@ class Rule(NamedTuple):
     consume: bool = False
     ops: tuple[QueueOp | TapeOp, ...] = ()
     emit: str | None = None
-
-    def specificity(self) -> tuple[int, ...]:
-        pats = (self.input_pat,) + self.storage_pats
-        return tuple(0 if p == WILDCARD else 1 for p in pats)
 
     def pattern_key(self) -> tuple:
         return (self.state, self.input_pat) + self.storage_pats
@@ -634,67 +630,62 @@ _SERVE_RENT = 16      # serving rounds taken singly before each bulk call
 
 
 class _Bulk(dict):
-    """A bulk context.  Its keys are the views that compiled keys proved to
-    pick its next step (a rotation's fronts, a copy's input symbols, a tape
-    sweep's input view, cell and popped top as it reads them, a halving
-    pass's drop (input view, front) pairs), each mapped to what that step
-    leaves (a tape sweep's cell, with its push) or to ``None``.  ``action``
-    is the one action its queue keys share (a pass's keep), whose arg it is;
-    a pass's ``keeps`` holds its keep's pairs and ``drop`` its first drop
-    action, the only one it takes; ``match`` is a copy's or a pass's regex
-    match over its members, compiled again as they grow; a tape sweep
-    ``stays`` if its cells do."""
+    """A bulk context: the views that compiled keys proved to pick its next
+    step (a rotation's fronts, a copy's input symbols, a tape sweep's input
+    view, cell and popped top, a halving pass's drop (input view, front)
+    pairs), each to what the step leaves (a tape sweep's cell, with its
+    push) or ``None``.  ``action`` is the one action its queue keys share (a
+    pass's keep), whose arg it is; a pass's ``keeps`` holds its keep's pairs
+    and ``drop`` its first drop action; ``match`` is a copy's or a pass's
+    regex match over its members; a tape sweep ``stays`` if its cells do."""
     __slots__ = ("keeps", "match", "action", "drop", "stays")
 
-    def __init__(self, code: int, leaves):
+    def __init__(self, code: int, stays: bool):
         self.keeps = set() if code == _HALVE or code == _POPLEFT else None
         self.match = self.action = self.drop = None
-        self.stays = leaves is None and (code == _SWEEP_R or code == _SWEEP_L)
+        self.stays = stays
 
 
-def _bulk(action: list, key: tuple, layout: tuple, masks: list) -> tuple | None:
-    """For an action that emits nothing, if runs may take it in bulk: its
-    storage, its bulk code, its context's key, the views that pick it and
-    what it leaves (see _Bulk).  A self-loop may rotate a queue, or consume
+def _bulk(action: tuple, state: str, layout: tuple, named: set) -> tuple | None:
+    """For an action of ``state`` that emits nothing, if runs may take it in
+    bulk, its plan for the state's keys: its storage ``j``, its bulk code,
+    the key's slot whose view must equal its arg (else a key steps singly)
+    or ``None``, ``itemgetter``s of the views its context's key keeps (with
+    what it adds before and after them) and of its picking views, and
+    whether a tape sweep pushes.  A self-loop may rotate a queue, or consume
     the input symbol and append it to a non-empty queue; or move a tape's
     head, maybe consuming input, and pop from the pushdown after it or push
-    if no rule of the state reads it.  Its context's key is its key less the
-    views that pick it or that it sets, plus the storage, the code, the row
-    and, for a tape, whether its cells stay.  An action that changes its
-    state may be a step of a halving pass, a two-state cycle over one queue
-    that keeps every other storage: its keep (code _HALVE, state s to t) pops
-    the front and pushes it back, its drop (code _POPLEFT, t to s) pops it and
-    may consume the input symbol.  The pass's key is either step's key less
-    the input view and the queue's, plus both states in the keep's order."""
+    if no rule of the state reads it (``named``: the slots they name).  A
+    halving pass's keep (code _HALVE, s to t) pops the front and pushes it
+    back, its drop (code _POPLEFT, t to s) pops it and may consume input.  A
+    context's key: the key less the views that pick the step or that it sets
+    (and a pass's state), plus the storage, the code, the row and whether a
+    tape's cells stay, or a pass's states in the keep's order."""
     moved = [j for j, code in enumerate(action[3:-1:2]) if code]
     if not moved:
         return None
-    j = moved[0]
-    code, arg = action[3 + 2 * j:5 + 2 * j]
-    state, consume = key[0], action[1]
+    j, consume, (code, arg) = moved[0], action[1], action[3 + 2 * moved[0]:5 + 2 * moved[0]]
+
+    def plan(code, check, drops, adds, picks, push=False, states=()) -> tuple:
+        kept = [i for i in range(2 + len(layout)) if i not in drops] or [slice(0, 0)]
+        return j, code, check, itemgetter(*kept), states, adds, itemgetter(*picks), push
+
     if action[0] != state:
-        if len(moved) == 1 and (code == _POPLEFT or code == _POPLEFT_APPEND and not consume
-                                and arg == key[2 + j]):
+        if len(moved) == 1 and (code == _POPLEFT or code == _POPLEFT_APPEND and not consume):
             keep = code == _POPLEFT_APPEND
-            return (j, _HALVE if keep else code, (state, action[0])[::1 if keep else -1]
-                    + key[2:2 + j] + key[3 + j:] + (j, _HALVE), (key[1], key[2 + j]), None)
-        return None
-    if code == _RIGHT or code == _LEFT:
+            return plan(_HALVE if keep else code, 2 + j if keep else None, (0, 1, 2 + j),
+                        (j, _HALVE), (1, 2 + j), states=(state, action[0])[::1 if keep else -1])
+    elif code == _RIGHT or code == _LEFT:
         other = _KEEP if len(moved) == 1 else action[5 + 2 * j] if moved[1:] == [j + 1] else None
         if other == _KEEP or other == _POP or other == _APPEND_SET and layout[
-                j + 1] is Kind.PUSHDOWN and not any(mask[2 + j] for mask, _ in masks):
-            cell = arg or key[2 + j]
-            stays = other == _KEEP and not consume and cell == key[2 + j]
-            pick = key[1:2] * consume + key[2 + j:3 + j + (other == _POP)]
-            return (j, _SWEEPS[code], key[:2 - consume] + key[2:2 + j]
-                    + key[3 + j + (other != _KEEP):] + (j, _SWEEPS[code], action[-1], stays),
-                    pick if pick[1:] else pick[0], None if stays else
-                    (cell, action[6 + 2 * j]) if other == _APPEND_SET else cell)
-        return None
-    if len(moved) == 1 and code in (_POPLEFT_APPEND, _APPEND) and (
-            code == _APPEND) == consume and arg == key[i := 1 if consume else 2 + j]:
-        code = _SWEEPS[code]
-        return j, code, key[:i] + key[i + 1:] + (j, code, action[-1]), key[i], None
+                j + 1] is Kind.PUSHDOWN and 3 + j not in named:
+            reads, stays = (1,) * consume + (2 + j,), other == _KEEP and not consume and arg is None
+            return plan(_SWEEPS[code], None, reads + (3 + j,) * (other != _KEEP),
+                        (j, _SWEEPS[code], action[-1], stays),
+                        reads + (3 + j,) * (other == _POP), other == _APPEND_SET)
+    elif len(moved) == 1 and code in (_POPLEFT_APPEND, _APPEND) and (code == _APPEND) == consume:
+        i = 1 if consume else 2 + j
+        return plan(_SWEEPS[code], i, (i,), (j, _SWEEPS[code], action[-1]), (i,))
     return None
 
 
@@ -829,8 +820,9 @@ def _sweep(walk: _Bulk, cells: list, head: int, by: int, blank: str, pd: list | 
 
 
 class _Cycle(dict):
-    """A serving cycle's macro table: a round's reads to its emits and leaves (qmlab.macro)."""
-    __slots__ = ("states", "flags", "touch", "reads", "width", "tape")
+    """A serving cycle's macro table: a round's reads to its emits and leaves (qmlab.macro);
+    ``steps`` holds per step its state, storage, next state and the codes it may take."""
+    __slots__ = ("states", "flags", "touch", "reads", "width", "tape", "steps")
 
 
 def _cycles(by_state: dict, spec: MachineSpec) -> dict:
@@ -866,6 +858,9 @@ def _cycles(by_state: dict, spec: MachineSpec) -> dict:
         cycle.touch, cycle.flags = zip(*(steps[t][:2] for t in cycle.states))
         cycle.reads = [(j, 1 if tape else cycle.touch.count(j)) for j in used]
         cycle.tape, cycle.width = used[0] if tape else None, sum(cycle.flags) + 1 - cycle.flags[-1]
+        cycle.steps = [(t, j, after, ((_RIGHT, _CYCLE) if after == cycle.states[0] else (
+            _KEEP, _WRITE)) if tape else (_POPLEFT_APPEND, _HALVE, _CYCLE)) for t, j, after in zip(
+            cycle.states, cycle.touch, cycle.states[1:] + cycle.states[:1])]
         if len(spec.input_alphabet) ** sum(cycle.flags) * prod(
                 (len(stores[j].alphabet) + tape) ** (n * stores[j].tracks)
                 for j, n in cycle.reads) <= 1 << 16:
@@ -1174,35 +1169,27 @@ def _run_loop(layout: tuple[Kind, ...], acceptance: Acceptance,
 
 
 class Executor:
-    """Compiled form of a machine: per-state rule lists and, built on a
-    state's first compile, its rules indexed by pattern, a cache from
+    """Compiled form of a machine: per-state rule lists, a cache from
     concrete observations to compiled actions and the run loops of its
-    storage layout.
+    storage layout.  Nothing it compiles outlives it.
 
-    The cache key is ``(state, input view, view of storage 0, ...)``.  The
-    first time a key is looked up it is compiled to ``None`` (no rule
-    applies) or to ``(next_state, consume, emit, code 0, arg 0, code 1, arg 1,
-    ..., row)``: per storage, in its fixed slots, what the action does to it
-    (see :func:`_effect`), and last the step's row for the trace (see
-    ``Trace._columns``).  Plain, watched and traced runs all read this one cache.
-    The rule is found by one dict lookup per wildcard mask of the state's
-    patterns, the most specific mask first.  Equal actions are one object.  A
-    step that runs take in bulk (see :func:`_bulk`) gets a bulk code in its
-    storage's slot, and its context in ``_sweeps`` is one :class:`_Bulk`
-    record of the views compiled keys proved.  A queue's keys share the
-    record's action, whose argument is the record; a tape sweep's keys keep
-    their own actions, so a single step costs a plain move, and find the
-    record through ``_walks``, by action.  A run takes the rest of a rotation
-    or a copy at once while the next view is a member, and a tape sweep or a
-    halving pass after ``_RENT`` single steps, about one bulk call's cost.
-    A serving cycle's (see :func:`_cycles`) last step gets code ``_CYCLE``
-    and finds its macro table through ``_walks``; plain and watched runs take
-    whole rounds at once (see :func:`_serve`) after ``_SERVE_RENT`` rounds.
-    A run is one call of a loop generated for the layout and the acceptance
-    kind, with the run's state in its locals (the plain loop built with the
-    executor, the others on first use); :func:`step` enters it from a
-    :class:`Configuration`.  Every loop returns a :class:`RunResult`.  One
-    executor serves any number of runs of its spec.
+    The cache key is ``(state, input view, view of storage 0, ...)``.  A key
+    is compiled on its first look-up to ``None`` (no rule applies) or to
+    ``(next_state, consume, emit, code 0, arg 0, code 1, arg 1, ..., row)``:
+    per storage what the action does to it (see :func:`_effect`), and the
+    step's row for the trace (see ``Trace._columns``).  Plain, watched and
+    traced runs read this one cache.  A state's rules are indexed on its
+    first compile (:meth:`_index`), and each of its distinct actions is
+    planned once (:meth:`_plan`): one object for equal actions, and whether
+    runs take it in bulk (:func:`_bulk`).  A bulk step gets a bulk code in
+    its storage's slot; its context in ``_sweeps`` is one :class:`_Bulk`
+    record, which a queue's keys share as their action's argument and a tape
+    sweep's keys, each with its own action, find through ``_walks``.  A serving
+    cycle's (see :func:`_cycles`) last step gets code ``_CYCLE`` and finds
+    its macro table through ``_walks``; plain and watched runs take whole
+    rounds at once (see :func:`_serve`).  A run is one call of a loop
+    generated for the layout and the acceptance kind (see :func:`_run_loop`);
+    :func:`step` enters it from a :class:`Configuration`.
     """
 
     def __init__(self, spec: MachineSpec):
@@ -1211,9 +1198,8 @@ class Executor:
         for rule in spec.rules:
             self.rules_by_state.setdefault(rule.state, []).append(rule)
         self._cache: dict[tuple, tuple | None] = {}
-        self._by_pattern: dict[str, list[tuple[tuple[int, ...], dict]]] = {}
+        self._by_pattern: dict[str, tuple[list, dict, set]] = {}   # see _index
         self._actions: dict[tuple, tuple] = {}
-        # A sweep's context: a queue's shared action, or a tape's walk.
         self._sweeps: dict[tuple, _Bulk] = {}   # a bulk context's key: its record
         self._walks: dict[int, _Bulk] = {}   # a tape sweep's action (by id): its record
         self._post = spec.mode is Mode.POST
@@ -1243,71 +1229,85 @@ class Executor:
     # -- stepping ----------------------------------------------------------
 
     def _compile(self, key: tuple) -> tuple | None:
-        state, _, *views = key
+        state = key[0]
         if state not in self._by_pattern:
-            # The state's rules by pattern: per wildcard mask (as
-            # Rule.specificity gives it), a dict from a pattern's concrete
-            # components to its rule, the first of equal patterns.
-            index: dict[tuple[int, ...], dict] = {}
-            for rule in self.rules_by_state.get(state, ()):
-                mask = rule.specificity()
-                index.setdefault(mask, {}).setdefault(
-                    tuple(compress((rule.input_pat, *rule.storage_pats), mask)), rule)
-            self._by_pattern[state] = sorted(index.items(), reverse=True)
-        masks = self._by_pattern[state]
-        for mask, rules in masks:   # the most specific mask first
-            rule = rules.get(tuple(compress(key[1:], mask)))
+            self._index(state)
+        masks, plans, _ = self._by_pattern[state]
+        for views, rules in masks:   # the most specific mask first
+            rule = rules.get(views(key))
             if rule is not None:
                 break
         else:
             self._cache[key] = None
             return None
         action, row = [intern(rule.next_state), rule.consume, rule.emit], [rule.consume]
-        for code, arg, change in map(_effect, self.spec.storages, views, rule.ops):
+        for code, arg, change in map(_effect, self.spec.storages, key[2:], rule.ops):
             action += code, arg
             row.append(change)
         action.append(bytes(row))
-        cycle = self._tags.get(state)
-        if cycle is not None and action[0] == cycle.states[0] and action[
-                3 + 2 * cycle.touch[-1]] == (_POPLEFT_APPEND if cycle.tape is None else _RIGHT):
-            action[3 + 2 * cycle.touch[-1]] = _CYCLE   # a serving round's last step
-            action = self._actions.setdefault(action := tuple(action), action)
-            self._walks[id(action)] = cycle
-        elif rule.emit is None and (found := _bulk(action, key, self._layout, masks)):
-            j, code, context, pick, leaves = found
-            bulk = self._sweeps.get(context)
-            if bulk is None:
-                bulk = self._sweeps[context] = _Bulk(code, leaves)
-            if code == _POPLEFT:   # a pass's drop: its first, where it cannot fault
-                action = tuple(action)
-                action = self._cache[key] = self._actions.setdefault(action, action)
-                bulk.drop = bulk.drop or action
-                if action is bulk.drop and not (rule.consume and key[1] == NO_SYMBOL):
-                    bulk[pick] = None
-                    bulk.match = _pass_match(bulk, bulk.keeps)
-                return action
-            action[3 + 2 * j] = code
-            if code == _SWEEP_R or code == _SWEEP_L:   # its keys keep their actions
-                bulk[pick] = leaves
-                action = self._cache[key] = tuple(action)
-                self._walks[id(action)] = bulk
-                return action
-            if code == _HALVE:
-                bulk.keeps.add(pick)
-                bulk.match = _pass_match(bulk, bulk.keeps)
-            else:
-                bulk[pick] = None
-                if code == _COPY:
-                    bulk.match = re.compile(f"[{re.escape(''.join(bulk))}]*").match
-            if bulk.action is None:   # its keys share one action, whose arg is the record
-                action[4 + 2 * j] = bulk
-                bulk.action = tuple(action)
-            action = self._cache[key] = bulk.action
-            return action
-        # Equal actions are one object: many keys share a few actions.
         action = tuple(action)
-        action = self._cache[key] = self._actions.setdefault(action, action)
+        action, plan = plans.get(action) or plans.setdefault(action, self._plan(state, action))
+        if plan is None or plan[2] is not None and key[plan[2]] != action[4 + 2 * plan[0]]:
+            self._cache[key] = action   # a single step (a bulk step's arg is its view)
+            return action
+        j, code, _, views, states, adds, picks, push = plan
+        seen, pick = views(key), picks(key)
+        context = (*states, *(seen if type(seen) is tuple else (seen,)), *adds)
+        bulk = self._sweeps.get(context)
+        if bulk is None:
+            bulk = self._sweeps[context] = _Bulk(code, adds[-1] is True)   # (a tape's stays)
+        if code == _POPLEFT:   # a pass's drop: its first, where it cannot fault
+            bulk.drop = bulk.drop or action
+            if action is bulk.drop and not (action[1] and key[1] == NO_SYMBOL):
+                bulk[pick] = None
+                bulk.match = _pass_match(bulk, bulk.keeps)
+            self._cache[key] = action
+            return action
+        if code == _SWEEP_R or code == _SWEEP_L:   # its keys keep their actions
+            cell = action[4 + 2 * j] or key[2 + j]
+            bulk[pick] = None if bulk.stays else (cell, action[6 + 2 * j]) if push else cell
+            action = self._cache[key] = (*action[:3 + 2 * j], code, *action[4 + 2 * j:])
+            self._walks[id(action)] = bulk
+            return action
+        if code == _HALVE:
+            bulk.keeps.add(pick)
+            bulk.match = _pass_match(bulk, bulk.keeps)
+        else:
+            bulk[pick] = None
+            if code == _COPY:
+                bulk.match = re.compile(f"[{re.escape(''.join(bulk))}]*").match
+        if bulk.action is None:   # its keys share one action, whose arg is the record
+            bulk.action = (*action[:3 + 2 * j], code, bulk, *action[5 + 2 * j:])
+        action = self._cache[key] = bulk.action
         return action
+
+    def _index(self, state: str) -> None:
+        """The state's rules per wildcard mask, the most specific first (an
+        ``itemgetter`` of the views it names and a dict from them to the
+        first rule of that pattern), its plans and the slots its rules name."""
+        by_mask: dict[tuple[bool, ...], list] = {}
+        for rule in self.rules_by_state.get(state, ()):
+            pattern = (state, rule.input_pat, *rule.storage_pats)
+            by_mask.setdefault(tuple(map(WILDCARD.__ne__, pattern)), []).append((pattern, rule))
+        masks = []
+        for mask in sorted(by_mask, reverse=True):
+            named = [i for i in compress(count(), mask) if i] or [slice(0, 0)]   # none: ()
+            views, (patterns, rules) = itemgetter(*named), zip(*reversed(by_mask[mask]))
+            masks.append((views, dict(zip(map(views, patterns), rules))))   # the first wins
+        self._by_pattern[state] = masks, {}, {*compress(count(), map(any, zip(*by_mask)))}
+
+    def _plan(self, state: str, action: tuple) -> tuple:
+        """An action as the state's keys take it (one object for equal ones;
+        a serving round's last step with code ``_CYCLE``) and its bulk plan."""
+        cycle = self._tags.get(state)
+        if cycle is not None and action[0] == cycle.states[0] and action[t := 3 + 2 * cycle.touch[
+                -1]] == (_POPLEFT_APPEND if cycle.tape is None else _RIGHT):
+            action = (*action[:t], _CYCLE, *action[t + 1:])
+            action = self._actions.setdefault(action, action)
+            self._walks[id(action)] = cycle
+            return action, None
+        plan = action[2] is None and _bulk(action, state, self._layout, self._by_pattern[state][2])
+        return self._actions.setdefault(action, action), plan or None
 
     # -- running -----------------------------------------------------------
 

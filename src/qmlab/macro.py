@@ -17,10 +17,11 @@ holds it.
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice, repeat, starmap
+from itertools import islice, repeat, starmap, takewhile
+from operator import truth
 from sys import maxsize
 
-from .machine import _CYCLE, _HALVE, _KEEP, _POPLEFT_APPEND, _RIGHT, _WRITE, NO_SYMBOL, _Cycle
+from .machine import _HALVE, NO_SYMBOL, _Cycle
 
 
 def compose(ex, cycle: _Cycle, key: tuple, views: tuple):
@@ -29,20 +30,19 @@ def compose(ex, cycle: _Cycle, key: tuple, views: tuple):
     other storages; ``None`` unless each step goes on in the cycle, keeps
     every length and pops and pushes its queue, or rewrites the tape's cell
     and (the last step only) moves right."""
-    p, emits, got, reads = len(cycle.states), [], 0, iter(key[cycle.width:])
+    cache, emits, got, reads = ex._cache, [], 0, iter(key[cycle.width:])
     held, views = {j: deque(islice(reads, n)) for j, n in cycle.reads}, list(views)
-    for i, (state, j) in enumerate(zip(cycle.states, cycle.touch)):
+    for state, j, after, codes in cycle.steps:
         for q, seen in held.items():   # a queue's front, or the cell
             views[q] = seen[0]
         k = (state, key[got], *views)
-        action = ex._cache[k] if k in ex._cache else ex._compile(k)
-        if (action is None or action[0] != cycle.states[(i + 1) % p] or any(action[-1][1:])
+        action = cache[k] if k in cache else ex._compile(k)
+        if (action is None or action[0] != after or any(action[-1][1:])
                 or action[1] and key[got] == NO_SYMBOL):
             return None
         if j is not None:
             code, arg = action[3 + 2 * j:5 + 2 * j]
-            if code not in (((_RIGHT, _CYCLE) if i == p - 1 else (_KEEP, _WRITE))
-                            if j == cycle.tape else (_POPLEFT_APPEND, _HALVE, _CYCLE)):
+            if code not in codes:
                 return None
             if code == _HALVE:   # the front out and in again
                 held[j].rotate(-1)
@@ -59,9 +59,9 @@ def serve(ex, cycle: _Cycle, stores: tuple, views: tuple, padded: str, pos: int,
     """Whole rounds at once after the step that ends one (``steps`` before it;
     its ``emit`` first), while there is room for a round and its reads (its
     input window from ``pos``, then per storage of ``cycle.reads`` its fronts
-    or the cell under the head; strided slices of windows of rounds that grow
-    fourfold to 256) key a member of ``cycle``, composed if not met before.
-    Returns ``steps`` plus the steps taken, ``pos``, ``None`` and the views."""
+    or the cell; strided slices of windows of rounds, fourfold to 256) key a
+    member of ``cycle``; a window's new keys are composed as met, up to its
+    first non-member.  Returns ``steps`` plus its steps, ``pos``, ``None`` and the views."""
     if emit is not None:
         output.append(emit)
     p, c, w, tape, views = len(cycle.states), sum(cycle.flags), cycle.width, cycle.tape, [*views]
@@ -77,10 +77,10 @@ def serve(ex, cycle: _Cycle, stores: tuple, views: tuple, padded: str, pos: int,
                    else list(islice(stores[j], m * n)))
             keys += [got[x::n] for x in range(n)] if n > 1 else [got]
         done = list(map(cycle.get, zip(*keys)))   # zip reuses its tuple: get keeps none
-        if (took := [*done, None].index(None)) < m and (
-                key := tuple(col[took] for col in keys)) not in cycle:
-            cycle[key] = compose(ex, cycle, key, views)
-            continue   # and read the window again
+        if (took := [*done, None].index(None)) < m:   # then the new rounds, composed as met
+            done[took:] = takewhile(truth, (cycle[key] if key in cycle else cycle.setdefault(
+                key, compose(ex, cycle, key, views)) for key in islice(zip(*keys), took, None)))
+            took = len(done)   # up to the first that is no member
         if not took:
             break
         emits, *leaves = zip(*done[:took])   # per round: its emits, then what it leaves

@@ -143,7 +143,7 @@ class FkInstance(NamedTuple):
         return tuple(len(p) for p in self.prefixes)
 
     def render(self) -> str:
-        return "#".join(self.prefixes) + "$" + "".join(b + "$" for b in self.blocks)
+        return "#".join(self.prefixes) + "$" + "$".join((*self.blocks, ""))
 
 
 def parse_lk(k: int, word: str) -> FkInstance:
@@ -250,8 +250,8 @@ def gen_lk(k: int, f: tuple[int, ...] | list[int], m: int, seed: int) -> FkInsta
         raise ValueError("need k >= 1, one length >= 1 per stream and m >= 1")
     rng = SplitMix64(seed)
     prefixes = tuple(rng.bits(fi) for fi in f)
-    rows = rng.bits(k * m)
-    return FkInstance(prefixes, tuple(rows[i:i + k] for i in range(0, k * m, k)))
+    rows = rng.bits(k * m)   # cut into rows of k: zip over k references to one iterator
+    return FkInstance(prefixes, tuple(rows if k == 1 else map("".join, zip(*[iter(rows)] * k))))
 
 
 def gen_lprime(k: int, seed: int) -> LprimeInstance:

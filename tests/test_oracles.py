@@ -12,6 +12,7 @@ from qmlab.oracles import (
     FK_CLAUSES,
     LPRIME_CLAUSES,
     BatchCase,
+    FkInstance,
     ParseReject,
     SplitMix64,
     gen_lk,
@@ -194,6 +195,26 @@ class TestGenerators:
             "482c75c66cc4fe1f53526b29c3299f7badbe0c44d867dfc7232181dc02804367")
         assert digest(gen_lprime(10, 3).render()) == (
             "a247405048c703c63a16d5b2b20e2d3bf637302924d4c55c306e5349426f1ddd")
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 6), f=st.lists(st.integers(1, 6), min_size=6, max_size=6),
+           m=st.integers(1, 40), seed=st.integers(0, 2 ** 64 - 1))
+    def test_rows_and_render_match_per_row_formulas(self, k, f, m, seed):
+        # The rows are the draw cut every k bits, and a word is its prefixes
+        # joined by '#', then '$' and every row followed by '$'; so are a
+        # parsed word's, and an instance's with no rows.
+        def render(inst):
+            return "#".join(inst.prefixes) + "$" + "".join(b + "$" for b in inst.blocks)
+
+        inst, rng = gen_lk(k, f[:k], m, seed), SplitMix64(seed)
+        for fi in f[:k]:
+            rng.bits(fi)
+        rows = rng.bits(k * m)
+        assert inst.blocks == tuple(rows[i:i + k] for i in range(0, k * m, k))
+        assert inst.render() == render(inst)
+        parsed = parse_lk(k, inst.render())
+        assert parsed == inst and parsed.render() == render(parsed)
+        assert FkInstance(inst.prefixes, ()).render() == render(FkInstance(inst.prefixes, ()))
 
     @pytest.mark.parametrize("family, sha256", [
         ("lprime", "693a03b8b877341ef9c7b456685b60b1030e937fc600d605e7dd2c07f1eb7752"),

@@ -1112,3 +1112,95 @@ def test_cycle_specs_match_reference_and_go_in_bulk(block):
         check_runs(spec, word, limit)
         check_resume(spec, word, limit)
     assert served >= 25
+
+
+# --------------------------------------------------------------------------
+# Cold executors.  What an executor has compiled (its rule index, its plans,
+# its bulk records and macro tables) depends on the keys it has met and in
+# which order; a run's result and trace file must not.
+
+
+def _results(executors, word, max_steps=None):
+    """A word's plain, watched and traced results and its trace file, each
+    run on the next executor of ``executors``."""
+    out = []
+    for (watch, traced), ex in zip(((False, False), (True, False), (False, True)), executors):
+        res = ex.run(word, max_steps=max_steps, watch_lengths=watch, trace=traced)
+        if traced:
+            res.trace.write(buf := io.StringIO())
+        out.append((res.verdict, res.output, res.steps, res.input_consumed, res.halt_reason,
+                    res.fault, res.max_lengths, traced and buf.getvalue()))
+    return out
+
+
+def check_cold_equals_warm(spec, word, others, seed, max_steps=None):
+    """``word``'s runs on fresh executors, on one warmed by runs of
+    ``others`` and on one that first compiled the keys of the word's runs in
+    a seeded shuffled order give equal results and trace files."""
+    cold = _results((machine.Executor(spec) for _ in range(3)), word, max_steps)
+    warm, met, shuffled = (machine.Executor(spec) for _ in range(3))
+    for other in others:
+        _results(itertools.repeat(warm), other, max_steps)
+    _results(itertools.repeat(met), word, max_steps)
+    keys = list(met._cache)
+    random.Random(seed).shuffle(keys)
+    for key in keys:
+        shuffled._compile(key)
+    assert _results(itertools.repeat(warm), word, max_steps) == cold
+    assert _results(itertools.repeat(shuffled), word, max_steps) == cold
+
+
+@pytest.mark.parametrize("name", sorted(MACHINES))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_cold_runs_equal_warm_runs(name, data):
+    build, words = MACHINES[name]
+    check_cold_equals_warm(build(), data.draw(words, label="word"),
+                           data.draw(st.lists(words, max_size=3), label="others"),
+                           data.draw(st.integers(0, 2**32), label="seed"),
+                           data.draw(_LIMITS, label="max_steps"))
+
+
+@pytest.mark.parametrize("name, word", _EDGE_ROWS)
+def test_cold_edge_runs_equal_warm_runs(name, word):
+    others = [w for n, w in _EDGE_ROWS if n == name and w != word] or [word[:len(word) // 2]]
+    check_cold_equals_warm(MACHINES[name][0](), word, others, len(word))
+
+
+def test_cold_cycle_specs_equal_warm_runs():
+    for seed in range(50):
+        spec, word, limit = cycle_specs(random.Random(seed))
+        check_cold_equals_warm(spec, word, [word[:len(word) // 2], word[::-1]], seed, limit)
+
+
+def test_cold_serve_stops_at_the_first_non_member(monkeypatch):
+    """mk:2's first ``serve`` window on a fresh executor (11 rounds: its
+    queues hold 16 bits) meets five rounds of four keys not composed before,
+    then a round with a ``#`` in its row, which leaves the cycle, then five
+    more: the call composes the four in turn and that round, takes the five
+    and stops there, and the run matches the reference."""
+    from qmlab import macro
+    spec = builtin("mk:2")
+    word = ("1101001110100101#0110110001011010$" + "10$" * 16 + "01$11$00$10$01$" + "1#$"
+            + "10$" * 5)
+    calls, composed = [], []
+    serve, compose = machine._serve, macro.compose
+
+    def count(*args):
+        calls.append((args[5], serve(*args)))
+        return calls[-1][1]
+
+    def record(*args):
+        composed.append(compose(*args))
+        return composed[-1]
+
+    monkeypatch.setattr(machine, "_serve", count)
+    monkeypatch.setattr(macro, "compose", record)
+    ex = machine.Executor(spec)
+    res = ex.run(word)
+    ref = reference_run(spec, word)
+    assert (res.verdict, res.steps, res.output) == (ref.verdict, ref.steps, ref.output)
+    [(pos, (steps, end, *_))] = calls
+    assert word[pos:end] == "$01$11$00$10$01" and word[end:end + 3] == "$1#"
+    assert len(composed) == 5 and composed[-1] is None and None not in composed[:-1]
+    assert len(next(iter(ex._tags.values()))) == 5   # its macro table: what the call composed

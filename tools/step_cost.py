@@ -29,7 +29,17 @@ lprime executors make a cold pass over the batch workload's kind of words
 (tk:3 and mk:3 over ``gen_fk_cases(COLD_WORDS, SEED)``, lprime over
 ``gen_lprime_cases(COLD_LPRIME, SEED, k_max=4)``) and then a warm one; the
 fastest cold pass of ``REPEAT`` less the fastest warm one, over the keys a
-pass compiles, in µs.  ``step_us``
+pass compiles, in µs.  ``compose_us``, ``cold_growth_over_warm`` and
+``compose_rereads`` measure a cold growth pass: ``analysis.growth_series`` over
+``GROWTH_EXPONENTS`` for mk:3 and tk:3, on fresh executors (``executor_for``'s
+cache emptied first, as a fresh process has it) and again on the warm ones.
+``compose_us`` is the time inside ``qmlab.macro.compose`` over the entries it
+composes, in µs, in the fastest of ``REPEAT`` cold series;
+``cold_growth_over_warm`` is the fastest cold series over the fastest warm
+one; ``compose_rereads`` is how many more windows ``serve`` reads (runs of
+its ``map(cycle.get, ...)`` line, counted by a line tracer) in the cold
+series than in the warm one, and ``compose_serve_calls`` its ``serve``
+calls in the cold series; both are counts, whatever the host.  ``step_us``
 is the cost of one ``step`` call, in µs: the fastest of ``REPEAT`` passes
 that step a configuration of ``gen_lprime(6, SEED)`` from its start to its
 halt (255 steps), over the steps.  ``trace_file_ns_per_step`` is the fastest of ``REPEAT`` traced
@@ -67,6 +77,7 @@ printed is one JSON object.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import inspect
 import io
 import json
 import os
@@ -81,7 +92,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from qmlab import machine  # noqa: E402
-from qmlab.analysis import lprime_cycle_starts, sized_fk_instance  # noqa: E402
+from qmlab.analysis import growth_series, lprime_cycle_starts, sized_fk_instance  # noqa: E402
 from qmlab.machine import (Executor, RunResult, Trace, Verdict, executor_for,  # noqa: E402
                            minimal_delay, step)
 from qmlab.machines import builtin  # noqa: E402
@@ -94,6 +105,7 @@ SHORT_WORDS = ("a", "ab0c0", "ab0c0ab")   # 1, 5 and 14 steps
 SHORT_BATCH = 2000
 COLD_WORDS = 600   # as many fk words as the batch workload replays
 COLD_LPRIME = 1500   # and as many lprime words as it verifies
+GROWTH_EXPONENTS = range(8, 14)   # the growth workload's mk:3 and tk:3 series
 LAZY_MODULES = ("multiprocessing", "dataclasses", "inspect")
 
 
@@ -190,6 +202,61 @@ def compile_us(repeat: int) -> float:
     lp = [case.word for case in gen_lprime_cases(COLD_LPRIME, SEED, k_max=4)]
     cold, warm, keys = cold_and_warm([("tk:3", fk), ("mk:3", fk), ("lprime", lp)], repeat)
     return round(1e6 * (cold - warm) / keys, 3)
+
+
+def growth_pass(repeat: int) -> dict:
+    """The mk:3 and tk:3 growth series on fresh executors and on warm ones:
+    µs per composed entry, cold over warm, and the windows read."""
+    from qmlab import macro
+    compose, spent, entries, passes = macro.compose, [0.0], [0], ([], [])
+
+    def timed(*args):
+        t = time.perf_counter()
+        entry = compose(*args)
+        spent[0] += time.perf_counter() - t
+        entries[0] += 1
+        return entry
+
+    def series() -> None:
+        for name in ("mk:3", "tk:3"):
+            growth_series(name, GROWTH_EXPONENTS)
+
+    macro.compose = timed
+    try:
+        composing = []
+        for _ in range(repeat):
+            machine.executor_for.cache_clear()
+            spent[0] = entries[0] = 0
+            for times in passes:   # cold, then warm
+                t = time.perf_counter()
+                series()
+                times.append(time.perf_counter() - t)
+            composing.append(spent[0] / entries[0])
+    finally:
+        macro.compose = compose
+    reads, calls = [], []
+    lines = inspect.getsourcelines(macro.serve)
+    line = lines[1] + next(i for i, text in enumerate(lines[0]) if "map(cycle.get" in text)
+
+    def tracer(frame, event, arg):   # serve's calls, then its lines
+        if frame.f_code is not macro.serve.__code__:
+            return None
+        calls[-1] += event == "call"
+        reads[-1] += event == "line" and frame.f_lineno == line
+        return tracer
+
+    machine.executor_for.cache_clear()
+    for _ in passes:   # cold, then warm
+        reads.append(0)
+        calls.append(0)
+        sys.settrace(tracer)
+        try:
+            series()
+        finally:
+            sys.settrace(None)
+    return {"compose_us": round(1e6 * min(composing), 3),
+            "cold_growth_over_warm": round(min(passes[0]) / min(passes[1]), 3),
+            "compose_rereads": reads[0] - reads[1], "compose_serve_calls": calls[0]}
 
 
 def step_us(repeat: int) -> float:
@@ -351,6 +418,7 @@ def main() -> int:
                   1e3 * short["ab0c0"] / runs["lprime"]["plain_ns_per_step"], 2),
               "cold_over_warm": cold, "warm_fk_us": warm,
               "compile_us": compile_us(REPEAT),
+              **growth_pass(REPEAT),
               "step_us": step_us(REPEAT),
               "trace_file_ns_per_step": trace_file_ns_per_step(REPEAT),
               "timing_checks_us": timing_checks_us(REPEAT),
@@ -370,6 +438,10 @@ def main() -> int:
     print(f"a cold tk:3 pass over {COLD_WORDS} fk words costs {result['cold_over_warm']} "
           f"warm passes; a warm pass, {result['warm_fk_us']} µs per run")
     print(f"a cold batch-like pass costs {result['compile_us']} µs per compiled key")
+    print(f"a cold mk:3 and tk:3 growth pass costs {result['cold_growth_over_warm']} warm "
+          f"ones and {result['compose_us']} µs per composed entry; its "
+          f"{result['compose_serve_calls']} serve calls read {result['compose_rereads']} "
+          f"windows more than a warm pass's")
     print(f"a step() call of lprime costs {result['step_us']} µs")
     print(f"a traced tk:3 run written as a trace file costs "
           f"{result['trace_file_ns_per_step']} ns/step")
